@@ -122,6 +122,7 @@ def minimal_dominating_sets(g: Graph, budget: Optional[Budget] = None) -> list[V
         rec(i + 1, chosen | bit(i), cover | ci, shrunk)
 
     rec(0, 0, 0, [])
+    del rec  # a self-recursive closure is a cycle; break it so its lists free now
     out.sort(key=canonical_key)
     return out
 
@@ -176,6 +177,7 @@ def dominating_sets_upto(
         rec(i + 1, chosen | bits[i], count + 1, cover | closed[i])
 
     rec(0, 0, 0, 0)
+    del rec  # a self-recursive closure is a cycle; break it so its lists free now
     out.sort(key=canonical_key)
     return out
 
@@ -205,6 +207,7 @@ def list_maximal_independent(g: Graph, budget: Optional[Budget] = None) -> list[
             x |= bv
 
     bk(0, full, 0)
+    del bk  # a self-recursive closure is a cycle; break it so its lists free now
     out.sort(key=canonical_key)
     return out
 
@@ -245,6 +248,7 @@ def compute_ir(g: Graph, budget: Optional[Budget] = None) -> int:
         rec(i + 1, count + 1, cover | ci, shrunk)
 
     rec(0, 0, 0, [])
+    del rec  # a self-recursive closure is a cycle; break it so its lists free now
     return best
 
 

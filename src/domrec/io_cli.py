@@ -10,6 +10,8 @@ Formats:
 All stdout is deterministic across reruns; timings and progress go to
 stderr only. Exit codes: 0 ok, 2 usage, 3 parse/input, 4 budget,
 5 assertion failure (cross-check disagreement or structure violation).
+A reader that closes stdout early (`domrec hunt | head -1`) ends the
+command quietly with exit 0, as a broken pipe ends other filters.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import islice
 from multiprocessing import Pool
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .graph_core import (
     MAX_VERTICES,
     BudgetError,
-    DomrecError,
     Graph,
     InputError,
     UnsupportedGraphError,
@@ -71,16 +73,14 @@ EXIT_BUDGET = 4
 EXIT_ASSERT = 5
 
 JOBS_ENV_VAR = "DOMREC_JOBS"
+# Stream lines handed to the worker pool at a time; bounds hunt's memory.
+HUNT_WINDOW = 512
 
 _GRAPH6_HEADER = ">>graph6<<"
 
 
 class ParseError(InputError):
     """Malformed input bytes (graph6 or edge list)."""
-
-
-class VerificationError(DomrecError):
-    """A cross-check or structure check failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +486,12 @@ class _HuntItem:
 
 
 def _hunt_worker(item: _HuntItem) -> tuple[int, str, str]:
-    """Process one graph6 line; returns (ordinal, kind, payload)."""
+    """Process one graph6 line; returns (ordinal, kind, payload).
+
+    The threshold is decided by the separation route (d0 = sep, see
+    separation.py); the direct D_k scan then re-verifies every hit as an
+    independent oracle, and a mismatch is reported as "disagree".
+    """
     try:
         g = parse_graph6(item.line)
     except InputError as exc:
@@ -498,14 +503,13 @@ def _hunt_worker(item: _HuntItem) -> tuple[int, str, str]:
     budget = Budget(max_n=item.budget_max_n)
     try:
         fam = enumerate_minimal_dominating(g, budget)
+        sep = sep_bottleneck(fam).sep
+        if sep - fam.Gamma < item.min_excess:
+            return item.ordinal, "miss", ""
         d0 = d0_direct(g, budget)
     except BudgetError as exc:
         return item.ordinal, "budget-error", str(exc)
     excess = d0 - fam.Gamma
-    if excess < item.min_excess:
-        return item.ordinal, "miss", ""
-    # Re-verify via the independent separation route before emitting.
-    sep = sep_bottleneck(fam).sep
     payload = export_json({
         "id": item.ordinal,
         "graph6": item.line,
@@ -523,24 +527,33 @@ def _hunt_worker(item: _HuntItem) -> tuple[int, str, str]:
 def cmd_hunt(args: argparse.Namespace, out: TextIO) -> int:
     budget = _budget_from(args)
     max_n = args.max_n if args.max_n is not None else budget.max_n
-    jobs = args.jobs
-    items = []
-    ordinal = 0
-    for raw in sys.stdin:
-        line = raw.strip()
-        if not line:
-            continue
-        ordinal += 1
-        items.append(_HuntItem(ordinal, line, max_n, args.min_excess, budget.max_n))
+    read = 0
+
+    def stream() -> Iterator[_HuntItem]:
+        nonlocal read
+        for raw in sys.stdin:
+            line = raw.strip()
+            if line:
+                read += 1
+                yield _HuntItem(read, line, max_n, args.min_excess, budget.max_n)
+
+    items = stream()
     started = time.perf_counter()
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
-            results: Iterable[tuple[int, str, str]] = pool.imap(_hunt_worker, items, chunksize=8)
+    if args.jobs > 1:
+        # imap's task feeder drains its iterable eagerly, so it is handed
+        # one fixed-size window at a time; results stay in stream order.
+        windows = iter(lambda: list(islice(items, HUNT_WINDOW)), [])
+        with Pool(processes=args.jobs) as pool:
+            results = (
+                r for w in windows for r in pool.imap(_hunt_worker, w, chunksize=8)
+            )
             status = _drain_hunt(results, out)
     else:
         status = _drain_hunt(map(_hunt_worker, items), out)
+    for _ in items:  # an early stop still reports the stream's graph count
+        pass
     elapsed = time.perf_counter() - started
-    print(f"hunt: {ordinal} graphs in {elapsed:.2f}s", file=sys.stderr)
+    print(f"hunt: {read} graphs in {elapsed:.2f}s", file=sys.stderr)
     return status
 
 
@@ -587,6 +600,18 @@ def _add_input(p: argparse.ArgumentParser) -> None:
 def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=None,
                    help="max vertex count for enumeration (default 24, env DOMREC_BUDGET)")
+
+
+def _jobs_arg(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count (--jobs or {JOBS_ENV_VAR}) must be an integer >= 1, got {text!r}"
+        )
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -651,13 +676,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("hunt", help="scan a graph6 stream for d0 - Gamma >= threshold")
+    p = sub.add_parser(
+        "hunt",
+        help="scan a graph6 stream for d0 - Gamma >= threshold; filters on sep,"
+             " re-verifies every hit with the direct D_k scan",
+    )
     p.add_argument("--max-n", type=int, default=None,
                    help="skip graphs larger than this (default: enumeration budget)")
     p.add_argument("--min-excess", type=int, default=2)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get(JOBS_ENV_VAR, "1")),
-                   help="worker processes (env DOMREC_JOBS)")
+    # A string default goes through type= too, so a bad env value is a usage error.
+    p.add_argument("--jobs", type=_jobs_arg,
+                   default=os.environ.get(JOBS_ENV_VAR, "1"),
+                   help="worker processes, at least 1 (env DOMREC_JOBS)")
     _add_budget(p)
     p.set_defaults(func=cmd_hunt)
 
@@ -668,16 +698,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        status = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe must surface inside this try
+        return status
+    except BrokenPipeError:
+        # The reader has gone. Point stdout at devnull so the flush at
+        # interpreter exit cannot raise again (see the `signal` module docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except BudgetError as exc:
         print(f"domrec: budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except InputError as exc:
         print(f"domrec: input: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except VerificationError as exc:
-        print(f"domrec: check failed: {exc}", file=sys.stderr)
-        return EXIT_ASSERT
     except OSError as exc:
         print(f"domrec: io: {exc}", file=sys.stderr)
         return EXIT_PARSE

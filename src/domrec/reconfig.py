@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graph_core import (
     Graph,
@@ -136,17 +136,17 @@ def build_dk(g: Graph, k: int, budget: Optional[Budget] = None) -> ReconfigGraph
 
 def _layered_connectivity(
     all_sets: list[VertexSet], n: int
-) -> list[tuple[int, int, int, int]]:
-    """Per-k (k, order, size, components) for k from the first layer to n.
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (k, order, size, components) for k from the first layer to n.
 
     all_sets must be canonically ordered. Union-find state is cumulative:
     after layer k is merged the component count is exactly that of D_k.
+    Layers are merged lazily, so a caller that stops early skips the rest.
     """
     if not all_sets:
-        return []
+        return
     index = {m: i for i, m in enumerate(all_sets)}
     dsu = _DSU()
-    rows: list[tuple[int, int, int, int]] = []
     gamma = popcount(all_sets[0])
     pos = 0
     edge_total = 0
@@ -160,17 +160,15 @@ def _layered_connectivity(
                     edge_total += 1
                     dsu.union(prev, pos)
             pos += 1
-        rows.append((k, pos, edge_total, dsu.components))
-    return rows
+        yield k, pos, edge_total, dsu.components
 
 
 def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> ConnectivityProfile:
     """Order/size/connectivity of D_k(G) for every k from gamma to n."""
     all_sets = dominating_sets_upto(g, g.n, budget)
-    rows = _layered_connectivity(all_sets, g.n)
     entries = tuple(
         ProfileEntry(k=k, order=order, size=size, connected=comps == 1, component_count=comps)
-        for k, order, size, comps in rows
+        for k, order, size, comps in _layered_connectivity(all_sets, g.n)
     )
     gamma = popcount(all_sets[0]) if all_sets else 0
     return ConnectivityProfile(gamma=gamma, n=g.n, entries=entries)
@@ -180,9 +178,14 @@ def d0_direct(g: Graph, budget: Optional[Budget] = None) -> int:
     """Smallest j such that D_k(G) is connected for every k >= j.
 
     Scans k upward, tracking the last disconnected level; the first
-    connected level above Gamma is final (connectivity is monotone there).
-    The scan starts at Gamma+1 unless the graph has isolated vertices, in
-    which case it starts at gamma and trusts only the definition.
+    connected level above Gamma is final (connectivity is monotone there),
+    and the union-find stops there. The scan starts at Gamma+1 unless the
+    graph has isolated vertices, in which case it starts at gamma and
+    trusts only the definition.
+
+    This is the independent oracle for d0, not the fast route: d0 equals
+    the separation sep (proof in separation.py), so `hunt` filters on
+    sep_bottleneck and runs this scan only to re-verify every hit.
     """
     if all(row == 0 for row in g.adj):
         raise InputError("d_0 requires a graph with at least one edge")

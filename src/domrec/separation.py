@@ -7,8 +7,43 @@ partition; the bottleneck route reads the same number off a minimum
 spanning tree over pair weights w(X,Y) = |X u Y|: the max-min over cuts
 equals the heaviest MST edge, and removing that edge exhibits a witness
 partition. The two routes are cross-validated in the tests rather than
-trusted on faith, and sep is checked against the direct connectivity
-threshold d_0 on every corpus graph.
+trusted on faith.
+
+Why d0 = sep. Let F be the minimal family and U_k the graph on F with
+X ~ Y when |X u Y| <= k. Every cut of U_k has a cross edge exactly when
+k >= sep, so U_k is connected exactly when k >= sep. For k >= Gamma, D_k
+is connected exactly when U_k is:
+
+  (<=) Every minimal set lies in D_k because k >= Gamma. Every S in D_k
+  reaches a minimal subset by single deletions that keep it dominating,
+  and the sizes only fall. For X ~ Y, the union X u Y dominates and has
+  at most k elements, so X and Y each reach it by single additions.
+  Hence all of D_k is one component.
+
+  (=>) Take X, Y in F and a path X = S_0, ..., S_t = Y in D_k. Follow a
+  minimal subset M_i of S_i, starting with M_0 = X. On an addition step,
+  or on a deletion of a vertex outside M_i, keep M_{i+1} = M_i. On the
+  deletion of a vertex of M_i, pick any minimal M_{i+1} inside S_{i+1};
+  both M_i and M_{i+1} lie inside S_i, so |M_i u M_{i+1}| <= k and
+  M_i ~ M_{i+1}. The last set Y is minimal, so its only minimal subset
+  is Y itself and M_t = Y. Hence X and Y are joined in U_k.
+
+When F has at least 2 sets, sep >= Gamma + 1: put a set X of size Gamma
+alone on one side; no other minimal set Y is a subset of X, so
+|X u Y| >= Gamma + 1 for every cross pair. Then D_k is connected for all
+k >= sep (those k are >= Gamma), and D_{sep-1} is disconnected because
+sep - 1 >= Gamma and U_{sep-1} is. So d0 = sep.
+
+Isolated vertices do not break this. Such a vertex lies in every
+dominating set, so in every set above, and nothing in the argument needs
+G to be connected. F has at least 2 sets whenever G has an edge uv
+(maximal independent sets through u and through v are distinct minimal
+dominating sets); only the edgeless graph, with the single set V, is
+excluded, and d0 is rejected there too.
+
+This is why `hunt` filters its threshold on sep_bottleneck and runs the
+direct D_k scan (reconfig.d0_direct) only to re-verify every hit, and why
+sep is still checked against d0_direct on every corpus graph.
 """
 
 from __future__ import annotations

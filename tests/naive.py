@@ -19,8 +19,10 @@ def adjacency_sets(g: Graph) -> list[set[int]]:
     return adj
 
 
-def naive_is_dominating(g: Graph, verts: frozenset[int]) -> bool:
-    adj = adjacency_sets(g)
+def naive_is_dominating(
+    g: Graph, verts: frozenset[int], adj: list[set[int]] | None = None
+) -> bool:
+    adj = adj if adj is not None else adjacency_sets(g)
     covered = set()
     for v in verts:
         covered |= adj[v] | {v}
@@ -90,24 +92,28 @@ def naive_sep(sets: list[frozenset[int]]) -> int:
 
 
 def naive_dk(g: Graph, k: int) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
-    """D_k by definition: all-pairs symmetric-difference-one adjacency.
+    """D_k by definition: symmetric-difference-one adjacency.
 
     Sorted by the package's canonical order (cardinality, then bit order)
-    so index-pair edge lists are comparable.
+    so index-pair edge lists are comparable. In that order the later end of
+    an edge is the earlier end plus one vertex, so each set looks up its
+    one-vertex supersets instead of scanning all pairs.
     """
+    adj = adjacency_sets(g)
     verts = []
     for size in range(0, min(k, g.n) + 1):
         for combo in combinations(range(g.n), size):
             d = frozenset(combo)
-            if naive_is_dominating(g, d):
+            if naive_is_dominating(g, d, adj):
                 verts.append(d)
     verts.sort(key=lambda s: (len(s), sum(1 << v for v in s)))
-    edges = [
-        (a, b)
-        for a in range(len(verts))
-        for b in range(a + 1, len(verts))
-        if len(verts[a] ^ verts[b]) == 1
-    ]
+    index = {d: i for i, d in enumerate(verts)}
+    edges = sorted(
+        (a, index[d | {v}])
+        for a, d in enumerate(verts)
+        for v in range(g.n)
+        if v not in d and d | {v} in index
+    )
     return verts, edges
 
 

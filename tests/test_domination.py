@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -222,3 +223,19 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("DOMREC_BUDGET", "junk")
     with pytest.raises(BudgetError):
         Budget.resolve()
+
+
+def test_enumerators_leave_no_cyclic_garbage():
+    # Their working lists must be freed on return, not whenever the cyclic
+    # collector next runs; otherwise a long hunt stream inflates the heap.
+    g = cartesian_product(path_graph(3), complete_graph(3))
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_minimal_dominating(g)
+        dominating_sets_upto(g, 5)
+        list_maximal_independent(g)
+        compute_ir(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -10,16 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domrec import (
+    Graph,
     build_dk,
     cartesian_product,
     complete_graph,
     generate_gkr,
+    generate_qkr,
     path_graph,
     star,
 )
+from domrec import io_cli
 from domrec.io_cli import (
+    EXIT_ASSERT,
     EXIT_BUDGET,
     EXIT_PARSE,
+    EXIT_USAGE,
+    JOBS_ENV_VAR,
     ParseError,
     export_dot,
     export_edge_list,
@@ -31,6 +38,7 @@ from domrec.io_cli import (
 )
 from domrec.graph_core import UnsupportedGraphError
 from conftest import random_graph
+from naive import naive_d0, naive_minimal_dominating_sets
 
 CLI = [sys.executable, "-m", "domrec"]
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -298,3 +306,160 @@ def test_main_returns_exit_code_in_process(capsys, monkeypatch, tmp_path):
     assert main(["invariants", str(f)]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["gamma"] == 1
+
+
+# hunt: sep filter, d0_direct re-verification ---------------------------------
+
+
+def _permuted(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@pytest.fixture(scope="module")
+def planted_stream():
+    """Random small graphs with permuted gkr(3,2)/qkr(3,2) planted in them,
+    and the ids whose excess d0 - Gamma is >= 2 by the naive oracles."""
+    rng = random.Random(2017)
+    graphs = []
+    while len(graphs) < 30:
+        g = random_graph(rng, rng.randint(3, 7), 0.45)
+        if any(g.adj):
+            graphs.append(g)
+    for pos, make in ((3, generate_gkr), (11, generate_qkr), (20, generate_gkr), (27, generate_qkr)):
+        graphs.insert(pos, _permuted(make(3, 2)[0], rng))
+    hits = set()
+    for ordinal, g in enumerate(graphs, 1):
+        Gamma = max(len(d) for d in naive_minimal_dominating_sets(g))
+        if naive_d0(g) - Gamma >= 2:
+            hits.add(ordinal)
+    text = "".join(export_graph6(g) + "\n" for g in graphs)
+    return text, hits, len(graphs)
+
+
+def _hunt_in_process(monkeypatch, capsys, stream, *flags):
+    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+    code = main(["hunt", *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_hunt_hit_set_matches_naive_oracle(planted_stream):
+    stream, expected, _ = planted_stream
+    assert {4, 12, 21, 28} <= expected  # the planted constructions
+    proc = run_cli(["hunt", "--min-excess", "2"], stdin_text=stream)
+    assert proc.returncode == 0
+    hits = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert {h["id"] for h in hits} == expected
+    for h in hits:
+        assert h["agree"] and h["d0"] == h["sep"] == h["Gamma"] + h["excess"]
+
+
+def test_cli_hunt_parallel_matches_serial_on_hits(monkeypatch, capsys, planted_stream):
+    stream, expected, count = planted_stream
+    serial = _hunt_in_process(monkeypatch, capsys, stream, "--min-excess", "2")
+    # Small windows make the parallel run cross several window boundaries.
+    monkeypatch.setattr(io_cli, "HUNT_WINDOW", 4)
+    parallel = _hunt_in_process(monkeypatch, capsys, stream, "--min-excess", "2", "--jobs", "2")
+    assert serial[0] == parallel[0] == 0
+    assert serial[1] == parallel[1]
+    assert [json.loads(line)["id"] for line in serial[1].splitlines()] == sorted(expected)
+    assert f"hunt: {count} graphs" in parallel[2]
+
+
+def test_cli_hunt_runs_d0_direct_only_on_hits(monkeypatch, capsys, planted_stream):
+    stream, expected, count = planted_stream
+    calls = []
+    real = io_cli.d0_direct
+
+    def counting(g, budget=None):
+        calls.append(export_graph6(g))
+        return real(g, budget)
+
+    monkeypatch.setattr(io_cli, "d0_direct", counting)
+    code, out, _ = _hunt_in_process(monkeypatch, capsys, stream, "--min-excess", "2")
+    assert code == 0
+    assert len(calls) == len(expected) < count
+    assert calls == [json.loads(line)["graph6"] for line in out.splitlines()]
+
+
+def test_cli_hunt_disagreement_exits_5_with_payload(monkeypatch, capsys):
+    real = io_cli.d0_direct
+    monkeypatch.setattr(io_cli, "d0_direct", lambda g, budget=None: real(g, budget) + 1)
+    prism = cartesian_product(path_graph(3), complete_graph(3))
+    stream = export_graph6(complete_graph(3)) + "\n" + export_graph6(prism) + "\n"
+    code, out, err = _hunt_in_process(monkeypatch, capsys, stream, "--min-excess", "2")
+    assert code == EXIT_ASSERT
+    payload = json.loads(out)
+    assert payload["id"] == 2 and payload["agree"] is False
+    assert payload["d0"] == payload["sep"] + 1 == 6 and payload["excess"] == 3
+    assert "disagreement" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_hunt_streams_its_input(monkeypatch, jobs):
+    # The first hit must be written after at most one pool window of
+    # input has been read, not after the whole stream.
+    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
+    monkeypatch.setattr(io_cli, "HUNT_WINDOW", 4)
+    line = export_graph6(star(3)) + "\n"
+    read = []
+
+    def stdin():
+        for _ in range(20):
+            read.append(1)
+            yield line
+
+    class FirstWrite(io.StringIO):
+        lines_read_then = None
+
+        def write(self, text):
+            if self.lines_read_then is None:
+                self.lines_read_then = len(read)
+            return super().write(text)
+
+    out = FirstWrite()
+    monkeypatch.setattr(sys, "stdin", stdin())
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["hunt", "--min-excess", "1", "--jobs", jobs]) == 0
+    assert out.getvalue().count("\n") == 20
+    assert out.lines_read_then == (1 if jobs == "1" else 4)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_cli_jobs_rejects_bad_values(monkeypatch, capsys, value):
+    stream = export_graph6(star(3)) + "\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+    with pytest.raises(SystemExit) as flag:
+        main(["hunt", "--jobs", value])
+    assert flag.value.code == EXIT_USAGE
+    monkeypatch.setenv(JOBS_ENV_VAR, value)
+    with pytest.raises(SystemExit) as env:
+        main(["hunt"])
+    assert env.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count(f"must be an integer >= 1, got {value!r}") == 2
+    # Commands other than hunt do not read the variable.
+    assert main(["gen", "star", "--n", "3"]) == 0
+    assert capsys.readouterr().out.strip() == export_graph6(star(3))
+
+
+def test_cli_hunt_quiet_on_broken_pipe(tmp_path):
+    # Far more output than a pipe buffers, so hunt is still writing when
+    # the reader goes away after one line.
+    stream = tmp_path / "k2.g6"
+    stream.write_text("A_\n" * 5000)
+    with open(stream) as fin:
+        proc = subprocess.Popen(
+            CLI + ["hunt", "--min-excess", "1"], stdin=fin,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert json.loads(first)["id"] == 1
+    assert proc.returncode == 0
+    assert b"Broken pipe" not in err and b"Traceback" not in err

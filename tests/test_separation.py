@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from domrec import (
     BudgetError,
+    Graph,
     InputError,
     check_sep_equals_d0,
     complete_graph,
@@ -21,7 +24,7 @@ from domrec import (
     vertex_list,
 )
 from conftest import random_connected_graph
-from naive import naive_sep
+from naive import naive_d0, naive_sep
 
 
 def test_sep_star():
@@ -176,3 +179,24 @@ def test_d0_equals_sep_is_exact_not_approximate():
         g = random_connected_graph(rng, rng.randint(2, 8))
         fam = enumerate_minimal_dominating(g)
         assert sep_bottleneck(fam).sep == d0_direct(g)
+
+
+@st.composite
+def edged_graphs(draw) -> Graph:
+    """Any graph with at least one edge: isolated vertices and several
+    components are as likely as connected graphs."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edged_graphs())
+@example(Graph.from_edges(5, [(1, 2)]))  # isolated vertices
+@example(Graph.from_edges(6, [(0, 1), (2, 3), (3, 4)]))  # two components
+def test_d0_equals_sep_on_any_edged_graph(g):
+    # hunt decides its threshold on sep alone; this is the equality it
+    # relies on, checked against the definition, off the connected corpus.
+    fam = enumerate_minimal_dominating(g)
+    assert naive_d0(g) == d0_direct(g) == sep_bottleneck(fam).sep
