@@ -36,6 +36,8 @@ def test_graph_construction_rejects_bad_input():
     with pytest.raises(UnsupportedGraphError):
         Graph.from_edges(65, [])
     with pytest.raises(UnsupportedGraphError):
+        Graph.from_edges(10**12, [])  # refused before allocating n adjacency rows
+    with pytest.raises(UnsupportedGraphError):
         Graph.from_edges(2, [(0, 5)])
 
 

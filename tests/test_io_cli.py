@@ -253,6 +253,98 @@ def test_cli_verify():
     assert data["ok"] and data["family_size"] == 44
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("construction", ["gkr", "qkr"])
+@pytest.mark.parametrize("r", [2, 3])  # r < k-1 and r = k-1: both top-set checks
+def test_cli_verify_stdout_matches_golden(capsys, construction, r):
+    code = main(["verify", construction, "--k", "4", "--r", str(r)])
+    assert code == 0
+    expected = (GOLDEN / f"verify-{construction}-4-{r}.jsonl").read_text()
+    assert capsys.readouterr().out == expected
+
+
+def _verify_with_family(monkeypatch, capsys, construction, k, r, tamper):
+    from domrec import DomFamily, families
+
+    real = families.enumerate_minimal_dominating
+
+    def tampered(g, budget=None):
+        fam = real(g, budget)
+        sets = tamper(list(fam.sets))
+        sizes = [s.bit_count() for s in sets]
+        return DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
+
+    monkeypatch.setattr(families, "enumerate_minimal_dominating", tampered)
+    code = main(["verify", construction, "--k", str(k), "--r", str(r)])
+    data = json.loads(capsys.readouterr().out)
+    failed = {c["name"]: c["detail"] for c in data["checks"] if not c["passed"]}
+    return code, data, failed
+
+
+def test_cli_verify_reports_tampered_gkr_family(monkeypatch, capsys):
+    _, lay = generate_gkr(4, 2)
+    bogus = 1 | 1 << lay.u(1) | 1 << lay.v(1, 1) | 1 << lay.v(1, 2) | 1 << lay.v(1, 3)
+
+    def tamper(sets):
+        return [s for s in sets if s != lay.hub_mask] + [bogus]
+
+    code, data, failed = _verify_with_family(monkeypatch, capsys, "gkr", 4, 2, tamper)
+    assert code == EXIT_ASSERT and data["ok"] is False
+    assert data["family_size"] == 81 and data["Gamma"] == 5
+    rendered = "{u0,u1,v1,1,v1,2,v1,3}"
+    assert failed == {
+        "minimal-hits-each-leaf-clique-at-most-once": rendered,
+        "apex-member-is-alone-in-hub-clique": rendered,
+        "leaf-clique-missed-only-by-hub-set": rendered,
+        "minimal-family-is-construction-family-plus-hub": "enumerated 81 sets, expected 81",
+        "Gamma-is-clique-size": "Gamma=5",
+        "hub-is-unique-maximum-set": "1 maximum sets",
+    }
+
+
+def test_cli_verify_reports_tampered_qkr_family(monkeypatch, capsys):
+    _, lay = generate_qkr(4, 3)
+    bogus = 1 << lay.u(1) | 1 << lay.w(1) | 1 << lay.w(2) | 1 << lay.w(3)
+
+    def tamper(sets):
+        return [s for s in sets if s != lay.hub_mask] + [bogus]
+
+    code, data, failed = _verify_with_family(monkeypatch, capsys, "qkr", 4, 3, tamper)
+    assert code == EXIT_ASSERT and data["ok"] is False
+    assert failed == {
+        "saturator-member-excludes-hub-clique": "{u1,w1,w2,w3}",
+        "minimal-family-is-both-families-plus-hub": "enumerated 382 sets, expected 382",
+        "maximum-sets-are-construction-family-plus-hub": "321 maximum sets, expected 321",
+    }
+
+
+def test_cli_verify_reports_forcing_violations(monkeypatch, capsys):
+    # With every set declared dominating, each forcing check lists all pairs.
+    from domrec import families
+
+    monkeypatch.setattr(families, "is_dominating", lambda g, s: True)
+    pairs = "[(1, 1), (1, 2), (1, 3)]"
+    code = main(["verify", "gkr", "--k", "3", "--r", "1"])
+    failed = {c["name"]: c["detail"] for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["passed"]}
+    assert code == EXIT_ASSERT
+    assert failed == {
+        "dominating-sets-meet-hub-clique": "",
+        "missing-hub-vertex-forces-leaf-hits": f"violations at (leaf,hub) pairs {pairs}",
+    }
+    code = main(["verify", "qkr", "--k", "3", "--r", "1"])
+    failed = {c["name"]: c["detail"] for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["passed"]}
+    assert code == EXIT_ASSERT
+    assert failed == {
+        "dominating-sets-meet-hub-or-saturators": "",
+        "missing-hub-vertex-forces-augmented-leaf-hits": f"violations at {pairs}",
+        "missing-hub-and-saturator-forces-leaf-hits": f"violations at {pairs}",
+    }
+
+
 def test_cli_exit_codes():
     bad = run_cli(["d0", "-"], stdin_text="not graph6 at all\n")
     assert bad.returncode == EXIT_PARSE
