@@ -38,7 +38,6 @@ class Budget:
     """Explicit enumeration limits; tune via CLI flag or DOMREC_BUDGET."""
 
     max_n: int = DEFAULT_MAX_N
-    ir_max_n: int = DEFAULT_IR_MAX_N
 
     @staticmethod
     def resolve(max_n: Optional[int] = None) -> "Budget":
@@ -259,7 +258,8 @@ def invariant_report(
 ) -> InvariantReport:
     """Aggregate gamma/Gamma/alpha/IR and the well-covered/-dominated flags.
 
-    IR is skipped by default above the ir budget; pass include_ir=True to force.
+    IR is skipped by default above DEFAULT_IR_MAX_N vertices; pass
+    include_ir=True to force.
     """
     budget = budget or Budget.resolve()
     fam = enumerate_minimal_dominating(g, budget)
@@ -267,7 +267,7 @@ def invariant_report(
     alpha = max(popcount(s) for s in mis)
     well_covered = all(popcount(s) == alpha for s in mis)
     if include_ir is None:
-        include_ir = g.n <= budget.ir_max_n
+        include_ir = g.n <= DEFAULT_IR_MAX_N
     ir = compute_ir(g, budget) if include_ir else None
     return InvariantReport(
         gamma=fam.gamma,

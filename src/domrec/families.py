@@ -16,12 +16,15 @@ byte-stable:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .graph_core import (
+    MAX_VERTICES,
     Graph,
     InputError,
+    UnsupportedGraphError,
     VertexSet,
     bit,
     canonical_key,
@@ -30,7 +33,7 @@ from .graph_core import (
     popcount,
     vertex_list,
 )
-from .domination import Budget, enumerate_minimal_dominating
+from .domination import Budget, DomFamily, enumerate_minimal_dominating
 
 
 @dataclass(frozen=True)
@@ -89,11 +92,17 @@ class QkrLayout(GkrLayout):
         return self.leaf_mask(i) | bit(self.w(i))
 
 
-def _check_params(k: int, r: int) -> None:
+def _check_layout(layout: GkrLayout) -> None:
+    k, r = layout.k, layout.r
     if k < 3:
         raise InputError(f"clique size k must be at least 3, got {k}")
     if not 1 <= r <= k - 1:
         raise InputError(f"leaf count r must satisfy 1 <= r <= k-1, got r={r}, k={k}")
+    # Refused here, before the edge list (about k*k*r/2 pairs) is built.
+    if layout.order > MAX_VERTICES:
+        raise UnsupportedGraphError(
+            f"k={k}, r={r} gives {layout.order} vertices; supported maximum is {MAX_VERTICES}"
+        )
 
 
 def _gkr_edges(layout: GkrLayout) -> list[tuple[int, int]]:
@@ -122,15 +131,15 @@ def _gkr_labels(layout: GkrLayout) -> list[str]:
 
 
 def generate_gkr(k: int, r: int) -> tuple[Graph, GkrLayout]:
-    _check_params(k, r)
     layout = GkrLayout(k=k, r=r)
+    _check_layout(layout)
     g = Graph.from_edges(layout.order, _gkr_edges(layout), _gkr_labels(layout))
     return g, layout
 
 
 def generate_qkr(k: int, r: int) -> tuple[Graph, QkrLayout]:
-    _check_params(k, r)
     layout = QkrLayout(k=k, r=r)
+    _check_layout(layout)
     edges = _gkr_edges(layout)
     for i in range(1, r + 1):
         wi = layout.w(i)
@@ -207,17 +216,46 @@ class StructureReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _render(g: Graph, mask: VertexSet) -> str:
-    return "{" + ",".join(g.label_of(v) for v in vertex_list(mask)) + "}"
+def _first_violation(
+    g: Graph, sets: Iterable[VertexSet], bad: Callable[[VertexSet], object]
+) -> tuple[bool, str]:
+    """(True, "") when no set is bad, else (False, the first bad set rendered)."""
+    viol = next((d for d in sets if bad(d)), None)
+    if viol is None:
+        return True, ""
+    return False, "{" + ",".join(g.label_of(v) for v in vertex_list(viol)) + "}"
 
 
-def _no_dominating_subset_of(g: Graph, allowed: VertexSet) -> bool:
-    """True iff no dominating set avoids the complement of `allowed`.
+def _forced_leaf_hits(
+    g: Graph, layout: GkrLayout, leaf_masks: list[VertexSet], fmt: str
+) -> tuple[bool, str]:
+    """Check that every dominating set missing hub vertex u_j meets each leaf mask.
 
-    Domination is upward closed, so such a set exists exactly when the
-    allowed vertices themselves dominate.
+    Domination is upward closed, so a dominating set avoiding leaf mask i
+    and u_j exists exactly when all other vertices dominate; such (leaf, hub)
+    pairs are the violations, listed through `fmt`.
     """
-    return not is_dominating(g, allowed)
+    bad = [
+        (i, j)
+        for i, leaf in enumerate(leaf_masks, 1)
+        for j in range(1, layout.k + 1)
+        if is_dominating(g, g.full_mask & ~(leaf | bit(layout.u(j))))
+    ]
+    return not bad, fmt.format(bad) if bad else ""
+
+
+def _structure_report(
+    construction: str, layout: GkrLayout, fam: DomFamily, rows: list[tuple[str, tuple[bool, str]]]
+) -> StructureReport:
+    return StructureReport(
+        construction=construction,
+        k=layout.k,
+        r=layout.r,
+        family_size=len(fam.sets),
+        gamma=fam.gamma,
+        Gamma=fam.Gamma,
+        checks=tuple(CheckResult(name, passed, detail) for name, (passed, detail) in rows),
+    )
 
 
 def verify_gkr_structure(
@@ -226,95 +264,37 @@ def verify_gkr_structure(
     """Mechanically check the structure of the minimal dominating sets of gkr."""
     g, layout = generate_gkr(k, r)
     fam = enumerate_minimal_dominating(g, budget)
-    full = g.full_mask
-    hub = layout.hub_mask
-    hub_apex = layout.hub_apex_mask
+    first = partial(_first_violation, g, fam.sets)
+    hub, hub_apex = layout.hub_mask, layout.hub_apex_mask
     leaves = [layout.leaf_mask(i) for i in range(1, r + 1)]
-    checks: list[CheckResult] = []
-
-    def add(name: str, passed: bool, detail: str = "") -> None:
-        checks.append(CheckResult(name=name, passed=passed, detail=detail))
-
-    # Every dominating set meets the hub-plus-apex clique: equivalently no
-    # set avoiding it dominates.
-    add(
-        "dominating-sets-meet-hub-clique",
-        _no_dominating_subset_of(g, full & ~hub_apex),
-    )
-    # A dominating set missing hub vertex u_j must hit every leaf clique.
-    bad = [
-        (i, j)
-        for i in range(1, r + 1)
-        for j in range(1, k + 1)
-        if not _no_dominating_subset_of(
-            g, full & ~(leaves[i - 1] | bit(layout.u(j)))
-        )
-    ]
-    add(
-        "missing-hub-vertex-forces-leaf-hits",
-        not bad,
-        f"violations at (leaf,hub) pairs {bad}" if bad else "",
-    )
-    # Checks over the enumerated minimal family.
-    viol = next(
-        (d for d in fam.sets if any(popcount(d & lv) > 1 for lv in leaves)), None
-    )
-    add(
-        "minimal-hits-each-leaf-clique-at-most-once",
-        viol is None,
-        _render(g, viol) if viol is not None else "",
-    )
-    viol = next(
-        (d for d in fam.sets if d & 1 and d & hub_apex != 1), None
-    )
-    add(
-        "apex-member-is-alone-in-hub-clique",
-        viol is None,
-        _render(g, viol) if viol is not None else "",
-    )
-    viol = next(
-        (
-            d
-            for d in fam.sets
-            if d != hub and any(d & lv == 0 for lv in leaves)
-        ),
-        None,
-    )
-    add(
-        "leaf-clique-missed-only-by-hub-set",
-        viol is None,
-        _render(g, viol) if viol is not None else "",
-    )
     expected = sorted(family_x(layout) + [hub], key=canonical_key)
-    add(
-        "minimal-family-is-construction-family-plus-hub",
-        list(fam.sets) == expected,
-        f"enumerated {len(fam.sets)} sets, expected {len(expected)}",
-    )
-    add("gamma-is-leaf-count-plus-one", fam.gamma == r + 1, f"gamma={fam.gamma}")
-    add("Gamma-is-clique-size", fam.Gamma == k, f"Gamma={fam.Gamma}")
     if r < k - 1:
         top = [d for d in fam.sets if popcount(d) == fam.Gamma]
-        add(
-            "hub-is-unique-maximum-set",
-            top == [hub],
-            f"{len(top)} maximum sets",
-        )
+        top_row = ("hub-is-unique-maximum-set", (top == [hub], f"{len(top)} maximum sets"))
     else:
-        add(
-            "well-dominated-at-maximal-leaf-count",
-            fam.gamma == fam.Gamma,
-            f"gamma={fam.gamma}, Gamma={fam.Gamma}",
-        )
-    return StructureReport(
-        construction="gkr",
-        k=k,
-        r=r,
-        family_size=len(fam.sets),
-        gamma=fam.gamma,
-        Gamma=fam.Gamma,
-        checks=tuple(checks),
-    )
+        top_row = ("well-dominated-at-maximal-leaf-count",
+                   (fam.gamma == fam.Gamma, f"gamma={fam.gamma}, Gamma={fam.Gamma}"))
+    rows = [
+        # Every dominating set meets the hub-plus-apex clique: equivalently
+        # the vertices outside it do not dominate.
+        ("dominating-sets-meet-hub-clique",
+         (not is_dominating(g, g.full_mask & ~hub_apex), "")),
+        ("missing-hub-vertex-forces-leaf-hits",
+         _forced_leaf_hits(g, layout, leaves, "violations at (leaf,hub) pairs {}")),
+        ("minimal-hits-each-leaf-clique-at-most-once",
+         first(lambda d: any(popcount(d & lv) > 1 for lv in leaves))),
+        ("apex-member-is-alone-in-hub-clique",
+         first(lambda d: d & 1 and d & hub_apex != 1)),
+        ("leaf-clique-missed-only-by-hub-set",
+         first(lambda d: d != hub and any(d & lv == 0 for lv in leaves))),
+        ("minimal-family-is-construction-family-plus-hub",
+         (list(fam.sets) == expected,
+          f"enumerated {len(fam.sets)} sets, expected {len(expected)}")),
+        ("gamma-is-leaf-count-plus-one", (fam.gamma == r + 1, f"gamma={fam.gamma}")),
+        ("Gamma-is-clique-size", (fam.Gamma == k, f"Gamma={fam.Gamma}")),
+        top_row,
+    ]
+    return _structure_report("gkr", layout, fam, rows)
 
 
 def verify_qkr_structure(
@@ -323,128 +303,56 @@ def verify_qkr_structure(
     """Same style of checks for the saturated construction."""
     g, layout = generate_qkr(k, r)
     fam = enumerate_minimal_dominating(g, budget)
-    full = g.full_mask
-    hub = layout.hub_mask
-    hub_apex = layout.hub_apex_mask
-    w_all = layout.w_mask
+    first = partial(_first_violation, g, fam.sets)
+    hub, hub_apex, w_all = layout.hub_mask, layout.hub_apex_mask, layout.w_mask
     wleaves = [layout.leaf_plus_w_mask(i) for i in range(1, r + 1)]
-    leaves = [layout.leaf_mask(i) for i in range(1, r + 1)]
-    checks: list[CheckResult] = []
-
-    def add(name: str, passed: bool, detail: str = "") -> None:
-        checks.append(CheckResult(name=name, passed=passed, detail=detail))
-
-    add(
-        "dominating-sets-meet-hub-or-saturators",
-        _no_dominating_subset_of(g, full & ~(hub_apex | w_all)),
-    )
-    bad = [
-        (i, j)
-        for i in range(1, r + 1)
-        for j in range(1, k + 1)
-        if not _no_dominating_subset_of(
-            g, full & ~(wleaves[i - 1] | bit(layout.u(j)))
-        )
-    ]
-    add(
-        "missing-hub-vertex-forces-augmented-leaf-hits",
-        not bad,
-        f"violations at {bad}" if bad else "",
-    )
-    bad = [
-        (i, j)
-        for i in range(1, r + 1)
-        for j in range(1, k + 1)
-        if not _no_dominating_subset_of(
-            g, full & ~(leaves[i - 1] | bit(layout.w(i)) | bit(layout.u(j)))
-        )
-    ]
-    add(
-        "missing-hub-and-saturator-forces-leaf-hits",
-        not bad,
-        f"violations at {bad}" if bad else "",
-    )
-    viol = next(
-        (d for d in fam.sets if any(popcount(d & wl) > 1 for wl in wleaves)), None
-    )
-    add(
-        "minimal-hits-each-augmented-leaf-at-most-once",
-        viol is None,
-        _render(g, viol) if viol is not None else "",
-    )
-    viol = next((d for d in fam.sets if d & 1 and d & hub_apex != 1), None)
-    add(
-        "apex-member-is-alone-in-hub-clique",
-        viol is None,
-        _render(g, viol) if viol is not None else "",
-    )
-    viol = next(
-        (
-            d
-            for d in fam.sets
-            if d != hub and any(d & wl == 0 for wl in wleaves)
-        ),
-        None,
-    )
-    add(
-        "augmented-leaf-missed-only-by-hub-set",
-        viol is None,
-        _render(g, viol) if viol is not None else "",
-    )
-    viol = next((d for d in fam.sets if d & w_all and d & hub_apex), None)
-    add(
-        "saturator-member-excludes-hub-clique",
-        viol is None,
-        _render(g, viol) if viol is not None else "",
-    )
     xs = family_x(layout)
     ws = family_w(layout)
     expected = sorted(xs + ws + [hub], key=canonical_key)
-    add(
-        "minimal-family-is-both-families-plus-hub",
-        list(fam.sets) == expected,
-        f"enumerated {len(fam.sets)} sets, expected {len(expected)}",
-    )
-    add("gamma-is-leaf-count", fam.gamma == r, f"gamma={fam.gamma}")
-    add("Gamma-is-clique-size", fam.Gamma == k, f"Gamma={fam.Gamma}")
-    min_sets = sorted(
-        (d for d in fam.sets if popcount(d) == fam.gamma), key=canonical_key
-    )
-    add(
-        "minimum-sets-are-saturator-family",
-        min_sets == ws,
-        f"{len(min_sets)} minimum sets, expected {len(ws)}",
-    )
-    top = sorted(
-        (d for d in fam.sets if popcount(d) == fam.Gamma), key=canonical_key
-    )
+    min_sets = sorted((d for d in fam.sets if popcount(d) == fam.gamma), key=canonical_key)
+    top = sorted((d for d in fam.sets if popcount(d) == fam.Gamma), key=canonical_key)
     if r < k - 1:
-        add("hub-is-unique-maximum-set", top == [hub], f"{len(top)} maximum sets")
+        top_row = ("hub-is-unique-maximum-set", (top == [hub], f"{len(top)} maximum sets"))
     else:
         expected_top = sorted(xs + [hub], key=canonical_key)
-        add(
-            "maximum-sets-are-construction-family-plus-hub",
-            top == expected_top,
-            f"{len(top)} maximum sets, expected {len(expected_top)}",
-        )
-    return StructureReport(
-        construction="qkr",
-        k=k,
-        r=r,
-        family_size=len(fam.sets),
-        gamma=fam.gamma,
-        Gamma=fam.Gamma,
-        checks=tuple(checks),
-    )
+        top_row = ("maximum-sets-are-construction-family-plus-hub",
+                   (top == expected_top, f"{len(top)} maximum sets, expected {len(expected_top)}"))
+    # V_i + w_i + u_j = W_i + u_j: both forcing rows test the same sets.
+    forced = _forced_leaf_hits(g, layout, wleaves, "violations at {}")
+    rows = [
+        ("dominating-sets-meet-hub-or-saturators",
+         (not is_dominating(g, g.full_mask & ~(hub_apex | w_all)), "")),
+        ("missing-hub-vertex-forces-augmented-leaf-hits", forced),
+        ("missing-hub-and-saturator-forces-leaf-hits", forced),
+        ("minimal-hits-each-augmented-leaf-at-most-once",
+         first(lambda d: any(popcount(d & wl) > 1 for wl in wleaves))),
+        ("apex-member-is-alone-in-hub-clique",
+         first(lambda d: d & 1 and d & hub_apex != 1)),
+        ("augmented-leaf-missed-only-by-hub-set",
+         first(lambda d: d != hub and any(d & wl == 0 for wl in wleaves))),
+        ("saturator-member-excludes-hub-clique",
+         first(lambda d: d & w_all and d & hub_apex)),
+        ("minimal-family-is-both-families-plus-hub",
+         (list(fam.sets) == expected,
+          f"enumerated {len(fam.sets)} sets, expected {len(expected)}")),
+        ("gamma-is-leaf-count", (fam.gamma == r, f"gamma={fam.gamma}")),
+        ("Gamma-is-clique-size", (fam.Gamma == k, f"Gamma={fam.Gamma}")),
+        ("minimum-sets-are-saturator-family",
+         (min_sets == ws, f"{len(min_sets)} minimum sets, expected {len(ws)}")),
+        top_row,
+    ]
+    return _structure_report("qkr", layout, fam, rows)
 
 
-# Stock families. `star(n)` is K_{1,n}: centre 0 plus n leaves.
+# Stock families. `star(n)` is K_{1,n}: centre 0 plus n leaves. Edges are
+# handed over lazily, so Graph.from_edges refuses an oversize n before any
+# edge is built.
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise InputError("complete graph needs n >= 1")
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def empty_graph(n: int) -> Graph:
@@ -456,16 +364,16 @@ def empty_graph(n: int) -> Graph:
 def star(n: int) -> Graph:
     if n < 1:
         raise InputError("star needs at least one leaf")
-    return Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
+    return Graph.from_edges(n + 1, ((0, i) for i in range(1, n + 1)))
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise InputError("path needs n >= 1")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InputError("cycle needs n >= 3")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional, TextIO
@@ -239,6 +239,9 @@ def _parse_id_list(text: str) -> VertexSet:
         raise ParseError(f"vertex list must be comma-separated ids, got {text!r}") from exc
     if not ids:
         raise ParseError("vertex list is empty")
+    for v in ids:
+        if not 0 <= v < MAX_VERTICES:
+            raise ParseError(f"vertex id {v} outside 0..{MAX_VERTICES - 1}")
     return mask_of(ids)
 
 
@@ -246,20 +249,8 @@ def _parse_id_list(text: str) -> VertexSet:
 # serialization
 
 
-def _set_ids(mask: VertexSet) -> list[int]:
-    return vertex_list(mask)
-
-
 def invariant_report_json(rep: InvariantReport) -> dict:
-    return {
-        "gamma": rep.gamma,
-        "Gamma": rep.Gamma,
-        "alpha": rep.alpha,
-        "ir": rep.ir,
-        "num_minimal_dom_sets": rep.num_minimal_dom_sets,
-        "well_covered": rep.well_covered,
-        "well_dominated": rep.well_dominated,
-    }
+    return asdict(rep)
 
 
 def sep_report_json(rep: SepReport) -> dict:
@@ -267,7 +258,7 @@ def sep_report_json(rep: SepReport) -> dict:
         "sep": rep.sep,
         "method": rep.method,
         "witness_partition": [list(rep.witness_partition[0]), list(rep.witness_partition[1])],
-        "witness_pair": [_set_ids(rep.witness_pair[0]), _set_ids(rep.witness_pair[1])],
+        "witness_pair": [vertex_list(rep.witness_pair[0]), vertex_list(rep.witness_pair[1])],
     }
 
 
@@ -283,7 +274,7 @@ def reconfig_graph_json(rg: ReconfigGraph, diameter: Optional[int] = None,
         "order": rg.order(),
         "size": rg.size(),
         "component_count": rg.component_count,
-        "verts": [_set_ids(m) for m in rg.verts],
+        "verts": [vertex_list(m) for m in rg.verts],
         "edges": [list(e) for e in rg.edges],
     }
     if with_diameter:
@@ -295,16 +286,7 @@ def profile_json(profile: ConnectivityProfile) -> dict:
     return {
         "gamma": profile.gamma,
         "n": profile.n,
-        "profile": [
-            {
-                "k": e.k,
-                "order": e.order,
-                "size": e.size,
-                "connected": e.connected,
-                "component_count": e.component_count,
-            }
-            for e in profile.entries
-        ],
+        "profile": [asdict(e) for e in profile.entries],
     }
 
 
@@ -317,10 +299,7 @@ def structure_report_json(rep: StructureReport) -> dict:
         "gamma": rep.gamma,
         "Gamma": rep.Gamma,
         "ok": rep.ok,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in rep.checks
-        ],
+        "checks": [asdict(c) for c in rep.checks],
     }
 
 
@@ -332,7 +311,7 @@ def export_dot(rg: ReconfigGraph) -> str:
     """DOT text for a reconfiguration graph; nodes labelled by their sets."""
     lines = ["graph dk {"]
     for idx, mask in enumerate(rg.verts):
-        label = "{" + ",".join(str(v) for v in _set_ids(mask)) + "}"
+        label = "{" + ",".join(str(v) for v in vertex_list(mask)) + "}"
         lines.append(f'  s{idx} [label="{label}"];')
     for a, b in rg.edges:
         lines.append(f"  s{a} -- s{b};")
@@ -432,7 +411,7 @@ def cmd_path(args: argparse.Namespace, out: TextIO) -> int:
             _emit(out, export_json({
                 "found": True,
                 "length": len(seq) - 1,
-                "path": [_set_ids(m) for m in seq],
+                "path": [vertex_list(m) for m in seq],
             }))
     return EXIT_OK
 

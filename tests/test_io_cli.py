@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domrec import (
+    DomFamily,
     Graph,
     build_dk,
     cartesian_product,
@@ -20,7 +22,7 @@ from domrec import (
     path_graph,
     star,
 )
-from domrec import io_cli
+from domrec import families, io_cli
 from domrec.io_cli import (
     EXIT_ASSERT,
     EXIT_BUDGET,
@@ -224,6 +226,40 @@ def test_cli_path_absent_and_present():
     assert data["found"] and data["length"] == 4
 
 
+def run_cli_capped(args, stdin_text=""):
+    """Run the CLI with a 1 GiB address-space limit, so a runaway allocation
+    fails fast in the child instead of taking the machine's memory."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(CLI + args, input=stdin_text, capture_output=True, text=True,
+                          env=CLI_ENV, preexec_fn=cap, timeout=120)
+
+
+@pytest.mark.parametrize("ids", ["-1", "100000000000"])
+def test_cli_path_rejects_out_of_range_ids(ids):
+    proc = run_cli_capped(["path", "-", "--from", ids, "--to", "1", "--k", "3"],
+                          stdin_text=export_graph6(star(3)) + "\n")
+    assert proc.returncode == EXIT_PARSE
+    assert "Traceback" not in proc.stderr
+    assert f"vertex id {ids} outside 0..63" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "complete", "--n", "200000"],
+    ["gen", "path", "--n", "100000000000"],
+    ["gen", "gkr", "--k", "100000", "--r", "1"],
+    ["gen", "qkr", "--k", "100000", "--r", "1"],
+    ["verify", "gkr", "--k", "20000", "--r", "1"],
+], ids=" ".join)
+def test_cli_oversize_generators_refused_before_building_edges(args):
+    proc = run_cli_capped(args)
+    assert proc.returncode == EXIT_PARSE
+    assert "Traceback" not in proc.stderr
+    assert "supported maximum is 64" in proc.stderr
+
+
 def test_cli_gen_families():
     star4 = run_cli(["gen", "star", "--n", "4"])
     assert parse_graph6(star4.stdout.strip()).degree_sequence() == (1, 1, 1, 1, 4)
@@ -266,8 +302,6 @@ def test_cli_verify_stdout_matches_golden(capsys, construction, r):
 
 
 def _verify_with_family(monkeypatch, capsys, construction, k, r, tamper):
-    from domrec import DomFamily, families
-
     real = families.enumerate_minimal_dominating
 
     def tampered(g, budget=None):
@@ -322,8 +356,6 @@ def test_cli_verify_reports_tampered_qkr_family(monkeypatch, capsys):
 
 def test_cli_verify_reports_forcing_violations(monkeypatch, capsys):
     # With every set declared dominating, each forcing check lists all pairs.
-    from domrec import families
-
     monkeypatch.setattr(families, "is_dominating", lambda g, s: True)
     pairs = "[(1, 1), (1, 2), (1, 3)]"
     code = main(["verify", "gkr", "--k", "3", "--r", "1"])
