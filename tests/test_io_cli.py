@@ -17,6 +17,7 @@ from domrec import (
     build_dk,
     cartesian_product,
     complete_graph,
+    cycle_graph,
     generate_gkr,
     generate_qkr,
     path_graph,
@@ -292,12 +293,35 @@ def test_cli_verify():
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("construction", ["gkr", "qkr"])
-@pytest.mark.parametrize("r", [2, 3])  # r < k-1 and r = k-1: both top-set checks
-def test_cli_verify_stdout_matches_golden(capsys, construction, r):
-    code = main(["verify", construction, "--k", "4", "--r", str(r)])
-    assert code == 0
-    expected = (GOLDEN / f"verify-{construction}-4-{r}.jsonl").read_text()
+def _golden_cases():
+    """(golden file stem, argv, stdin text) for every pinned stdout."""
+    cases = []
+
+    def case(stem, argv, stdin):
+        cases.append(pytest.param(stem, argv, stdin, id=stem))
+
+    # r < k-1 and r = k-1: both top-set checks of verify.
+    for construction, make in (("gkr", generate_gkr), ("qkr", generate_qkr)):
+        for r in (2, 3):
+            stem = f"{construction}-4-{r}"
+            case(f"verify-{stem}", ["verify", construction, "--k", "4", "--r", str(r)], "")
+            # sep pins the witness partition read off the spanning tree.
+            case(f"sep-{stem}", ["sep", "-"], export_graph6(make(4, r)[0]) + "\n")
+    case("sep-oracle-star5", ["sep", "-", "--oracle"], export_graph6(star(5)) + "\n")
+    for stem, g in (("star4", star(4)), ("c7", cycle_graph(7)),
+                    ("c4xc4", cartesian_product(cycle_graph(4), cycle_graph(4)))):
+        case(f"profile-{stem}", ["profile", "-"], export_graph6(g) + "\n")
+    # Isolated vertex 0 with two components, and the single edge.
+    for stem, text in (("two-edges-isolated", "1 2\n3 4\n"), ("k2", "0 1\n")):
+        case(f"d0-both-{stem}", ["d0", "-", "--method", "both"], text)
+    return cases
+
+
+@pytest.mark.parametrize("stem, argv, stdin", _golden_cases())
+def test_cli_stdout_matches_golden(monkeypatch, capsys, stem, argv, stdin):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv) == 0
+    expected = (GOLDEN / f"{stem}.jsonl").read_text()
     assert capsys.readouterr().out == expected
 
 
