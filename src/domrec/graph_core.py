@@ -246,7 +246,3 @@ def is_connected(g: Graph) -> bool:
         frontier = nxt & ~seen
         seen |= frontier
     return seen == g.full_mask
-
-
-def has_isolated_vertex(g: Graph) -> bool:
-    return any(row == 0 for row in g.adj)

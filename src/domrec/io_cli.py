@@ -37,7 +37,8 @@ from .graph_core import (
     mask_of,
     vertex_list,
 )
-from .domination import Budget, InvariantReport, enumerate_minimal_dominating, invariant_report
+from .domination import (BUDGET_ENV_VAR, Budget, InvariantReport,
+                         enumerate_minimal_dominating, invariant_report)
 from .families import (
     StructureReport,
     complete_graph,
@@ -198,7 +199,8 @@ def export_edge_list(g: Graph) -> str:
 def _read_text(source: str) -> str:
     if source == "-":
         return sys.stdin.read()
-    with open(source, "r", encoding="ascii") as fh:
+    # As on stdin, a non-ASCII byte becomes a lone surrogate that the parsers reject.
+    with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
         return fh.read()
 
 
@@ -576,21 +578,26 @@ def _add_input(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(what: str):
+    """argparse type for integers >= 1; env defaults go through it too, so they exit 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer >= 1, got {text!r}")
+        return value
+
+    return parse
+
+
 def _add_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=None,
-                   help="max vertex count for enumeration (default 24, env DOMREC_BUDGET)")
-
-
-def _jobs_arg(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"worker count (--jobs or {JOBS_ENV_VAR}) must be an integer >= 1, got {text!r}"
-        )
-    return jobs
+    p.add_argument("--budget",
+                   type=_positive_int(f"max vertex count (--budget or {BUDGET_ENV_VAR})"),
+                   default=os.environ.get(BUDGET_ENV_VAR),
+                   help=f"max vertex count for enumeration (default 24, env {BUDGET_ENV_VAR})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -663,8 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None,
                    help="skip graphs larger than this (default: enumeration budget)")
     p.add_argument("--min-excess", type=int, default=2)
-    # A string default goes through type= too, so a bad env value is a usage error.
-    p.add_argument("--jobs", type=_jobs_arg,
+    p.add_argument("--jobs", type=_positive_int(f"worker count (--jobs or {JOBS_ENV_VAR})"),
                    default=os.environ.get(JOBS_ENV_VAR, "1"),
                    help="worker processes, at least 1 (env DOMREC_JOBS)")
     _add_budget(p)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator, Optional
 
 from .graph_core import (
@@ -18,7 +19,6 @@ from .graph_core import (
     InputError,
     VertexSet,
     bit,
-    has_isolated_vertex,
     is_dominating,
     iter_vertices,
     popcount,
@@ -134,33 +134,26 @@ def build_dk(g: Graph, k: int, budget: Optional[Budget] = None) -> ReconfigGraph
     )
 
 
-def _layered_connectivity(
-    all_sets: list[VertexSet], n: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (k, order, size, components) for k from the first layer to n.
+def _layered_connectivity(all_sets: list[VertexSet]) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (k, order, size, components) for each cardinality layer k.
 
-    all_sets must be canonically ordered. Union-find state is cumulative:
-    after layer k is merged the component count is exactly that of D_k.
-    Layers are merged lazily, so a caller that stops early skips the rest.
+    all_sets must be canonically ordered; no size is skipped, since supersets
+    of a dominating set dominate. Union-find state is cumulative: after layer
+    k is merged the component count is exactly that of D_k. Layers are
+    merged lazily, so a caller that stops early skips the rest.
     """
-    if not all_sets:
-        return
     index = {m: i for i, m in enumerate(all_sets)}
     dsu = _DSU()
-    gamma = popcount(all_sets[0])
-    pos = 0
     edge_total = 0
-    for k in range(gamma, n + 1):
-        while pos < len(all_sets) and popcount(all_sets[pos]) == k:
-            mask = all_sets[pos]
-            dsu.add()
+    for k, layer in groupby(all_sets, popcount):
+        for mask in layer:
+            idx = dsu.add()
             for v in iter_vertices(mask):
                 prev = index.get(mask ^ bit(v))
                 if prev is not None:
                     edge_total += 1
-                    dsu.union(prev, pos)
-            pos += 1
-        yield k, pos, edge_total, dsu.components
+                    dsu.union(prev, idx)
+        yield k, len(dsu.parent), edge_total, dsu.components
 
 
 def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> ConnectivityProfile:
@@ -168,7 +161,7 @@ def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> Connectiv
     all_sets = dominating_sets_upto(g, g.n, budget)
     entries = tuple(
         ProfileEntry(k=k, order=order, size=size, connected=comps == 1, component_count=comps)
-        for k, order, size, comps in _layered_connectivity(all_sets, g.n)
+        for k, order, size, comps in _layered_connectivity(all_sets)
     )
     gamma = popcount(all_sets[0]) if all_sets else 0
     return ConnectivityProfile(gamma=gamma, n=g.n, entries=entries)
@@ -177,11 +170,11 @@ def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> Connectiv
 def d0_direct(g: Graph, budget: Optional[Budget] = None) -> int:
     """Smallest j such that D_k(G) is connected for every k >= j.
 
-    Scans k upward, tracking the last disconnected level; the first
-    connected level above Gamma is final (connectivity is monotone there),
-    and the union-find stops there. The scan starts at Gamma+1 unless the
-    graph has isolated vertices, in which case it starts at gamma and
-    trusts only the definition.
+    Returns the first k > Gamma at which D_k(G) is connected; connectivity
+    is monotone from Gamma on, and the union-find stops there. D_Gamma
+    itself is always disconnected, so the threshold is never lower: a
+    Gamma-set is isolated in it, and a graph with an edge has at least two
+    minimal dominating sets.
 
     This is the independent oracle for d0, not the fast route: d0 equals
     the separation sep (proof in separation.py), so `hunt` filters on
@@ -191,27 +184,12 @@ def d0_direct(g: Graph, budget: Optional[Budget] = None) -> int:
         raise InputError("d_0 requires a graph with at least one edge")
     budget = budget or Budget.resolve()
     fam = enumerate_minimal_dominating(g, budget)
-    if has_isolated_vertex(g):
-        start = fam.gamma
-    else:
-        start = fam.Gamma + 1
-    cap = min(g.n, fam.Gamma + fam.gamma)
-    while True:
-        all_sets = dominating_sets_upto(g, cap, budget)
-        last_disconnected = start - 1
-        for k, order, _size, comps in _layered_connectivity(all_sets, g.n):
-            if k > cap:
-                break
-            if k < start:
-                continue
-            connected = comps == 1 and order > 0
-            if not connected:
-                last_disconnected = k
-            elif k > fam.Gamma:
-                return last_disconnected + 1
-        if cap >= g.n:
-            raise InputError("D_n(G) reported disconnected; graph state inconsistent")
-        cap = g.n
+    # Gamma + gamma bounds d0, but the oracle does not trust it: it rescans up to n.
+    for cap in (min(g.n, fam.Gamma + fam.gamma), g.n):
+        for k, _order, _size, comps in _layered_connectivity(dominating_sets_upto(g, cap, budget)):
+            if k > fam.Gamma and comps == 1:
+                return k
+    raise InputError("D_n(G) reported disconnected; graph state inconsistent")
 
 
 def reconfig_path(

@@ -135,52 +135,38 @@ def sep_bottleneck(fam: DomFamily) -> SepReport:
 
     Prim's algorithm streams pair weights instead of materialising the
     m*(m-1)/2 matrix; ties break toward the lowest index, so the witness
-    is deterministic.
+    is deterministic. Tree edges are kept in insertion order, parents
+    before children, so the subtree cut off below the first heaviest edge
+    is collected by one forward pass over the edges after it.
     """
     _require_at_least_two(fam)
     sets = fam.sets
     m = len(sets)
-    in_tree = [False] * m
-    dist = [popcount(sets[0] | sets[j]) for j in range(m)]
+    dist = [popcount(sets[0] | s) for s in sets]
     parent = [0] * m
-    in_tree[0] = True
+    rest = list(range(1, m))
     tree_edges: list[tuple[int, int, int]] = []  # (weight, parent, child)
-    for _ in range(m - 1):
-        nxt, nxt_d = -1, None
-        for j in range(m):
-            if not in_tree[j] and (nxt_d is None or dist[j] < nxt_d):
-                nxt, nxt_d = j, dist[j]
-        in_tree[nxt] = True
+    while rest:
+        nxt = min(rest, key=dist.__getitem__)
+        rest.remove(nxt)
         tree_edges.append((dist[nxt], parent[nxt], nxt))
         sj = sets[nxt]
-        for j in range(m):
-            if not in_tree[j]:
-                w = popcount(sj | sets[j])
-                if w < dist[j]:
-                    dist[j] = w
-                    parent[j] = nxt
+        for j in rest:
+            w = popcount(sj | sets[j])
+            if w < dist[j]:
+                dist[j] = w
+                parent[j] = nxt
     bottleneck = max(tree_edges, key=lambda e: e[0])
     sep, p_star, c_star = bottleneck
-    # Splitting the tree at the bottleneck edge yields the witness partition.
-    adjacency: list[list[int]] = [[] for _ in range(m)]
-    for _, a, b in tree_edges:
-        if (a, b) != (p_star, c_star):
-            adjacency[a].append(b)
-            adjacency[b].append(a)
     side_c = {c_star}
-    stack = [c_star]
-    while stack:
-        cur = stack.pop()
-        for nb in adjacency[cur]:
-            if nb not in side_c:
-                side_c.add(nb)
-                stack.append(nb)
-    part_c = tuple(sorted(side_c))
+    for _, a, b in tree_edges[tree_edges.index(bottleneck) + 1:]:
+        if a in side_c:
+            side_c.add(b)
+    # The root, index 0, is never below a tree edge, so it is on p_star's side.
     part_p = tuple(i for i in range(m) if i not in side_c)
-    first, second = (part_p, part_c) if 0 in part_p else (part_c, part_p)
     return SepReport(
         sep=sep,
-        witness_partition=(first, second),
+        witness_partition=(part_p, tuple(sorted(side_c))),
         witness_pair=(sets[p_star], sets[c_star]),
         method="bottleneck",
     )

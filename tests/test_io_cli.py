@@ -39,6 +39,7 @@ from domrec.io_cli import (
     parse_graph6,
     read_graphs,
 )
+from domrec.domination import BUDGET_ENV_VAR
 from domrec.graph_core import UnsupportedGraphError
 from conftest import random_graph
 from naive import naive_d0, naive_minimal_dominating_sets
@@ -592,6 +593,32 @@ def test_cli_jobs_rejects_bad_values(monkeypatch, capsys, value):
     # Commands other than hunt do not read the variable.
     assert main(["gen", "star", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip() == export_graph6(star(3))
+
+
+@pytest.mark.parametrize("value", ["junk", "0", "-1"])
+def test_cli_budget_rejects_bad_values(monkeypatch, capsys, value):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(export_graph6(star(3)) + "\n"))
+    with pytest.raises(SystemExit) as flag:
+        main(["d0", "-", "--budget", value])
+    assert flag.value.code == EXIT_USAGE
+    monkeypatch.setenv(BUDGET_ENV_VAR, value)
+    with pytest.raises(SystemExit) as env:
+        main(["d0", "-"])
+    assert env.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count(f"must be an integer >= 1, got {value!r}") == 2
+    # A valid env value is still the budget.
+    monkeypatch.setenv(BUDGET_ENV_VAR, "3")
+    assert main(["d0", "-"]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("data", [b"D\xff\xfe\n", b"0 1\n1 \xff\n"], ids=["graph6", "edgelist"])
+def test_cli_non_ascii_file_is_a_parse_error(tmp_path, data):
+    f = tmp_path / "graph"
+    f.write_bytes(data)
+    proc = run_cli(["d0", str(f)])
+    assert proc.returncode == EXIT_PARSE
+    assert "domrec: input:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_hunt_quiet_on_broken_pipe(tmp_path):
