@@ -310,8 +310,17 @@ def _golden_cases():
             case(f"sep-{stem}", ["sep", "-"], export_graph6(make(4, r)[0]) + "\n")
     case("sep-oracle-star5", ["sep", "-", "--oracle"], export_graph6(star(5)) + "\n")
     for stem, g in (("star4", star(4)), ("c7", cycle_graph(7)),
-                    ("c4xc4", cartesian_product(cycle_graph(4), cycle_graph(4)))):
+                    ("c4xc4", cartesian_product(cycle_graph(4), cycle_graph(4))),
+                    ("p3xp6", cartesian_product(path_graph(3), path_graph(6))),
+                    # Isolated vertex 0 beside the components {1,2} and {3,4,5}.
+                    ("isolated-two-components", Graph.from_edges(6, [(1, 2), (3, 4), (4, 5)])),
+                    ("edgeless4", Graph.from_edges(4, []))):
         case(f"profile-{stem}", ["profile", "-"], export_graph6(g) + "\n")
+    # A connected level, and a disconnected one whose diameter is null.
+    for stem, g, k in (("p2xc4-k5", cartesian_product(path_graph(2), cycle_graph(4)), 5),
+                       ("star3-k3", star(3), 3)):
+        case(f"dk-diameter-{stem}", ["dk", "-", "--k", str(k), "--diameter"],
+             export_graph6(g) + "\n")
     # Isolated vertex 0 with two components, and the single edge.
     for stem, text in (("two-edges-isolated", "1 2\n3 4\n"), ("k2", "0 1\n")):
         case(f"d0-both-{stem}", ["d0", "-", "--method", "both"], text)
