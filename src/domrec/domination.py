@@ -16,7 +16,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from math import comb
+from typing import Callable, Optional
 
 from .graph_core import (
     BudgetError,
@@ -134,6 +135,38 @@ def enumerate_minimal_dominating(g: Graph, budget: Optional[Budget] = None) -> D
     return DomFamily(sets=tuple(sets), gamma=min(cards), Gamma=max(cards))
 
 
+def _scan_dominating_prefixes(
+    g: Graph, cap: int, budget: Optional[Budget], visit: Callable[[VertexSet, int, int], None]
+) -> None:
+    """Call visit(chosen, i, count) for each first dominating prefix of size <= cap.
+
+    Ids are decided in order and a prefix is reported as soon as it
+    dominates, with i its first undecided id. Every extension of it then
+    dominates too, so the dominating sets of size <= cap are exactly the
+    reported prefixes plus any ids from i..n-1, each set from one prefix.
+    """
+    budget = budget or Budget.resolve()
+    budget.check(g, "dominating set enumeration")
+    if cap < 0:
+        return
+    n, closed, full = g.n, g.closed, g.full_mask
+    suffix = _suffix_covers(g)
+
+    def rec(i: int, chosen: VertexSet, count: int, cover: VertexSet) -> None:
+        if cover == full:
+            visit(chosen, i, count)
+            return
+        if i == n or count == cap:
+            return
+        if (full ^ cover) & ~suffix[i]:
+            return
+        rec(i + 1, chosen, count, cover)
+        rec(i + 1, chosen | 1 << i, count + 1, cover | closed[i])
+
+    rec(0, 0, 0, 0)
+    del rec  # a self-recursive closure is a cycle; break it so its lists free now
+
+
 def dominating_sets_upto(
     g: Graph, max_size: int, budget: Optional[Budget] = None
 ) -> list[VertexSet]:
@@ -142,13 +175,8 @@ def dominating_sets_upto(
     Once a prefix already dominates, every extension does too, so the
     remaining ids are expanded with itertools.combinations in bulk.
     """
-    budget = budget or Budget.resolve()
-    budget.check(g, "dominating set enumeration")
-    n, closed, full = g.n, g.closed, g.full_mask
+    n = g.n
     cap = min(max_size, n)
-    if cap < 0:
-        return []
-    suffix = _suffix_covers(g)
     bits = [1 << v for v in range(n)]
     out: list[VertexSet] = []
 
@@ -164,21 +192,26 @@ def dominating_sets_upto(
                     m |= bits[v]
                 out.append(m)
 
-    def rec(i: int, chosen: VertexSet, count: int, cover: VertexSet) -> None:
-        if cover == full:
-            emit_extensions(chosen, i, count)
-            return
-        if i == n or count == cap:
-            return
-        if (full ^ cover) & ~suffix[i]:
-            return
-        rec(i + 1, chosen, count, cover)
-        rec(i + 1, chosen | bits[i], count + 1, cover | closed[i])
-
-    rec(0, 0, 0, 0)
-    del rec  # a self-recursive closure is a cycle; break it so its lists free now
+    _scan_dominating_prefixes(g, cap, budget, emit_extensions)
     out.sort(key=canonical_key)
     return out
+
+
+def _dominating_set_counts(g: Graph, budget: Optional[Budget] = None) -> list[int]:
+    """counts[j] = number of dominating sets of cardinality j, for j = 0..n.
+
+    A prefix of `count` ids that first dominates at id i stands for
+    comb(n - i, e) sets of size count + e, so no set is listed.
+    """
+    n = g.n
+    counts = [0] * (n + 1)
+
+    def tally(_mask: VertexSet, i: int, count: int) -> None:
+        for extra in range(n - i + 1):
+            counts[count + extra] += comb(n - i, extra)
+
+    _scan_dominating_prefixes(g, n, budget, tally)
+    return counts
 
 
 def list_maximal_independent(g: Graph, budget: Optional[Budget] = None) -> list[VertexSet]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -78,6 +79,9 @@ JOBS_ENV_VAR = "DOMREC_JOBS"
 HUNT_WINDOW = 512
 
 _GRAPH6_HEADER = ">>graph6<<"
+# Edge-list ids are ASCII decimal; int() alone would also take other scripts'
+# digits and underscores. A leading '-' matches so the error can name it.
+_EDGE_ID = re.compile(r"-?[0-9]+")
 
 
 class ParseError(InputError):
@@ -174,10 +178,9 @@ def parse_edge_list(text: str) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"edge list line {ln}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"edge list line {ln}: non-integer id in {raw!r}") from exc
+        if not all(_EDGE_ID.fullmatch(part) for part in parts):
+            raise ParseError(f"edge list line {ln}: non-integer id in {raw!r}")
+        u, v = int(parts[0]), int(parts[1])
         if u < 0 or v < 0:
             raise ParseError(f"edge list line {ln}: negative vertex id")
         edges.append((u, v))
@@ -209,8 +212,7 @@ def _looks_like_edge_list(text: str) -> bool:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head = line.split()[0]
-        return head.lstrip("-").isdigit()
+        return _EDGE_ID.fullmatch(line.split()[0]) is not None
     return False
 
 

@@ -4,14 +4,45 @@ The vertex set of D_k(G) is every dominating set of G with at most k
 elements; two sets are adjacent when one is the other plus a single vertex.
 Edges therefore always join consecutive cardinality layers, which makes
 D_k(G) bipartite by cardinality parity and lets connectivity be tracked
-incrementally with a union-find as layers are added.
+incrementally with a union-find as layers are added. That union-find is
+the independent route (d0_direct); `profile` needs none of it.
+
+Order and size. Let c_j count the dominating sets of size j. Every
+superset of a dominating set dominates, so a set T of size j has n - j
+neighbours T + v, all in D_k when j < k. Each edge {T, T + v} is counted
+once, from its smaller end T, so
+
+  order(D_k) = sum of c_j over j <= k,   size(D_k) = sum of c_j (n - j) over j < k.
+
+Components. Let F be the minimal family, F_k its sets of size <= k, and
+U_k the graph on F_k with X ~ Y when |X u Y| <= k. For every k >= gamma
+the components of D_k correspond one to one with those of U_k, by the
+steps of the d0 = sep proof in separation.py:
+
+  Every S in D_k reaches each of its minimal subsets by single deletions
+  that keep it dominating. Any two minimal subsets of one S have their
+  union inside S, so they are adjacent in U_k; an edge from S to S + v
+  keeps the minimal subsets of S. So the minimal subsets of one component
+  of D_k lie in one component of U_k. Conversely X ~ Y are joined in D_k
+  through X u Y, which dominates and has at most k elements.
+
+Take a minimum spanning tree of the pair weights w(X, Y) = |X u Y| over
+all of F. By the threshold property of minimum spanning trees, its edges
+of weight <= k span each component of the graph on F with edges of
+weight <= k, so that graph has 1 + #{tree edges of weight > k}
+components. A set X with |X| > k is isolated there, since every weight is
+at least both set sizes, and it is not in F_k. Hence
+
+  components(D_k) = 1 + #{tree edges of weight > k} - #{X in F : |X| > k}.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
+from operator import or_
 from typing import Iterator, Optional
 
 from .graph_core import (
@@ -23,7 +54,15 @@ from .graph_core import (
     iter_vertices,
     popcount,
 )
-from .domination import Budget, dominating_sets_upto, enumerate_minimal_dominating
+from .domination import (
+    Budget,
+    _dominating_set_counts,
+    dominating_sets_upto,
+    enumerate_minimal_dominating,
+)
+
+# Sources per bit-parallel BFS in dk_diameter; memory is O(order * block) bits.
+_DIAMETER_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -156,15 +195,55 @@ def _layered_connectivity(all_sets: list[VertexSet]) -> Iterator[tuple[int, int,
         yield k, len(dsu.parent), edge_total, dsu.components
 
 
+def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
+    """Minimum spanning tree of the pair weights |X u Y|, by Prim's algorithm.
+
+    Returns (weight, parent, child) edges in insertion order, parents
+    before children. Weights are streamed instead of materialising the
+    m*(m-1)/2 matrix; each step takes the lowest-index closest set, so the
+    tree is deterministic.
+    """
+    m = len(sets)
+    dist = [popcount(sets[0] | s) for s in sets]
+    parent = [0] * m
+    rest = list(range(1, m))
+    tree: list[tuple[int, int, int]] = []
+    while rest:
+        nxt = min(rest, key=dist.__getitem__)
+        rest.remove(nxt)
+        tree.append((dist[nxt], parent[nxt], nxt))
+        sj = sets[nxt]
+        for j in rest:
+            w = popcount(sj | sets[j])
+            if w < dist[j]:
+                dist[j] = w
+                parent[j] = nxt
+    return tree
+
+
 def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> ConnectivityProfile:
-    """Order/size/connectivity of D_k(G) for every k from gamma to n."""
-    all_sets = dominating_sets_upto(g, g.n, budget)
-    entries = tuple(
-        ProfileEntry(k=k, order=order, size=size, connected=comps == 1, component_count=comps)
-        for k, order, size, comps in _layered_connectivity(all_sets)
-    )
-    gamma = popcount(all_sets[0]) if all_sets else 0
-    return ConnectivityProfile(gamma=gamma, n=g.n, entries=entries)
+    """Order/size/connectivity of D_k(G) for every k from gamma to n.
+
+    Read off per-size counts of dominating sets and the spanning tree of
+    the minimal family (identities in the module docstring), so no
+    dominating set is listed.
+    """
+    budget = budget or Budget.resolve()
+    counts = _dominating_set_counts(g, budget)
+    sets = enumerate_minimal_dominating(g, budget).sets
+    weights = [w for w, _, _ in _prim_tree(sets)]
+    sizes = [popcount(s) for s in sets]
+    entries = []
+    order = size = 0
+    for k, count in enumerate(counts):
+        order += count
+        if order:
+            comps = 1 + sum(w > k for w in weights) - sum(c > k for c in sizes)
+            entries.append(ProfileEntry(k=k, order=order, size=size, connected=comps == 1,
+                                        component_count=comps))
+        size += count * (g.n - k)
+    gamma = entries[0].k if entries else 0
+    return ConnectivityProfile(gamma=gamma, n=g.n, entries=tuple(entries))
 
 
 def d0_direct(g: Graph, budget: Optional[Budget] = None) -> int:
@@ -235,23 +314,33 @@ def reconfig_path(
 
 
 def dk_diameter(rg: ReconfigGraph) -> Optional[int]:
-    """Diameter of a connected D_k; None when disconnected."""
+    """Diameter of a connected D_k; None when disconnected.
+
+    Breadth-first search from a block of sources at once: bit s of
+    reach[v] is set once v is within the rounds run so far of the block's
+    source s, and each round ORs every vertex's neighbours into it. The
+    rounds a block needs until every reach[v] is full is the largest
+    eccentricity of its sources.
+    """
     if not rg.verts:
         raise InputError("diameter of an empty reconfiguration graph is undefined")
     if not rg.connected:
         return None
     adjacency = rg.adjacency()
+    order = len(rg.verts)
     best = 0
-    for start in range(len(rg.verts)):
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nb in adjacency[cur]:
-                if nb not in dist:
-                    dist[nb] = dist[cur] + 1
-                    queue.append(nb)
-        best = max(best, max(dist.values()))
+    for lo in range(0, order, _DIAMETER_BLOCK):
+        width = min(_DIAMETER_BLOCK, order - lo)
+        full = (1 << width) - 1
+        reach = [0] * order
+        for s in range(width):
+            reach[lo + s] = 1 << s
+        rounds = 0
+        while reach.count(full) < order:
+            reach = [reduce(or_, map(reach.__getitem__, nbrs), r)
+                     for r, nbrs in zip(reach, adjacency)]
+            rounds += 1
+        best = max(best, rounds)
     return best
 
 

@@ -53,7 +53,7 @@ from typing import Optional
 
 from .graph_core import BudgetError, Graph, InputError, VertexSet, popcount
 from .domination import Budget, DomFamily, enumerate_minimal_dominating
-from .reconfig import d0_direct
+from .reconfig import _prim_tree, d0_direct
 
 BRUTE_FORCE_MAX_FAMILY = 15
 
@@ -133,29 +133,16 @@ def sep_brute_force(fam: DomFamily) -> SepReport:
 def sep_bottleneck(fam: DomFamily) -> SepReport:
     """Separation via the heaviest edge of a minimum spanning tree.
 
-    Prim's algorithm streams pair weights instead of materialising the
-    m*(m-1)/2 matrix; ties break toward the lowest index, so the witness
-    is deterministic. Tree edges are kept in insertion order, parents
-    before children, so the subtree cut off below the first heaviest edge
-    is collected by one forward pass over the edges after it.
+    The tree is reconfig._prim_tree's, whose ties break toward the lowest
+    index, so the witness is deterministic. Its edges come in insertion
+    order, parents before children, so the subtree cut off below the
+    first heaviest edge is collected by one forward pass over the edges
+    after it.
     """
     _require_at_least_two(fam)
     sets = fam.sets
     m = len(sets)
-    dist = [popcount(sets[0] | s) for s in sets]
-    parent = [0] * m
-    rest = list(range(1, m))
-    tree_edges: list[tuple[int, int, int]] = []  # (weight, parent, child)
-    while rest:
-        nxt = min(rest, key=dist.__getitem__)
-        rest.remove(nxt)
-        tree_edges.append((dist[nxt], parent[nxt], nxt))
-        sj = sets[nxt]
-        for j in rest:
-            w = popcount(sj | sets[j])
-            if w < dist[j]:
-                dist[j] = w
-                parent[j] = nxt
+    tree_edges = _prim_tree(sets)  # (weight, parent, child)
     bottleneck = max(tree_edges, key=lambda e: e[0])
     sep, p_star, c_star = bottleneck
     side_c = {c_star}

@@ -166,6 +166,28 @@ def naive_shortest_path_length(
     return dist.get(index[b])
 
 
+def naive_diameter(g: Graph, k: int) -> int | None:
+    """Largest BFS distance over all pairs of naive_dk(g, k); None when disconnected."""
+    verts, edges = naive_dk(g, k)
+    adj: list[list[int]] = [[] for _ in verts]
+    for x, y in edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    best = 0
+    for start in range(len(verts)):
+        dist = {start: 0}
+        queue = [start]
+        for cur in queue:
+            for nb in adj[cur]:
+                if nb not in dist:
+                    dist[nb] = dist[cur] + 1
+                    queue.append(nb)
+        if len(dist) < len(verts):
+            return None
+        best = max(best, max(dist.values()))
+    return best
+
+
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """Backtracking isomorphism search with degree pruning (small graphs)."""
     if g.n != h.n or g.degree_sequence() != h.degree_sequence():

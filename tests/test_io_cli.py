@@ -647,3 +647,26 @@ def test_cli_hunt_quiet_on_broken_pipe(tmp_path):
     assert json.loads(first)["id"] == 1
     assert proc.returncode == 0
     assert b"Broken pipe" not in err and b"Traceback" not in err
+
+
+def test_edge_list_ids_are_ascii_decimal():
+    for text in ("0 1\n1 ٢\n", "1_0 2\n", "+1 2\n", "0 ²\n"):
+        with pytest.raises(ParseError, match="non-integer id"):
+            parse_edge_list(text)
+    with pytest.raises(ParseError, match="negative vertex id"):
+        parse_edge_list("0 -1\n")
+
+
+# Arabic-Indic digits, on a later line and on the first; an underscore separator.
+@pytest.mark.parametrize("data", [b"0 1\n1 \xd9\xa2\n", b"\xd9\xa1 \xd9\xa2\n", b"1_0 2\n"],
+                         ids=["arabic-indic-later", "arabic-indic-first", "underscore"])
+@pytest.mark.parametrize("fmt", ["auto", "edgelist"])
+@pytest.mark.parametrize("via", ["stdin", "file"])
+def test_cli_non_ascii_decimal_ids_are_a_parse_error(tmp_path, data, fmt, via):
+    f = tmp_path / "graph"
+    f.write_bytes(data)
+    source, stdin = ("-", data) if via == "stdin" else (str(f), b"")
+    proc = subprocess.run(CLI + ["invariants", source, "--format", fmt], input=stdin,
+                          capture_output=True, env=CLI_ENV)
+    assert proc.returncode == EXIT_PARSE
+    assert b"domrec: input:" in proc.stderr and b"Traceback" not in proc.stderr

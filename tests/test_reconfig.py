@@ -1,7 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domrec import (
@@ -12,6 +13,7 @@ from domrec import (
     connectivity_profile,
     d0_direct,
     dk_diameter,
+    dominating_sets_upto,
     empty_graph,
     enumerate_minimal_dominating,
     generate_gkr,
@@ -25,8 +27,18 @@ from domrec import (
     star,
     vertex_list,
 )
+from domrec import reconfig
+from domrec.domination import _dominating_set_counts
+from domrec.reconfig import _layered_connectivity
 from conftest import random_connected_graph, random_graph
-from naive import naive_d0, naive_dk, naive_shortest_path_length
+from naive import (
+    _components,
+    naive_d0,
+    naive_diameter,
+    naive_dk,
+    naive_is_dominating,
+    naive_shortest_path_length,
+)
 
 
 def test_dk_of_complete_graph_is_punctured_hypercube():
@@ -246,3 +258,66 @@ def test_dn_diameter_bound(corpus50):
         diam = dk_diameter(rg)
         assert diam is not None
         assert diam <= 2 * (g.n - fam.gamma)
+
+
+@st.composite
+def graphs_upto7(draw):
+    """Any graph on 1..7 vertices: edgeless, isolated vertices, several components."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return Graph.from_edges(n, chosen)
+
+
+# Pinned shapes: an edgeless graph, an isolated vertex beside two components,
+# and two components with no isolated vertex.
+_SHAPES = (Graph.from_edges(5, []), Graph.from_edges(6, [(1, 2), (3, 4), (4, 5)]),
+           Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_upto7())
+@example(_SHAPES[0])
+@example(_SHAPES[1])
+@example(_SHAPES[2])
+def test_profile_matches_naive_dk_and_layered_union_find(g):
+    prof = connectivity_profile(g)
+    layered = list(_layered_connectivity(dominating_sets_upto(g, g.n)))
+    assert [(e.k, e.order, e.size, e.component_count) for e in prof.entries] == layered
+    assert prof.gamma == layered[0][0]
+    for e in prof.entries:
+        verts, edges = naive_dk(g, e.k)
+        comps = _components(len(verts), edges)
+        assert (e.order, e.size, e.component_count) == (len(verts), len(edges), comps)
+        assert e.connected == (comps == 1)
+    # Below gamma D_k is empty, and the profile starts at gamma.
+    assert not naive_dk(g, prof.gamma - 1)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_upto7())
+@example(_SHAPES[0])
+@example(_SHAPES[1])
+def test_dominating_set_counts_match_naive_count(g):
+    expected = [0] * (g.n + 1)
+    for size in range(g.n + 1):
+        for combo in combinations(range(g.n), size):
+            expected[size] += naive_is_dominating(g, frozenset(combo))
+    assert _dominating_set_counts(g) == expected
+
+
+@pytest.mark.parametrize("block", [1, 3, reconfig._DIAMETER_BLOCK])
+@settings(max_examples=60, deadline=None)
+@given(graphs_upto7(), st.integers(min_value=0, max_value=7))
+@example(_SHAPES[1], 5)
+@example(_SHAPES[2], 7)
+def test_dk_diameter_matches_all_pairs_bfs(block, g, k):
+    rg = build_dk(g, k)
+    if not rg.verts:
+        with pytest.raises(InputError):
+            dk_diameter(rg)
+        return
+    # Blocks of 1 and 3 sources run the multi-block path.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reconfig, "_DIAMETER_BLOCK", block)
+        assert dk_diameter(rg) == naive_diameter(g, k)

@@ -1,0 +1,33 @@
+"""Source checks: line width, and a runtime that imports only the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "domrec").glob("*.py"))
+MAX_LINE = 99
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_line_is_over_the_width_limit(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    long = [n for n, line in enumerate(lines, 1) if len(line) > MAX_LINE]
+    assert long == [], f"{path.name}: lines over {MAX_LINE} characters: {long}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_package_relative(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    foreign = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        foreign += [name for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == [], f"{path.name}: non-stdlib imports {foreign}"
