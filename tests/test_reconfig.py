@@ -76,8 +76,9 @@ def test_dk_matches_naive_construction():
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+def small_graphs(draw, max_n=6):
+    """Any graph on 1..max_n vertices: edgeless, isolated vertices, several components."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
     return Graph.from_edges(n, chosen)
@@ -260,15 +261,6 @@ def test_dn_diameter_bound(corpus50):
         assert diam <= 2 * (g.n - fam.gamma)
 
 
-@st.composite
-def graphs_upto7(draw):
-    """Any graph on 1..7 vertices: edgeless, isolated vertices, several components."""
-    n = draw(st.integers(min_value=1, max_value=7))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    return Graph.from_edges(n, chosen)
-
-
 # Pinned shapes: an edgeless graph, an isolated vertex beside two components,
 # and two components with no isolated vertex.
 _SHAPES = (Graph.from_edges(5, []), Graph.from_edges(6, [(1, 2), (3, 4), (4, 5)]),
@@ -276,7 +268,7 @@ _SHAPES = (Graph.from_edges(5, []), Graph.from_edges(6, [(1, 2), (3, 4), (4, 5)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs_upto7())
+@given(small_graphs(max_n=7))
 @example(_SHAPES[0])
 @example(_SHAPES[1])
 @example(_SHAPES[2])
@@ -295,7 +287,7 @@ def test_profile_matches_naive_dk_and_layered_union_find(g):
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs_upto7())
+@given(small_graphs(max_n=7))
 @example(_SHAPES[0])
 @example(_SHAPES[1])
 def test_dominating_set_counts_match_naive_count(g):
@@ -308,7 +300,7 @@ def test_dominating_set_counts_match_naive_count(g):
 
 @pytest.mark.parametrize("block", [1, 3, reconfig._DIAMETER_BLOCK])
 @settings(max_examples=60, deadline=None)
-@given(graphs_upto7(), st.integers(min_value=0, max_value=7))
+@given(small_graphs(max_n=7), st.integers(min_value=0, max_value=7))
 @example(_SHAPES[1], 5)
 @example(_SHAPES[2], 7)
 def test_dk_diameter_matches_all_pairs_bfs(block, g, k):
