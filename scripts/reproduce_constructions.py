@@ -22,7 +22,7 @@ from domrec import (
 def row(name, g, expect_d0):
     t0 = time.perf_counter()
     fam = enumerate_minimal_dominating(g)
-    d0 = d0_direct(g)
+    d0 = d0_direct(g, family=fam)
     sep = sep_bottleneck(fam).sep
     dt = time.perf_counter() - t0
     flag = "ok" if d0 == sep == expect_d0 else "MISMATCH"

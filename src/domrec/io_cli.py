@@ -349,7 +349,13 @@ def cmd_d0(args: argparse.Namespace, out: TextIO) -> int:
     budget = _budget_from(args)
     status = EXIT_OK
     for _gid, g in read_graphs(args.input, args.format):
-        if args.method == "direct":
+        if args.method is None:
+            # d0 = sep on every graph with an edge (proof in separation.py).
+            if not g.edge_count():
+                raise InputError("d_0 requires a graph with at least one edge")
+            fam = enumerate_minimal_dominating(g, budget)
+            _emit(out, export_json({"d0": sep_bottleneck(fam).sep}))
+        elif args.method == "direct":
             _emit(out, export_json({"d0": d0_direct(g, budget)}))
         elif args.method == "sep":
             fam = enumerate_minimal_dominating(g, budget)
@@ -489,7 +495,7 @@ def _hunt_worker(item: _HuntItem) -> tuple[int, str, str]:
         sep = sep_bottleneck(fam).sep
         if sep - fam.Gamma < item.min_excess:
             return item.ordinal, "miss", ""
-        d0 = d0_direct(g, budget)
+        d0 = d0_direct(g, budget, family=fam)
     except BudgetError as exc:
         return item.ordinal, "budget-error", str(exc)
     excess = d0 - fam.Gamma
@@ -617,7 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("d0", help="connectivity threshold of the k-dominating graphs")
     _add_input(p)
-    p.add_argument("--method", choices=["direct", "sep", "both"], default="direct")
+    p.add_argument("--method", choices=["direct", "sep", "both"],
+                   help="direct: scan D_k; sep: print the separation; both: cross-check the"
+                        " two (default: d0 read off the separation)")
     _add_budget(p)
     p.set_defaults(func=cmd_d0)
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import groupby
+from itertools import compress, groupby
 from operator import or_
 from typing import Iterator, Optional
 
@@ -56,10 +56,14 @@ from .graph_core import (
 )
 from .domination import (
     Budget,
+    DomFamily,
     _dominating_set_counts,
     dominating_sets_upto,
     enumerate_minimal_dominating,
 )
+
+# Maps the text of bin() to one byte per digit: 0 for "0" and "b", 1 for "1".
+_BINARY_DIGITS = bytes.maketrans(b"0b1", b"\0\0\1")
 
 # Sources per bit-parallel BFS in dk_diameter; memory is O(order * block) bits.
 _DIAMETER_BLOCK = 4096
@@ -199,25 +203,70 @@ def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
     """Minimum spanning tree of the pair weights |X u Y|, by Prim's algorithm.
 
     Returns (weight, parent, child) edges in insertion order, parents
-    before children. Weights are streamed instead of materialising the
-    m*(m-1)/2 matrix; each step takes the lowest-index closest set, so the
-    tree is deterministic.
+    before children, rooted at index 0. The sets must be distinct, as the
+    members of a minimal family are.
+
+    Packed layout: member Y_i owns byte i of each little-endian int. size
+    holds |Y_i|, and dist holds Y_i's distance to the tree, 0 once Y_i is
+    taken. lacks[j] holds 1 where Y_i lacks the vertex of binary digit j;
+    bin(top | Y_i) puts that digit at the same offset for every i. For the
+    set X just taken, size plus the sum of lacks[j] over the digits of X
+    holds |Y_i| + |X - Y_i| = |X u Y_i| in byte i, for all i at once.
+
+    Field range: every weight is at most graph_core.MAX_VERTICES = 64, and
+    the fields hold up to 126. So no byte carries or borrows, and the
+    guard bit 0x80 of (dist | 0x80..) - (w + 1) is set in exactly the
+    bytes where w < dist. Those members take w as their distance and X as
+    their parent; no other member changes.
+
+    Tie-break: the next member is the first byte of dist equal to the
+    smallest weight present, tried upward from min |Y_i| + 1 (distinct
+    sets are at least that far apart). Taken members hold 0, which is
+    never tried, so this is the lowest index at the smallest distance, and
+    a parent changes only on a strict decrease: the tree of the plain
+    O(m^2) loop, edge for edge.
+
+    Cost: O(m Gamma) whole-int operations and memchr scans over m bytes,
+    all in C; no pair weight is formed on its own. The Python-level work
+    is O(m Gamma): each member changes parent fewer than 2 Gamma times,
+    because its distance only falls and stays above gamma.
     """
     m = len(sets)
-    dist = [popcount(sets[0] | s) for s in sets]
+    if m < 2:
+        return []
+    ones = int.from_bytes(b"\1" * m, "little")
+    guard = ones << 7
+    # bin(top | s) is "0b1" and then one digit per vertex, at the same offsets for every s.
+    top = 1 << max(sets).bit_length()
+    width = top.bit_length() + 2
+    digits = "".join(map(bin, map(top.__or__, sets))).encode().translate(_BINARY_DIGITS)
+    lacks = [ones - int.from_bytes(digits[j::width], "little") for j in range(3, width)]
+    sizes = bytes(map(popcount, sets))
+    size = int.from_bytes(sizes, "little")
+    weights = range(min(sizes) + 1, 127)
+    # Member 0 is the root: its own byte, |Y_0 u Y_0| = |Y_0|, drops to 0.
+    dist = sum(compress(lacks, digits[3:width]), size) - sizes[0]
+    size_plus_one = size + ones
     parent = [0] * m
-    rest = list(range(1, m))
     tree: list[tuple[int, int, int]] = []
-    while rest:
-        nxt = min(rest, key=dist.__getitem__)
-        rest.remove(nxt)
-        tree.append((dist[nxt], parent[nxt], nxt))
-        sj = sets[nxt]
-        for j in rest:
-            w = popcount(sj | sets[j])
-            if w < dist[j]:
-                dist[j] = w
+    for _ in range(m - 1):
+        find = dist.to_bytes(m, "little").find
+        for wt in weights:
+            nxt = find(wt)
+            if nxt >= 0:
+                break
+        dist -= wt << 8 * nxt
+        tree.append((wt, parent[nxt], nxt))
+        at = nxt * width
+        w_plus_one = sum(compress(lacks, digits[at + 3:at + width]), size_plus_one)
+        closer = ((dist | guard) - w_plus_one) & guard
+        if closer:
+            dist ^= (dist ^ (w_plus_one - ones)) & ((closer >> 7) * 255)
+            flags = closer.to_bytes(m, "little")
+            j = flags.find(128)
+            while j >= 0:
                 parent[j] = nxt
+                j = flags.find(128, j + 1)
     return tree
 
 
@@ -246,7 +295,9 @@ def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> Connectiv
     return ConnectivityProfile(gamma=gamma, n=g.n, entries=tuple(entries))
 
 
-def d0_direct(g: Graph, budget: Optional[Budget] = None) -> int:
+def d0_direct(
+    g: Graph, budget: Optional[Budget] = None, *, family: Optional[DomFamily] = None
+) -> int:
     """Smallest j such that D_k(G) is connected for every k >= j.
 
     Returns the first k > Gamma at which D_k(G) is connected; connectivity
@@ -256,13 +307,17 @@ def d0_direct(g: Graph, budget: Optional[Budget] = None) -> int:
     minimal dominating sets.
 
     This is the independent oracle for d0, not the fast route: d0 equals
-    the separation sep (proof in separation.py), so `hunt` filters on
-    sep_bottleneck and runs this scan only to re-verify every hit.
+    the separation sep (proof in separation.py), so `domrec d0` and `hunt`
+    read it off sep_bottleneck. This scan runs for `d0 --method direct`
+    and `both`, and to re-verify every `hunt` hit.
+
+    family is g's minimal family when the caller already holds it; only
+    its gamma and Gamma are read, and it is enumerated when omitted.
     """
     if all(row == 0 for row in g.adj):
         raise InputError("d_0 requires a graph with at least one edge")
     budget = budget or Budget.resolve()
-    fam = enumerate_minimal_dominating(g, budget)
+    fam = family if family is not None else enumerate_minimal_dominating(g, budget)
     # Gamma + gamma bounds d0, but the oracle does not trust it: it rescans up to n.
     for cap in (min(g.n, fam.Gamma + fam.gamma), g.n):
         for k, _order, _size, comps in _layered_connectivity(dominating_sets_upto(g, cap, budget)):

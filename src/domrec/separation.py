@@ -6,8 +6,10 @@ maximum of that over all 2-partitions. The brute-force route scans every
 partition; the bottleneck route reads the same number off a minimum
 spanning tree over pair weights w(X,Y) = |X u Y|: the max-min over cuts
 equals the heaviest MST edge, and removing that edge exhibits a witness
-partition. The two routes are cross-validated in the tests rather than
-trusted on faith.
+partition. The tree is reconfig._prim_tree's, which holds one byte per
+set and gets the weights from each newly added set to all others in a
+few whole-int operations, never one pair at a time. The two routes are
+cross-validated in the tests rather than trusted on faith.
 
 Why d0 = sep. Let F be the minimal family and U_k the graph on F with
 X ~ Y when |X u Y| <= k. Every cut of U_k has a cross edge exactly when
@@ -41,9 +43,11 @@ G to be connected. F has at least 2 sets whenever G has an edge uv
 dominating sets); only the edgeless graph, with the single set V, is
 excluded, and d0 is rejected there too.
 
-This is why `hunt` filters its threshold on sep_bottleneck and runs the
-direct D_k scan (reconfig.d0_direct) only to re-verify every hit, and why
-sep is still checked against d0_direct on every corpus graph.
+This is why `domrec d0` reads d0 off sep_bottleneck by default and `hunt`
+filters its threshold on it. The direct D_k scan (reconfig.d0_direct)
+stays the oracle: `d0 --method direct|both` run it, `hunt` re-verifies
+every hit with it, and sep is still checked against it on every corpus
+graph.
 """
 
 from __future__ import annotations
@@ -178,7 +182,7 @@ def check_sep_equals_d0(
     budget = budget or Budget.resolve()
     fam = enumerate_minimal_dominating(g, budget)
     report = sep_bottleneck(fam)
-    d0 = d0_direct(g, budget)
+    d0 = d0_direct(g, budget, family=fam)
     return D0SepEvidence(
         d0=d0,
         sep=report.sep,

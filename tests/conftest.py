@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -32,6 +33,16 @@ def connected_corpus(count: int, n_min: int = 4, n_max: int = 9) -> list[Graph]:
         random_connected_graph(rng, rng.randint(n_min, n_max))
         for _ in range(count)
     ]
+
+
+@st.composite
+def edged_graphs(draw) -> Graph:
+    """Any graph with at least one edge: isolated vertices and several
+    components are as likely as connected graphs."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return Graph.from_edges(n, edges)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from domrec import Graph
+from domrec import Graph, popcount
 
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
@@ -89,6 +89,31 @@ def naive_sep(sets: list[frozenset[int]]) -> int:
         cross = min(len(sets[i] | sets[j]) for i in side_a for j in in_b)
         best = max(best, cross)
     return best
+
+
+def naive_prim_tree(sets: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """Prim's algorithm over all m(m-1)/2 pair weights |X u Y|, one at a time.
+
+    Returns (weight, parent, child) edges in insertion order; each step
+    takes the lowest-index closest set, and a parent changes only when a
+    distance strictly drops.
+    """
+    m = len(sets)
+    dist = [popcount(sets[0] | s) for s in sets]
+    parent = [0] * m
+    rest = list(range(1, m))
+    tree: list[tuple[int, int, int]] = []
+    while rest:
+        nxt = min(rest, key=dist.__getitem__)
+        rest.remove(nxt)
+        tree.append((dist[nxt], parent[nxt], nxt))
+        sj = sets[nxt]
+        for j in rest:
+            w = popcount(sj | sets[j])
+            if w < dist[j]:
+                dist[j] = w
+                parent[j] = nxt
+    return tree
 
 
 def naive_dk(g: Graph, k: int) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -23,7 +24,7 @@ from domrec import (
     path_graph,
     star,
 )
-from domrec import families, io_cli
+from domrec import domination, families, io_cli
 from domrec.io_cli import (
     EXIT_ASSERT,
     EXIT_BUDGET,
@@ -41,7 +42,7 @@ from domrec.io_cli import (
 )
 from domrec.domination import BUDGET_ENV_VAR
 from domrec.graph_core import UnsupportedGraphError
-from conftest import random_graph
+from conftest import edged_graphs, random_graph
 from naive import naive_d0, naive_minimal_dominating_sets
 
 CLI = [sys.executable, "-m", "domrec"]
@@ -324,6 +325,8 @@ def _golden_cases():
     # Isolated vertex 0 with two components, and the single edge.
     for stem, text in (("two-edges-isolated", "1 2\n3 4\n"), ("k2", "0 1\n")):
         case(f"d0-both-{stem}", ["d0", "-", "--method", "both"], text)
+    # d0 with no --method, read off the separation.
+    case("d0-gkr-4-3", ["d0", "-"], export_graph6(generate_gkr(4, 3)[0]) + "\n")
     return cases
 
 
@@ -532,9 +535,9 @@ def test_cli_hunt_runs_d0_direct_only_on_hits(monkeypatch, capsys, planted_strea
     calls = []
     real = io_cli.d0_direct
 
-    def counting(g, budget=None):
+    def counting(g, budget=None, **kwargs):
         calls.append(export_graph6(g))
-        return real(g, budget)
+        return real(g, budget, **kwargs)
 
     monkeypatch.setattr(io_cli, "d0_direct", counting)
     code, out, _ = _hunt_in_process(monkeypatch, capsys, stream, "--min-excess", "2")
@@ -543,9 +546,51 @@ def test_cli_hunt_runs_d0_direct_only_on_hits(monkeypatch, capsys, planted_strea
     assert calls == [json.loads(line)["graph6"] for line in out.splitlines()]
 
 
+def test_cli_enumerates_each_minimal_family_once(monkeypatch, capsys, planted_stream):
+    stream, expected, count = planted_stream
+    graphs = []  # every minimal-family enumeration, by any caller
+    real = domination.minimal_dominating_sets
+
+    def counting(g, budget=None):
+        graphs.append(export_graph6(g))
+        return real(g, budget)
+
+    monkeypatch.setattr(domination, "minimal_dominating_sets", counting)
+    code, out, _ = _hunt_in_process(monkeypatch, capsys, stream, "--min-excess", "2")
+    assert code == 0 and len(out.splitlines()) == len(expected) > 0
+    assert len(graphs) == len(set(graphs)) == count
+    graphs.clear()
+    pair = export_graph6(star(4)) + "\n" + export_graph6(generate_gkr(3, 2)[0]) + "\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(pair))
+    assert main(["d0", "-", "--method", "both"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["agree"] for row in rows] == [True, True]
+    assert graphs == pair.split()
+
+
+def _stdout_of(argv, stdin):
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(edged_graphs())
+def test_cli_d0_default_matches_method_direct(g):
+    line = export_graph6(g) + "\n"
+    default = _stdout_of(["d0", "-"], line)
+    assert default == _stdout_of(["d0", "-", "--method", "direct"], line)
+    assert default[0] == 0 and json.loads(default[1]) == {"d0": naive_d0(g)}
+
+
 def test_cli_hunt_disagreement_exits_5_with_payload(monkeypatch, capsys):
     real = io_cli.d0_direct
-    monkeypatch.setattr(io_cli, "d0_direct", lambda g, budget=None: real(g, budget) + 1)
+    monkeypatch.setattr(io_cli, "d0_direct",
+                        lambda g, budget=None, **kwargs: real(g, budget, **kwargs) + 1)
     prism = cartesian_product(path_graph(3), complete_graph(3))
     stream = export_graph6(complete_graph(3)) + "\n" + export_graph6(prism) + "\n"
     code, out, err = _hunt_in_process(monkeypatch, capsys, stream, "--min-excess", "2")

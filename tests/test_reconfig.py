@@ -18,6 +18,8 @@ from domrec import (
     enumerate_minimal_dominating,
     generate_gkr,
     Graph,
+    MAX_VERTICES,
+    generate_qkr,
     is_dominating,
     is_parity_bipartite,
     mask_of,
@@ -29,7 +31,7 @@ from domrec import (
 )
 from domrec import reconfig
 from domrec.domination import _dominating_set_counts
-from domrec.reconfig import _layered_connectivity
+from domrec.reconfig import _layered_connectivity, _prim_tree
 from conftest import random_connected_graph, random_graph
 from naive import (
     _components,
@@ -37,6 +39,7 @@ from naive import (
     naive_diameter,
     naive_dk,
     naive_is_dominating,
+    naive_prim_tree,
     naive_shortest_path_length,
 )
 
@@ -313,3 +316,65 @@ def test_dk_diameter_matches_all_pairs_bfs(block, g, k):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reconfig, "_DIAMETER_BLOCK", block)
         assert dk_diameter(rg) == naive_diameter(g, k)
+
+
+# _prim_tree against the plain O(m^2) Prim loop -------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=7))
+@example(Graph.from_edges(3, []))  # edgeless: one set, no tree edge
+@example(Graph.from_edges(2, [(0, 1)]))  # two sets, one tree edge
+@example(_SHAPES[1])
+@example(generate_gkr(4, 3)[0])  # 321 sets
+@example(generate_qkr(4, 3)[0])  # 382 sets
+def test_prim_tree_matches_naive_on_minimal_families(g):
+    sets = enumerate_minimal_dominating(g).sets
+    tree = _prim_tree(sets)
+    assert tree == naive_prim_tree(sets)
+    assert len(tree) == len(sets) - 1
+
+
+@st.composite
+def distinct_masks(draw, max_width=64):
+    """Distinct vertex masks in any order, with subsets and supersets of
+    each other drawn on purpose, which no minimal family has."""
+    width = draw(st.integers(min_value=1, max_value=max_width))
+    masks = st.integers(min_value=0, max_value=(1 << width) - 1)
+    sets = draw(st.lists(masks, min_size=1, max_size=40))
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        a, b = draw(st.sampled_from(sets)), draw(masks)
+        sets.append(draw(st.sampled_from([a | b, a & b])))
+    return tuple(draw(st.permutations(list(dict.fromkeys(sets)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_masks())
+@example((0b111,))
+@example((0b011, 0b110))
+@example((0b0001, 0b0011, 0b0111, 0b1111))  # a chain of nested sets
+def test_prim_tree_matches_naive_on_synthetic_families(sets):
+    assert _prim_tree(sets) == naive_prim_tree(sets)
+
+
+def test_prim_tree_byte_fields_hold_every_weight():
+    # One byte per member holds |X u Y| with a guard bit; weights are at
+    # most MAX_VERTICES and must stay below 127.
+    assert MAX_VERTICES < 127
+    low = (1 << 32) - 1
+    high = low << 32
+    full = (1 << 64) - 1
+    assert _prim_tree((low, high)) == [(64, 0, 1)]
+    rng = random.Random(64)
+    halves = [rng.getrandbits(64) for _ in range(6)]
+    families = [
+        (low, high, 1, 1 << 63, low | 1 << 40, full),
+        (full, high, low),
+        tuple(x for h in halves for x in (h, full ^ h)) + (1 << 5, 1 << 60),
+    ]
+    for sets in families:
+        assert max(popcount(x | y) for x in sets for y in sets) == 64
+        assert _prim_tree(sets) == naive_prim_tree(sets)
+    # full is 64 from everything: it joins last, and ties go to the lowest index.
+    assert _prim_tree(families[0])[-1] == (64, 0, 5)
+    assert _prim_tree(families[1]) == [(64, 0, 1), (64, 0, 2)]

@@ -2,7 +2,6 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from domrec import (
     BudgetError,
@@ -23,7 +22,7 @@ from domrec import (
     star,
     vertex_list,
 )
-from conftest import random_connected_graph
+from conftest import edged_graphs, random_connected_graph
 from naive import naive_d0, naive_sep
 
 
@@ -179,16 +178,6 @@ def test_d0_equals_sep_is_exact_not_approximate():
         g = random_connected_graph(rng, rng.randint(2, 8))
         fam = enumerate_minimal_dominating(g)
         assert sep_bottleneck(fam).sep == d0_direct(g)
-
-
-@st.composite
-def edged_graphs(draw) -> Graph:
-    """Any graph with at least one edge: isolated vertices and several
-    components are as likely as connected graphs."""
-    n = draw(st.integers(min_value=2, max_value=7))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
-    return Graph.from_edges(n, edges)
 
 
 @settings(max_examples=150, deadline=None)
