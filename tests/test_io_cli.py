@@ -327,6 +327,17 @@ def _golden_cases():
         case(f"d0-both-{stem}", ["d0", "-", "--method", "both"], text)
     # d0 with no --method, read off the separation.
     case("d0-gkr-4-3", ["d0", "-"], export_graph6(generate_gkr(4, 3)[0]) + "\n")
+    # path: each pair has one level with no path and one with a shortest path.
+    # gkr(4,3): the hub set to a transversal, whose unions have k + r = 7 vertices.
+    gkr43, isolated = generate_gkr(4, 3)[0], Graph.from_edges(6, [(1, 2), (3, 4), (4, 5)])
+    for stem, g, src, dst, k in (("gkr-4-3-k6", gkr43, "1,2,3,4", "1,5,9,13", 6),
+                                 ("gkr-4-3-k7", gkr43, "1,2,3,4", "1,5,9,13", 7),
+                                 ("star3-k3", star(3), "1,2,3", "0", 3),
+                                 ("star3-k4", star(3), "1,2,3", "0", 4),
+                                 ("isolated-two-components-k3", isolated, "0,1,4", "0,2,4", 3),
+                                 ("isolated-two-components-k5", isolated, "0,1,3,5", "0,2,4", 5)):
+        case(f"path-{stem}", ["path", "-", "--from", src, "--to", dst, "--k", str(k)],
+             export_graph6(g) + "\n")
     return cases
 
 
