@@ -31,7 +31,6 @@ from .domination import (
     Budget,
     DomFamily,
     InvariantReport,
-    compute_alpha,
     compute_ir,
     dominating_sets_upto,
     enumerate_minimal_dominating,
@@ -47,7 +46,6 @@ from .reconfig import (
     connectivity_profile,
     d0_direct,
     dk_diameter,
-    is_parity_bipartite,
     reconfig_path,
 )
 from .separation import (
@@ -55,7 +53,6 @@ from .separation import (
     D0SepEvidence,
     SepReport,
     check_sep_equals_d0,
-    partition_separation,
     sep_bottleneck,
     sep_brute_force,
 )
@@ -66,12 +63,10 @@ from .families import (
     StructureReport,
     complete_graph,
     cycle_graph,
-    empty_graph,
     family_w,
     family_x,
     generate_gkr,
     generate_qkr,
-    irredundance_witness,
     path_graph,
     star,
     verify_gkr_structure,

@@ -244,10 +244,6 @@ def list_maximal_independent(g: Graph, budget: Optional[Budget] = None) -> list[
     return out
 
 
-def compute_alpha(g: Graph, budget: Optional[Budget] = None) -> int:
-    return max(popcount(s) for s in list_maximal_independent(g, budget))
-
-
 def compute_ir(g: Graph, budget: Optional[Budget] = None) -> int:
     """Maximum cardinality of an irredundant set, exact.
 

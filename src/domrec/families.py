@@ -184,13 +184,6 @@ def family_w(layout: QkrLayout) -> list[VertexSet]:
     return out
 
 
-def irredundance_witness(layout: GkrLayout) -> VertexSet:
-    """Non-dominating irredundant set of size k+r-2 (k-1 when r=1)."""
-    members = [layout.u(j) for j in range(1, layout.k)]
-    members.extend(layout.v(i, layout.k) for i in range(1, layout.r))
-    return mask_of(members)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -353,12 +346,6 @@ def complete_graph(n: int) -> Graph:
     if n < 1:
         raise InputError("complete graph needs n >= 1")
     return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
-def empty_graph(n: int) -> Graph:
-    if n < 1:
-        raise InputError("empty graph needs n >= 1")
-    return Graph.from_edges(n, [])
 
 
 def star(n: int) -> Graph:

@@ -79,8 +79,9 @@ JOBS_ENV_VAR = "DOMREC_JOBS"
 HUNT_WINDOW = 512
 
 _GRAPH6_HEADER = ">>graph6<<"
-# Edge-list ids are ASCII decimal; int() alone would also take other scripts'
-# digits and underscores. A leading '-' matches so the error can name it.
+# Vertex ids, in edge lists and in --from/--to, are ASCII decimal; int() alone
+# would also take other scripts' digits, '+', spaces and underscores. A
+# leading '-' matches so the error can name it.
 _EDGE_ID = re.compile(r"-?[0-9]+")
 
 
@@ -190,11 +191,6 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(max_id + 1, edges)
 
 
-def export_edge_list(g: Graph) -> str:
-    lines = [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 # ---------------------------------------------------------------------------
 # input plumbing
 
@@ -237,12 +233,12 @@ def read_graphs(source: str, fmt: str = "auto") -> list[tuple[str, Graph]]:
 
 
 def _parse_id_list(text: str) -> VertexSet:
-    try:
-        ids = [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise ParseError(f"vertex list must be comma-separated ids, got {text!r}") from exc
-    if not ids:
+    parts = [part for part in text.split(",") if part != ""]
+    if not all(_EDGE_ID.fullmatch(part) for part in parts):
+        raise ParseError(f"vertex list must be comma-separated ids, got {text!r}")
+    if not parts:
         raise ParseError("vertex list is empty")
+    ids = [int(part) for part in parts]
     for v in ids:
         if not 0 <= v < MAX_VERTICES:
             raise ParseError(f"vertex id {v} outside 0..{MAX_VERTICES - 1}")

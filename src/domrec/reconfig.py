@@ -5,7 +5,8 @@ elements; two sets are adjacent when one is the other plus a single vertex.
 Edges therefore always join consecutive cardinality layers, which makes
 D_k(G) bipartite by cardinality parity and lets connectivity be tracked
 incrementally with a union-find as layers are added. That union-find is
-the independent route (d0_direct); `profile` needs none of it.
+the independent route (d0_direct); `dk`, `path` and `profile` need none
+of it.
 
 Order and size. Let c_j count the dominating sets of size j. Every
 superset of a dominating set dominates, so a set T of size j has n - j
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, groupby
 from operator import or_
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .graph_core import (
     Graph,
@@ -53,6 +54,7 @@ from .graph_core import (
     is_dominating,
     iter_vertices,
     popcount,
+    vertex_list,
 )
 from .domination import (
     Budget,
@@ -146,34 +148,41 @@ class _DSU:
         return True
 
 
-def _edges_and_components(
-    verts: list[VertexSet],
-) -> tuple[list[tuple[int, int]], int]:
+def _edges(verts: list[VertexSet]) -> list[tuple[int, int]]:
+    """Index pairs (T, T + v) of canonically ordered sets, sorted."""
     index = {m: i for i, m in enumerate(verts)}
-    dsu = _DSU()
-    for _ in verts:
-        dsu.add()
     edges: list[tuple[int, int]] = []
     for idx, mask in enumerate(verts):
         for v in iter_vertices(mask):
             prev = index.get(mask ^ bit(v))
             if prev is not None:
                 edges.append((prev, idx))
-                dsu.union(prev, idx)
     edges.sort()
-    return edges, dsu.components
+    return edges
+
+
+def _component_counter(g: Graph, budget: Optional[Budget]) -> Callable[[int], int]:
+    """k -> number of components of D_k(G).
+
+    Read off the spanning tree of the minimal family by the identity in
+    the module docstring. Below gamma every tree edge and every set counts,
+    so it gives 0 for the empty D_k.
+    """
+    sets = enumerate_minimal_dominating(g, budget).sets
+    weights = [w for w, _, _ in _prim_tree(sets)]
+    sizes = [popcount(s) for s in sets]
+    return lambda k: 1 + sum(w > k for w in weights) - sum(c > k for c in sizes)
 
 
 def build_dk(g: Graph, k: int, budget: Optional[Budget] = None) -> ReconfigGraph:
     """Construct D_k(G) exactly. k below gamma gives an empty graph."""
     verts = dominating_sets_upto(g, k, budget) if k >= 0 else []
-    edges, components = _edges_and_components(verts)
     return ReconfigGraph(
         k=k,
         n=g.n,
         verts=tuple(verts),
-        edges=tuple(edges),
-        component_count=components if verts else 0,
+        edges=tuple(_edges(verts)),
+        component_count=_component_counter(g, budget)(k) if verts else 0,
     )
 
 
@@ -279,15 +288,13 @@ def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> Connectiv
     """
     budget = budget or Budget.resolve()
     counts = _dominating_set_counts(g, budget)
-    sets = enumerate_minimal_dominating(g, budget).sets
-    weights = [w for w, _, _ in _prim_tree(sets)]
-    sizes = [popcount(s) for s in sets]
+    components = _component_counter(g, budget)
     entries = []
     order = size = 0
     for k, count in enumerate(counts):
         order += count
         if order:
-            comps = 1 + sum(w > k for w in weights) - sum(c > k for c in sizes)
+            comps = components(k)
             entries.append(ProfileEntry(k=k, order=order, size=size, connected=comps == 1,
                                         component_count=comps))
         size += count * (g.n - k)
@@ -335,37 +342,49 @@ def reconfig_path(
 ) -> Optional[list[VertexSet]]:
     """Shortest add/remove sequence between two dominating sets inside D_k.
 
-    Returns None when a and b lie in different components. Ties are broken
-    toward the lowest canonical-order neighbour, so output is deterministic.
+    Returns None when a and b lie in different components. Breadth-first
+    search over D_k without listing it: the neighbours of S are the
+    removals S - v, for v descending, that still dominate, then the
+    additions S + v, for v ascending, while |S| < k. Canonical order sorts
+    by size, then by mask, and S - v grows as v falls, so that is the
+    canonical order of S's neighbours: each set is reached first from the
+    lowest canonical-order neighbour, as in a search over sorted adjacency
+    lists of the explicit D_k. The search stops as soon as it reaches b,
+    and otherwise visits a's component only.
+
+    S - v dominates iff every vertex of N[v] is covered twice by S: once
+    by v and once by another member.
     """
     for name, s in (("from", a), ("to", b)):
         if not is_dominating(g, s):
             raise InputError(f"'{name}' endpoint is not a dominating set")
         if popcount(s) > k:
             raise InputError(f"'{name}' endpoint has cardinality above k={k}")
-    rg = build_dk(g, k, budget)
-    index = {m: i for i, m in enumerate(rg.verts)}
-    src, dst = index[a], index[b]
-    if src == dst:
-        return [a]
-    adjacency = rg.adjacency()
-    parent: dict[int, int] = {src: -1}
-    queue = deque([src])
-    while queue:
+    (budget or Budget.resolve()).check(g, "dominating set enumeration")
+    closed, full = g.closed, g.full_mask
+    parent = {a: a}
+    queue = deque([a])
+    while b not in parent:
+        if not queue:
+            return None
         cur = queue.popleft()
-        if cur == dst:
-            break
-        for nb in adjacency[cur]:
+        members = vertex_list(cur)
+        once = twice = 0
+        for u in members:
+            twice |= once & closed[u]
+            once |= closed[u]
+        nbrs = [cur ^ 1 << v for v in reversed(members) if not closed[v] & ~twice]
+        if len(members) < k:
+            nbrs += [cur | 1 << v for v in iter_vertices(full ^ cur)]
+        for nb in nbrs:
             if nb not in parent:
                 parent[nb] = cur
                 queue.append(nb)
-    if dst not in parent:
-        return None
-    path = [dst]
-    while path[-1] != src:
+    path = [b]
+    while path[-1] != a:
         path.append(parent[path[-1]])
     path.reverse()
-    return [rg.verts[i] for i in path]
+    return path
 
 
 def dk_diameter(rg: ReconfigGraph) -> Optional[int]:
@@ -397,10 +416,3 @@ def dk_diameter(rg: ReconfigGraph) -> Optional[int]:
             rounds += 1
         best = max(best, rounds)
     return best
-
-
-def is_parity_bipartite(rg: ReconfigGraph) -> bool:
-    """Every edge joins sets whose cardinalities differ by exactly one."""
-    return all(
-        abs(popcount(rg.verts[a]) - popcount(rg.verts[b])) == 1 for a, b in rg.edges
-    )

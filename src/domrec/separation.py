@@ -163,16 +163,6 @@ def sep_bottleneck(fam: DomFamily) -> SepReport:
     )
 
 
-def partition_separation(fam: DomFamily, part_b: tuple[int, ...]) -> int:
-    """sep of one explicit 2-partition; used to validate witnesses."""
-    in_b = set(part_b)
-    if not in_b or len(in_b) == len(fam.sets):
-        raise InputError("both sides of a 2-partition must be nonempty")
-    side_a = [fam.sets[i] for i in range(len(fam.sets)) if i not in in_b]
-    side_b = [fam.sets[i] for i in part_b]
-    return min(popcount(x | y) for x in side_a for y in side_b)
-
-
 def check_sep_equals_d0(
     g: Graph, budget: Optional[Budget] = None
 ) -> D0SepEvidence:

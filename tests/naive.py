@@ -1,14 +1,26 @@
 """Independent brute-force oracles used to validate the fast paths.
 
 Everything here works on plain Python sets built from the edge list, not
-on the package's bitmask kernel, so agreement is meaningful.
+on the package's bitmask kernel, so agreement is meaningful. The helpers
+at the end are test-only checks and conversions on the package's objects.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
-from domrec import Graph, popcount
+from domrec import (
+    DomFamily,
+    Graph,
+    GkrLayout,
+    InputError,
+    ReconfigGraph,
+    VertexSet,
+    list_maximal_independent,
+    mask_of,
+    popcount,
+)
 
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
@@ -191,6 +203,41 @@ def naive_shortest_path_length(
     return dist.get(index[b])
 
 
+def naive_reconfig_path(
+    g: Graph, k: int, a: frozenset[int], b: frozenset[int]
+) -> list[frozenset[int]] | None:
+    """BFS over sorted adjacency lists of naive_dk, stopping when b is dequeued.
+
+    Each set's parent is its lowest canonical-order neighbour in the layer
+    before it; None when a and b lie in different components.
+    """
+    verts, edges = naive_dk(g, k)
+    index = {v: i for i, v in enumerate(verts)}
+    adj: list[list[int]] = [[] for _ in verts]
+    for x, y in edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    for row in adj:
+        row.sort()
+    src, dst = index[a], index[b]
+    parent = {src: src}
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        if cur == dst:
+            break
+        for nb in adj[cur]:
+            if nb not in parent:
+                parent[nb] = cur
+                queue.append(nb)
+    if dst not in parent:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    return [verts[i] for i in reversed(path)]
+
+
 def naive_diameter(g: Graph, k: int) -> int | None:
     """Largest BFS distance over all pairs of naive_dk(g, k); None when disconnected."""
     verts, edges = naive_dk(g, k)
@@ -243,3 +290,39 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
         return False
 
     return dict(mapping) if extend(0) else None
+
+
+# Test-only helpers on the package's objects ----------------------------------
+
+
+def is_parity_bipartite(rg: ReconfigGraph) -> bool:
+    """Every edge joins sets whose cardinalities differ by exactly one."""
+    return all(
+        abs(popcount(rg.verts[a]) - popcount(rg.verts[b])) == 1 for a, b in rg.edges
+    )
+
+
+def export_edge_list(g: Graph) -> str:
+    lines = [f"{u} {v}" for u, v in g.edges()]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def compute_alpha(g: Graph) -> int:
+    return max(popcount(s) for s in list_maximal_independent(g))
+
+
+def partition_separation(fam: DomFamily, part_b: tuple[int, ...]) -> int:
+    """sep of one explicit 2-partition; used to validate witnesses."""
+    in_b = set(part_b)
+    if not in_b or len(in_b) == len(fam.sets):
+        raise InputError("both sides of a 2-partition must be nonempty")
+    side_a = [fam.sets[i] for i in range(len(fam.sets)) if i not in in_b]
+    side_b = [fam.sets[i] for i in part_b]
+    return min(popcount(x | y) for x in side_a for y in side_b)
+
+
+def irredundance_witness(layout: GkrLayout) -> VertexSet:
+    """Non-dominating irredundant set of size k+r-2 (k-1 when r=1)."""
+    members = [layout.u(j) for j in range(1, layout.k)]
+    members.extend(layout.v(i, layout.k) for i in range(1, layout.r))
+    return mask_of(members)

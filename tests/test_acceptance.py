@@ -25,17 +25,15 @@ from domrec import (
     generate_gkr,
     generate_qkr,
     invariant_report,
-    irredundance_witness,
     is_dominating,
     is_irredundant,
-    is_parity_bipartite,
     path_graph,
     popcount,
     sep_bottleneck,
     sep_brute_force,
     star,
 )
-from naive import find_isomorphism
+from naive import find_isomorphism, irredundance_witness, is_parity_bipartite
 
 GRID = [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
 

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from domrec import (
     Budget,
     BudgetError,
+    Graph,
     cartesian_product,
     complete_graph,
-    compute_alpha,
     compute_ir,
     dominating_sets_upto,
-    empty_graph,
     enumerate_minimal_dominating,
     generate_gkr,
     generate_qkr,
@@ -29,6 +28,7 @@ from domrec import (
 )
 from conftest import random_graph
 from naive import (
+    compute_alpha,
     naive_ir,
     naive_maximal_independent_sets,
     naive_minimal_dominating_sets,
@@ -204,12 +204,12 @@ def test_invariant_report_ir_skip_flag():
 
 
 def test_edgeless_graph_has_single_minimal_set():
-    fam = enumerate_minimal_dominating(empty_graph(4))
+    fam = enumerate_minimal_dominating(Graph.from_edges(4, []))
     assert len(fam.sets) == 1 and fam.sets[0] == mask_of(range(4))
 
 
 def test_budget_rejects_oversize_enumeration():
-    g = empty_graph(30)
+    g = Graph.from_edges(30, [])
     with pytest.raises(BudgetError, match="budget"):
         enumerate_minimal_dominating(g, Budget(max_n=24))
     fam = enumerate_minimal_dominating(g, Budget(max_n=30))

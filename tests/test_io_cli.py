@@ -33,7 +33,6 @@ from domrec.io_cli import (
     JOBS_ENV_VAR,
     ParseError,
     export_dot,
-    export_edge_list,
     export_graph6,
     main,
     parse_edge_list,
@@ -43,7 +42,7 @@ from domrec.io_cli import (
 from domrec.domination import BUDGET_ENV_VAR
 from domrec.graph_core import UnsupportedGraphError
 from conftest import edged_graphs, random_graph
-from naive import naive_d0, naive_minimal_dominating_sets
+from naive import export_edge_list, naive_d0, naive_minimal_dominating_sets
 
 CLI = [sys.executable, "-m", "domrec"]
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -249,6 +248,18 @@ def test_cli_path_rejects_out_of_range_ids(ids):
     assert f"vertex id {ids} outside 0..63" in proc.stderr
 
 
+# As in edge lists, ids are ASCII decimal: int() alone reads each of these as 1 or 10,
+# and with 1 the query below would have a path.
+@pytest.mark.parametrize("first", ["\u0661", "+1", "1_0", " 1"],
+                         ids=["arabic-indic", "plus", "underscore", "space"])
+def test_cli_path_ids_are_ascii_decimal(first):
+    proc = run_cli(["path", "-", "--from", f"{first},2,3", "--to", "0", "--k", "4"],
+                   stdin_text=export_graph6(star(3)) + "\n")
+    assert proc.returncode == EXIT_PARSE
+    assert "Traceback" not in proc.stderr
+    assert "vertex list must be comma-separated ids" in proc.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["gen", "complete", "--n", "200000"],
     ["gen", "path", "--n", "100000000000"],
@@ -431,6 +442,11 @@ def test_cli_exit_codes():
     over = run_cli(["invariants", "-", "--budget", "3"],
                    stdin_text=export_graph6(star(4)) + "\n")
     assert over.returncode == EXIT_BUDGET
+    # star(3) has 4 vertices; each command enumerates dominating sets.
+    for args in (["path", "-", "--from", "0", "--to", "1,2,3", "--k", "3"],
+                 ["dk", "-", "--k", "2"], ["profile", "-"]):
+        over = run_cli(args + ["--budget", "3"], stdin_text=export_graph6(star(3)) + "\n")
+        assert over.returncode == EXIT_BUDGET, args
     usage = run_cli(["no-such-command"])
     assert usage.returncode == 2
     edgeless = run_cli(["d0", "-"], stdin_text="B?\n")

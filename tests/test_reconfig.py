@@ -14,14 +14,12 @@ from domrec import (
     d0_direct,
     dk_diameter,
     dominating_sets_upto,
-    empty_graph,
     enumerate_minimal_dominating,
     generate_gkr,
     Graph,
     MAX_VERTICES,
     generate_qkr,
     is_dominating,
-    is_parity_bipartite,
     mask_of,
     path_graph,
     popcount,
@@ -35,11 +33,13 @@ from domrec.reconfig import _layered_connectivity, _prim_tree
 from conftest import random_connected_graph, random_graph
 from naive import (
     _components,
+    is_parity_bipartite,
     naive_d0,
     naive_diameter,
     naive_dk,
     naive_is_dominating,
     naive_prim_tree,
+    naive_reconfig_path,
     naive_shortest_path_length,
 )
 
@@ -76,6 +76,7 @@ def test_dk_matches_naive_construction():
         verts, edges = naive_dk(g, k)
         assert [frozenset(vertex_list(m)) for m in rg.verts] == verts
         assert list(rg.edges) == edges
+        assert rg.component_count == (_components(len(verts), edges) if verts else 0)
 
 
 @st.composite
@@ -119,7 +120,7 @@ def test_d0_matches_naive_on_random_graphs():
 
 def test_d0_rejects_edgeless():
     with pytest.raises(InputError):
-        d0_direct(empty_graph(3))
+        d0_direct(Graph.from_edges(3, []))
 
 
 def test_d0_handles_isolated_vertices_by_definition():
@@ -316,6 +317,38 @@ def test_dk_diameter_matches_all_pairs_bfs(block, g, k):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reconfig, "_DIAMETER_BLOCK", block)
         assert dk_diameter(rg) == naive_diameter(g, k)
+
+
+# reconfig_path against BFS over the sorted adjacency lists of naive_dk ---------
+
+
+def _path_example(g, k, a, b):
+    """Pin a path query by the canonical indices of its endpoints."""
+    sets = [mask_of(d) for d in naive_dk(g, g.n)[0]]
+    return example(g, k, sets.index(mask_of(a)), sets.index(mask_of(b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=7), st.integers(min_value=0, max_value=7),
+       st.integers(min_value=0), st.integers(min_value=0))
+@_path_example(_SHAPES[0], 5, range(5), range(5))  # edgeless: one dominating set
+@_path_example(_SHAPES[0], 4, range(5), range(5))  # ... above k
+@_path_example(_SHAPES[1], 5, [0, 1, 3, 5], [0, 2, 4])
+@_path_example(_SHAPES[1], 3, [0, 1, 4], [0, 2, 4])  # found:false
+@_path_example(_SHAPES[2], 3, [0, 4, 5], [1, 4, 5])  # found:false
+@_path_example(_SHAPES[2], 5, [0, 4, 5], [2, 3, 6])
+@_path_example(star(3), 3, [1, 2, 3], [0])  # found:false
+def test_reconfig_path_matches_naive_bfs(g, k, i, j):
+    k = min(k, g.n)
+    sets = naive_dk(g, g.n)[0]
+    a, b = sets[i % len(sets)], sets[j % len(sets)]
+    if max(len(a), len(b)) > k:
+        with pytest.raises(InputError):
+            reconfig_path(g, mask_of(a), mask_of(b), k)
+        return
+    path = reconfig_path(g, mask_of(a), mask_of(b), k)
+    expected = naive_reconfig_path(g, k, a, b)
+    assert (None if path is None else [frozenset(vertex_list(s)) for s in path]) == expected
 
 
 # _prim_tree against the plain O(m^2) Prim loop -------------------------------

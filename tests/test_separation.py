@@ -11,11 +11,9 @@ from domrec import (
     complete_graph,
     cycle_graph,
     d0_direct,
-    empty_graph,
     enumerate_minimal_dominating,
     generate_gkr,
     generate_qkr,
-    partition_separation,
     popcount,
     sep_bottleneck,
     sep_brute_force,
@@ -23,6 +21,7 @@ from domrec import (
     vertex_list,
 )
 from conftest import edged_graphs, random_connected_graph
+from naive import partition_separation
 from naive import naive_d0, naive_sep
 
 
@@ -48,7 +47,7 @@ def test_sep_cycle_and_k2():
 
 
 def test_sep_rejects_single_set_family():
-    fam = enumerate_minimal_dominating(empty_graph(3))
+    fam = enumerate_minimal_dominating(Graph.from_edges(3, []))
     with pytest.raises(InputError):
         sep_brute_force(fam)
     with pytest.raises(InputError):
@@ -123,7 +122,7 @@ def test_sep_equals_d0_random_campaign(corpus50):
 
 def test_check_rejects_edgeless():
     with pytest.raises(InputError):
-        check_sep_equals_d0(empty_graph(2))
+        check_sep_equals_d0(Graph.from_edges(2, []))
 
 
 def test_sep_equals_d0_off_the_connected_corpus():
