@@ -328,6 +328,13 @@ def _golden_cases():
                     ("isolated-two-components", Graph.from_edges(6, [(1, 2), (3, 4), (4, 5)])),
                     ("edgeless4", Graph.from_edges(4, []))):
         case(f"profile-{stem}", ["profile", "-"], export_graph6(g) + "\n")
+    # alpha and well-covered on edgeless graphs, isolated vertices and several components too.
+    for stem, g in (("gkr-4-2", generate_gkr(4, 2)[0]), ("qkr-4-3", generate_qkr(4, 3)[0]),
+                    ("c7", cycle_graph(7)),
+                    ("p3xc4", cartesian_product(path_graph(3), cycle_graph(4))),
+                    ("edgeless4", Graph.from_edges(4, [])),
+                    ("isolated-two-components", Graph.from_edges(6, [(1, 2), (3, 4), (4, 5)]))):
+        case(f"invariants-{stem}", ["invariants", "-"], export_graph6(g) + "\n")
     # A connected level, and a disconnected one whose diameter is null.
     for stem, g, k in (("p2xc4-k5", cartesian_product(path_graph(2), cycle_graph(4)), 5),
                        ("star3-k3", star(3), 3)):
