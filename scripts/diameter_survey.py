@@ -39,7 +39,7 @@ def main() -> int:
     for _ in range(args.count):
         g = random_connected(rng, rng.randint(args.n_min, args.n_max))
         fam = enumerate_minimal_dominating(g)
-        d0 = d0_direct(g)
+        d0 = d0_direct(g, family=fam)
         diam_d0 = dk_diameter(build_dk(g, d0))
         diam_top = dk_diameter(build_dk(g, g.n))
         bound = 2 * (g.n - fam.gamma)

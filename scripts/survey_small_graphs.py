@@ -61,7 +61,7 @@ def main() -> int:
         for g in connected_graphs_up_to_iso(n):
             count += 1
             fam = enumerate_minimal_dominating(g)
-            excess = d0_direct(g) - fam.Gamma
+            excess = d0_direct(g, family=fam) - fam.Gamma
             histogram[excess] = histogram.get(excess, 0) + 1
             if excess >= 2:
                 extremal.append((n, export_graph6(g), excess))

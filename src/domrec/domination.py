@@ -9,6 +9,10 @@ vertex ids with two sound prunes:
   * irredundance (minimal enumeration only) - private-neighbour sets only
     shrink as vertices are added, so a prefix in which some chosen vertex
     already lost all privates has no minimal dominating extension.
+
+gamma, Gamma, alpha and the well-covered flag are all read off the one
+minimal family: the maximal independent sets are exactly its members
+that contain no edge, because an independent dominating set is minimal.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .graph_core import (
     VertexSet,
     bit,
     canonical_key,
-    iter_vertices,
     popcount,
 )
 
@@ -45,12 +48,15 @@ class Budget:
         if max_n is not None:
             return Budget(max_n=max_n)
         env = os.environ.get(BUDGET_ENV_VAR)
-        if env is not None:
-            try:
-                return Budget(max_n=int(env))
-            except ValueError as exc:
-                raise BudgetError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from exc
-        return Budget()
+        if env is None:
+            return Budget()
+        try:
+            max_n = int(env)
+        except ValueError:
+            max_n = 0
+        if max_n < 1:
+            raise BudgetError(f"{BUDGET_ENV_VAR} must be an integer >= 1, got {env!r}")
+        return Budget(max_n=max_n)
 
     def check(self, g: Graph, what: str) -> None:
         if g.n > self.max_n:
@@ -214,36 +220,6 @@ def _dominating_set_counts(g: Graph, budget: Optional[Budget] = None) -> list[in
     return counts
 
 
-def list_maximal_independent(g: Graph, budget: Optional[Budget] = None) -> list[VertexSet]:
-    """All maximal independent sets (Bron-Kerbosch with pivot on the complement)."""
-    budget = budget or Budget.resolve()
-    budget.check(g, "maximal independent set enumeration")
-    full = g.full_mask
-    # Complement adjacency: non-neighbours other than the vertex itself.
-    nonadj = [full & ~g.closed[v] for v in range(g.n)]
-    out: list[VertexSet] = []
-
-    def bk(r: VertexSet, p: VertexSet, x: VertexSet) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pivot, best = -1, -1
-        for u in iter_vertices(p | x):
-            score = popcount(p & nonadj[u])
-            if score > best:
-                pivot, best = u, score
-        for v in iter_vertices(p & ~nonadj[pivot]):
-            bv = bit(v)
-            bk(r | bv, p & nonadj[v], x & nonadj[v])
-            p &= ~bv
-            x |= bv
-
-    bk(0, full, 0)
-    del bk  # a self-recursive closure is a cycle; break it so its lists free now
-    out.sort(key=canonical_key)
-    return out
-
-
 def compute_ir(g: Graph, budget: Optional[Budget] = None) -> int:
     """Maximum cardinality of an irredundant set, exact.
 
@@ -292,7 +268,19 @@ def invariant_report(
     """
     budget = budget or Budget.resolve()
     fam = enumerate_minimal_dominating(g, budget)
-    mis = list_maximal_independent(g, budget)
+    # A maximal independent set is an independent dominating set, so it is in fam:
+    # each of its members is its own private neighbour.
+    adj = g.adj
+    mis = []
+    for d in fam.sets:
+        rest = d
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & d:
+                break
+            rest ^= low
+        else:
+            mis.append(d)
     alpha = max(popcount(s) for s in mis)
     well_covered = all(popcount(s) == alpha for s in mis)
     if include_ir is None:

@@ -74,7 +74,7 @@ class Graph:
 
     n: int
     adj: tuple[VertexSet, ...]
-    closed: tuple[VertexSet, ...] = field(default=())
+    closed: tuple[VertexSet, ...] = field(init=False)
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
@@ -96,12 +96,7 @@ class Graph:
             for u in iter_vertices(self.adj[v]):
                 if not self.adj[u] & bit(v):
                     raise UnsupportedGraphError(f"asymmetric adjacency between {u} and {v}")
-        if not self.closed:
-            object.__setattr__(
-                self, "closed", tuple(self.adj[v] | bit(v) for v in range(self.n))
-            )
-        elif any(self.closed[v] != self.adj[v] | bit(v) for v in range(self.n)):
-            raise UnsupportedGraphError("closed neighbourhoods inconsistent with adjacency")
+        object.__setattr__(self, "closed", tuple(self.adj[v] | bit(v) for v in range(self.n)))
         if self.labels is not None and len(self.labels) != self.n:
             raise UnsupportedGraphError("labels length does not match n")
 
@@ -146,16 +141,13 @@ class Graph:
                 f"graph has {n} vertices; supported maximum is {MAX_VERTICES}"
             )
         adj = [0] * n
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise UnsupportedGraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise UnsupportedGraphError(f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise UnsupportedGraphError(f"multi-edge {key}")
-            seen.add(key)
+            if adj[u] & bit(v):
+                raise UnsupportedGraphError(f"multi-edge {(min(u, v), max(u, v))}")
             adj[u] |= bit(v)
             adj[v] |= bit(u)
         lab = tuple(labels) if labels is not None else None

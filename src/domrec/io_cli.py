@@ -233,15 +233,17 @@ def read_graphs(source: str, fmt: str = "auto") -> list[tuple[str, Graph]]:
 
 
 def _parse_id_list(text: str) -> VertexSet:
-    parts = [part for part in text.split(",") if part != ""]
+    if text == "":
+        raise ParseError("vertex list is empty")
+    parts = text.split(",")
     if not all(_EDGE_ID.fullmatch(part) for part in parts):
         raise ParseError(f"vertex list must be comma-separated ids, got {text!r}")
-    if not parts:
-        raise ParseError("vertex list is empty")
     ids = [int(part) for part in parts]
     for v in ids:
         if not 0 <= v < MAX_VERTICES:
             raise ParseError(f"vertex id {v} outside 0..{MAX_VERTICES - 1}")
+    if len(set(ids)) < len(ids):
+        raise ParseError(f"vertex list repeats an id, got {text!r}")
     return mask_of(ids)
 
 

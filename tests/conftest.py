@@ -36,6 +36,15 @@ def connected_corpus(count: int, n_min: int = 4, n_max: int = 9) -> list[Graph]:
 
 
 @st.composite
+def small_graphs(draw, max_n=6) -> Graph:
+    """Any graph on 1..max_n vertices: edgeless, isolated vertices, several components."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return Graph.from_edges(n, chosen)
+
+
+@st.composite
 def edged_graphs(draw) -> Graph:
     """Any graph with at least one edge: isolated vertices and several
     components are as likely as connected graphs."""

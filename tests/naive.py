@@ -17,9 +17,9 @@ from domrec import (
     InputError,
     ReconfigGraph,
     VertexSet,
-    list_maximal_independent,
     mask_of,
     popcount,
+    vertex_list,
 )
 
 
@@ -308,7 +308,14 @@ def export_edge_list(g: Graph) -> str:
 
 
 def compute_alpha(g: Graph) -> int:
-    return max(popcount(s) for s in list_maximal_independent(g))
+    return max(len(s) for s in naive_maximal_independent_sets(g))
+
+
+def independent_members(g: Graph, sets) -> set[frozenset[int]]:
+    """The members of a family of masks that contain no edge of g."""
+    adj = adjacency_sets(g)
+    members = (frozenset(vertex_list(s)) for s in sets)
+    return {s for s in members if not any(adj[u] & s for u in s)}
 
 
 def partition_separation(fam: DomFamily, part_b: tuple[int, ...]) -> int:

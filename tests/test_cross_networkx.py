@@ -11,14 +11,10 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
-from domrec import (
-    build_dk,
-    dk_diameter,
-    list_maximal_independent,
-    vertex_list,
-)
+from domrec import build_dk, dk_diameter, enumerate_minimal_dominating
 from domrec.io_cli import export_graph6, parse_graph6
 from conftest import random_connected_graph, random_graph
+from naive import independent_members
 
 
 def to_nx(g):
@@ -62,7 +58,8 @@ def test_maximal_independent_sets_match_complement_cliques():
     rng = random.Random(2718)
     for _ in range(25):
         g = random_graph(rng, rng.randint(2, 10), 0.5)
-        mine = {frozenset(vertex_list(s)) for s in list_maximal_independent(g)}
+        # The maximal independent sets are the minimal dominating sets with no edge inside.
+        mine = independent_members(g, enumerate_minimal_dominating(g).sets)
         comp = nx.complement(to_nx(g))
         theirs = {frozenset(c) for c in nx.find_cliques(comp)}
         assert mine == theirs

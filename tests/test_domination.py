@@ -2,8 +2,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
 from domrec import (
     Budget,
@@ -12,6 +11,7 @@ from domrec import (
     cartesian_product,
     complete_graph,
     compute_ir,
+    connectivity_profile,
     dominating_sets_upto,
     enumerate_minimal_dominating,
     generate_gkr,
@@ -19,16 +19,16 @@ from domrec import (
     invariant_report,
     is_dominating,
     is_minimal_dominating,
-    list_maximal_independent,
     mask_of,
     path_graph,
     popcount,
     star,
     vertex_list,
 )
-from conftest import random_graph
+from conftest import random_graph, small_graphs
 from naive import (
     compute_alpha,
+    independent_members,
     naive_ir,
     naive_maximal_independent_sets,
     naive_minimal_dominating_sets,
@@ -78,17 +78,8 @@ def test_enumeration_matches_naive_scan_on_random_graphs():
         assert as_frozensets(fam.sets) == set(naive_minimal_dominating_sets(g))
 
 
-@st.composite
-def graphs_upto7(draw):
-    from domrec import Graph
-    n = draw(st.integers(min_value=1, max_value=7))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    return Graph.from_edges(n, chosen)
-
-
 @settings(max_examples=60, deadline=None)
-@given(graphs_upto7())
+@given(small_graphs(max_n=7))
 def test_enumeration_matches_naive_scan_property(g):
     fam = enumerate_minimal_dominating(g)
     assert as_frozensets(fam.sets) == set(naive_minimal_dominating_sets(g))
@@ -141,10 +132,11 @@ def test_alpha_values():
 
 
 def test_maximal_independent_matches_naive():
+    # The minimal dominating sets with no edge inside are all the maximal independent sets.
     rng = random.Random(31)
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 9), 0.5)
-        got = as_frozensets(list_maximal_independent(g))
+        got = independent_members(g, enumerate_minimal_dominating(g).sets)
         assert got == set(naive_maximal_independent_sets(g))
 
 
@@ -153,8 +145,20 @@ def test_every_maximal_independent_set_is_minimal_dominating():
     for _ in range(25):
         g = random_graph(rng, rng.randint(2, 9), 0.5)
         fam = as_frozensets(enumerate_minimal_dominating(g).sets)
-        for s in list_maximal_independent(g):
-            assert frozenset(vertex_list(s)) in fam
+        for s in naive_maximal_independent_sets(g):
+            assert s in fam
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(max_n=7))
+@example(Graph.from_edges(5, []))
+@example(Graph.from_edges(4, [(1, 2), (2, 3)]))  # isolated vertex 0
+@example(Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)]))  # two components
+def test_invariant_report_alpha_and_well_covered_match_naive(g):
+    sizes = {len(s) for s in naive_maximal_independent_sets(g)}
+    rep = invariant_report(g, include_ir=False)
+    assert rep.alpha == max(sizes)
+    assert rep.well_covered == (len(sizes) == 1)
 
 
 def test_ir_values():
@@ -220,9 +224,10 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("DOMREC_BUDGET", "10")
     assert Budget.resolve().max_n == 10
     assert Budget.resolve(18).max_n == 18
-    monkeypatch.setenv("DOMREC_BUDGET", "junk")
-    with pytest.raises(BudgetError):
-        Budget.resolve()
+    for value in ("junk", "0", "-3"):
+        monkeypatch.setenv("DOMREC_BUDGET", value)
+        with pytest.raises(BudgetError, match=f"DOMREC_BUDGET must be .* >= 1, got '{value}'"):
+            Budget.resolve()
 
 
 def test_enumerators_leave_no_cyclic_garbage():
@@ -234,8 +239,8 @@ def test_enumerators_leave_no_cyclic_garbage():
     try:
         enumerate_minimal_dominating(g)
         dominating_sets_upto(g, 5)
-        list_maximal_independent(g)
         compute_ir(g)
+        connectivity_profile(g)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -20,7 +20,7 @@ from domrec import (
     star,
     vertex_list,
 )
-from conftest import random_graph
+from conftest import random_graph, small_graphs
 from naive import naive_private_neighbours
 
 K13 = star(3)  # centre 0, leaves 1..3
@@ -124,16 +124,8 @@ def test_cartesian_product_commutes_on_degree_sequences():
         assert left.edge_count() == right.edge_count()
 
 
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    return Graph.from_edges(n, chosen)
-
-
 @settings(max_examples=150, deadline=None)
-@given(small_graphs(), st.integers(min_value=0, max_value=255))
+@given(small_graphs(max_n=8), st.integers(min_value=0, max_value=255))
 def test_minimal_implies_dominating_and_irredundant(g, raw):
     s = raw & g.full_mask
     if is_minimal_dominating(g, s):
@@ -142,7 +134,8 @@ def test_minimal_implies_dominating_and_irredundant(g, raw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_graphs(), st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255))
+@given(small_graphs(max_n=8), st.integers(min_value=0, max_value=255),
+       st.integers(min_value=0, max_value=255))
 def test_dominating_is_upward_closed(g, raw_s, raw_extra):
     s = raw_s & g.full_mask
     t = s | (raw_extra & g.full_mask)
@@ -151,7 +144,7 @@ def test_dominating_is_upward_closed(g, raw_s, raw_extra):
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_graphs(), st.integers(min_value=0, max_value=255))
+@given(small_graphs(max_n=8), st.integers(min_value=0, max_value=255))
 def test_private_neighbours_inside_closed_neighbourhood(g, raw):
     d = raw & g.full_mask
     for v in vertex_list(d):

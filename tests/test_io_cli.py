@@ -260,6 +260,22 @@ def test_cli_path_ids_are_ascii_decimal(first):
     assert "vertex list must be comma-separated ids" in proc.stderr
 
 
+# An empty item or a repeated id is refused, not skipped or folded into {1,2,3}, which
+# would have a path here.
+@pytest.mark.parametrize("ids, message", [
+    (",1,2,3", "must be comma-separated ids"),
+    ("1,2,3,", "must be comma-separated ids"),
+    ("1,,2,3", "must be comma-separated ids"),
+    ("1,2,3,3", "repeats an id"),
+], ids=["leading-comma", "trailing-comma", "empty-item", "repeated-id"])
+def test_cli_path_refuses_empty_items_and_repeated_ids(ids, message):
+    proc = run_cli(["path", "-", "--from", ids, "--to", "0", "--k", "4"],
+                   stdin_text=export_graph6(star(3)) + "\n")
+    assert proc.returncode == EXIT_PARSE
+    assert "Traceback" not in proc.stderr
+    assert f"vertex list {message}, got {ids!r}" in proc.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["gen", "complete", "--n", "200000"],
     ["gen", "path", "--n", "100000000000"],

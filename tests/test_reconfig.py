@@ -30,7 +30,7 @@ from domrec import (
 from domrec import reconfig
 from domrec.domination import _dominating_set_counts
 from domrec.reconfig import _layered_connectivity, _prim_tree
-from conftest import random_connected_graph, random_graph
+from conftest import random_connected_graph, random_graph, small_graphs
 from naive import (
     _components,
     is_parity_bipartite,
@@ -77,15 +77,6 @@ def test_dk_matches_naive_construction():
         assert [frozenset(vertex_list(m)) for m in rg.verts] == verts
         assert list(rg.edges) == edges
         assert rg.component_count == (_components(len(verts), edges) if verts else 0)
-
-
-@st.composite
-def small_graphs(draw, max_n=6):
-    """Any graph on 1..max_n vertices: edgeless, isolated vertices, several components."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    return Graph.from_edges(n, chosen)
 
 
 @settings(max_examples=60, deadline=None)
