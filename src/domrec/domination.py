@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Callable, Optional
 
@@ -178,28 +177,33 @@ def dominating_sets_upto(
 ) -> list[VertexSet]:
     """All dominating sets of cardinality <= max_size, canonical order.
 
-    Once a prefix already dominates, every extension does too, so the
-    remaining ids are expanded with itertools.combinations in bulk.
+    Once a prefix of `count` ids first dominates at id i, the sets it
+    stands for are the prefix joined with each subset of ids i..n-1 of at
+    most room = cap - count members. That list of subsets depends only on
+    (i, room), so it is built once, by doubling over the ids, and shared by
+    every prefix with the same pair. Each shared list is emitted in full at
+    least once, so the shared lists never hold more masks than the output.
     """
     n = g.n
     cap = min(max_size, n)
-    bits = [1 << v for v in range(n)]
     out: list[VertexSet] = []
+    shared: dict[tuple[int, int], list[VertexSet]] = {}
 
     def emit_extensions(mask: VertexSet, i: int, count: int) -> None:
-        out.append(mask)
-        ids = range(i, n)
-        for extra in range(1, cap - count + 1):
-            if extra > n - i:
-                break
-            for combo in combinations(ids, extra):
-                m = mask
-                for v in combo:
-                    m |= bits[v]
-                out.append(m)
+        room = cap - count
+        ext = shared.get((i, room))
+        if ext is None:
+            ext = [0]
+            for v in range(i, n):
+                b = 1 << v
+                ext += [x | b for x in ext if x.bit_count() < room]
+            shared[i, room] = ext
+        out.extend([mask | x for x in ext])
 
     _scan_dominating_prefixes(g, cap, budget, emit_extensions)
-    out.sort(key=canonical_key)
+    # Two stable sorts give the canonical (size, mask) order without key tuples.
+    out.sort()
+    out.sort(key=int.bit_count)
     return out
 
 

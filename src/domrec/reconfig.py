@@ -117,37 +117,6 @@ class ConnectivityProfile:
     entries: tuple[ProfileEntry, ...]
 
 
-class _DSU:
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-        self.size: list[int] = []
-        self.components = 0
-
-    def add(self) -> int:
-        idx = len(self.parent)
-        self.parent.append(idx)
-        self.size.append(1)
-        self.components += 1
-        return idx
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        return True
-
-
 def _edges(verts: list[VertexSet]) -> list[tuple[int, int]]:
     """Index pairs (T, T + v) of canonically ordered sets, sorted."""
     index = {m: i for i, m in enumerate(verts)}
@@ -189,23 +158,44 @@ def build_dk(g: Graph, k: int, budget: Optional[Budget] = None) -> ReconfigGraph
 def _layered_connectivity(all_sets: list[VertexSet]) -> Iterator[tuple[int, int, int, int]]:
     """Yield (k, order, size, components) for each cardinality layer k.
 
-    all_sets must be canonically ordered; no size is skipped, since supersets
-    of a dominating set dominate. Union-find state is cumulative: after layer
-    k is merged the component count is exactly that of D_k. Layers are
-    merged lazily, so a caller that stops early skips the rest.
+    all_sets must be grouped by size, ascending; no size is skipped, since
+    supersets of a dominating set dominate. Every edge of D_k joins a set to
+    one with a single vertex fewer, so each set is merged with the labels of
+    its one-smaller neighbours, already seen. label maps each set seen to a
+    union-find node, and root[x] is x's parent node, shortened by path
+    halving on every find. A set takes its first neighbour's root as its
+    label, and opens a new node only when it has no neighbour below, that is
+    when it is a minimal dominating set. State is cumulative: after layer k
+    the component count is exactly that of D_k. Layers are merged lazily,
+    so a caller that stops early skips the rest.
     """
-    index = {m: i for i, m in enumerate(all_sets)}
-    dsu = _DSU()
-    edge_total = 0
-    for k, layer in groupby(all_sets, popcount):
+    label: dict[VertexSet, int] = {}
+    root: list[int] = []
+    edge_total = components = 0
+    for k, layer in groupby(all_sets, int.bit_count):
         for mask in layer:
-            idx = dsu.add()
-            for v in iter_vertices(mask):
-                prev = index.get(mask ^ bit(v))
-                if prev is not None:
-                    edge_total += 1
-                    dsu.union(prev, idx)
-        yield k, len(dsu.parent), edge_total, dsu.components
+            c = -1
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                d = label.get(mask ^ low)
+                if d is None:
+                    continue
+                edge_total += 1
+                while root[d] != d:
+                    root[d] = d = root[root[d]]
+                if c < 0:
+                    c = d
+                elif d != c:
+                    root[d] = c
+                    components -= 1
+            if c < 0:
+                c = len(root)
+                root.append(c)
+                components += 1
+            label[mask] = c
+        yield k, len(label), edge_total, components
 
 
 def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:

@@ -12,6 +12,11 @@ from domrec import Graph, is_connected  # noqa: E402
 
 CORPUS_SEED = 20260808
 
+# Pinned shapes: an edgeless graph, an isolated vertex beside two components,
+# and two components with no isolated vertex.
+SHAPES = (Graph.from_edges(5, []), Graph.from_edges(6, [(1, 2), (3, 4), (4, 5)]),
+          Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]))
+
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [

@@ -25,7 +25,7 @@ from domrec import (
     star,
     vertex_list,
 )
-from conftest import random_graph, small_graphs
+from conftest import SHAPES, random_graph, small_graphs
 from naive import (
     compute_alpha,
     independent_members,
@@ -94,18 +94,20 @@ def test_gkr_and_qkr_family_counts():
     assert len(qfam.sets) == 382 and qfam.gamma == 3 and qfam.Gamma == 4
 
 
-def test_dominating_sets_upto_matches_direct_filter():
-    rng = random.Random(23)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(1, 8), 0.5)
-        k = rng.randint(0, g.n)
-        got = dominating_sets_upto(g, k)
-        expected = [
-            m for m in range(1 << g.n)
-            if popcount(m) <= k and is_dominating(g, m)
-        ]
-        assert sorted(got) == sorted(expected)
-        assert got == sorted(got, key=lambda m: (popcount(m), m))
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=8))
+@example(star(7))  # vertex 0 dominates, so most prefixes share one extension list
+@example(SHAPES[0])
+@example(SHAPES[1])
+@example(SHAPES[2])
+def test_dominating_sets_upto_matches_direct_filter(g):
+    # The filter over all 2^n masks, sorted canonically: equality also rules
+    # out duplicates and any other order.
+    dominating = [m for m in range(1 << g.n) if is_dominating(g, m)]
+    for cap in range(-1, g.n + 2):
+        expected = sorted((m for m in dominating if popcount(m) <= cap),
+                          key=lambda m: (popcount(m), m))
+        assert dominating_sets_upto(g, cap) == expected
 
 
 def test_dominating_sets_upto_stress_wider():

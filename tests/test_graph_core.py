@@ -41,6 +41,22 @@ def test_graph_construction_rejects_bad_input():
         Graph.from_edges(2, [(0, 5)])
 
 
+@pytest.mark.parametrize("n, adj, labels, message", [
+    (2, (0b100, 0), None, "adjacency of vertex 0 mentions ids >= n"),
+    (2, (0b01, 0), None, "self-loop at vertex 0"),
+    (3, (0b010, 0, 0), None, "asymmetric adjacency between 1 and 0"),
+    (3, (0b10, 0b01), None, "adjacency length does not match n"),
+    (2, (0b10, 0b01), ("a",), "labels length does not match n"),
+    (0, (), None, "graph must have at least one vertex"),
+    (65, (0,) * 65, None, "graph has 65 vertices; supported maximum is 64"),
+], ids=["id-at-least-n", "self-loop", "asymmetric", "adjacency-length", "labels-length",
+        "no-vertex", "too-wide"])
+def test_graph_direct_construction_rejects_bad_input(n, adj, labels, message):
+    with pytest.raises(UnsupportedGraphError) as err:
+        Graph(n=n, adj=adj, labels=labels)
+    assert str(err.value) == message
+
+
 def test_closed_neighbourhoods():
     g = path_graph(3)
     assert g.closed[0] == mask_of([0, 1])

@@ -765,3 +765,29 @@ def test_cli_non_ascii_decimal_ids_are_a_parse_error(tmp_path, data, fmt, via):
                           capture_output=True, env=CLI_ENV)
     assert proc.returncode == EXIT_PARSE
     assert b"domrec: input:" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "graph"
+
+
+@pytest.mark.parametrize("fmt", ["auto", "graph6", "edgelist"])
+@pytest.mark.parametrize("via", ["stdin", "file"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.binary(max_size=40))
+def test_cli_arbitrary_bytes_exit_cleanly(fuzz_file, fmt, via, data):
+    fuzz_file.write_bytes(data)
+    source = "-" if via == "stdin" else str(fuzz_file)
+    # Decoded as the interpreter decodes stdin under the POSIX locale.
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = stdin
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sep", "--budget", "10", "--format", fmt, source])
+    finally:
+        sys.stdin = saved
+    assert code in (0, EXIT_PARSE, EXIT_BUDGET), err.getvalue()
+    assert "Traceback" not in err.getvalue()

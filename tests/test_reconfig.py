@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, groupby
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +30,7 @@ from domrec import (
 from domrec import reconfig
 from domrec.domination import _dominating_set_counts
 from domrec.reconfig import _layered_connectivity, _prim_tree
-from conftest import random_connected_graph, random_graph, small_graphs
+from conftest import SHAPES, random_connected_graph, random_graph, small_graphs
 from naive import (
     _components,
     is_parity_bipartite,
@@ -256,17 +256,11 @@ def test_dn_diameter_bound(corpus50):
         assert diam <= 2 * (g.n - fam.gamma)
 
 
-# Pinned shapes: an edgeless graph, an isolated vertex beside two components,
-# and two components with no isolated vertex.
-_SHAPES = (Graph.from_edges(5, []), Graph.from_edges(6, [(1, 2), (3, 4), (4, 5)]),
-           Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]))
-
-
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(max_n=7))
-@example(_SHAPES[0])
-@example(_SHAPES[1])
-@example(_SHAPES[2])
+@example(SHAPES[0])
+@example(SHAPES[1])
+@example(SHAPES[2])
 def test_profile_matches_naive_dk_and_layered_union_find(g):
     prof = connectivity_profile(g)
     layered = list(_layered_connectivity(dominating_sets_upto(g, g.n)))
@@ -282,9 +276,28 @@ def test_profile_matches_naive_dk_and_layered_union_find(g):
 
 
 @settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=7), st.randoms(use_true_random=False))
+@example(SHAPES[0], random.Random(0))
+@example(SHAPES[1], random.Random(1))
+@example(SHAPES[2], random.Random(2))
+def test_layered_connectivity_ignores_order_within_a_layer(g, rnd):
+    sets = dominating_sets_upto(g, g.n)
+    layered = list(_layered_connectivity(sets))
+    shuffled = []
+    for _, layer in groupby(sets, popcount):
+        layer = list(layer)
+        rnd.shuffle(layer)
+        shuffled += layer
+    assert list(_layered_connectivity(shuffled)) == layered
+    for k, _order, _size, comps in layered:
+        verts, edges = naive_dk(g, k)
+        assert comps == _components(len(verts), edges)
+
+
+@settings(max_examples=150, deadline=None)
 @given(small_graphs(max_n=7))
-@example(_SHAPES[0])
-@example(_SHAPES[1])
+@example(SHAPES[0])
+@example(SHAPES[1])
 def test_dominating_set_counts_match_naive_count(g):
     expected = [0] * (g.n + 1)
     for size in range(g.n + 1):
@@ -296,8 +309,8 @@ def test_dominating_set_counts_match_naive_count(g):
 @pytest.mark.parametrize("block", [1, 3, reconfig._DIAMETER_BLOCK])
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(max_n=7), st.integers(min_value=0, max_value=7))
-@example(_SHAPES[1], 5)
-@example(_SHAPES[2], 7)
+@example(SHAPES[1], 5)
+@example(SHAPES[2], 7)
 def test_dk_diameter_matches_all_pairs_bfs(block, g, k):
     rg = build_dk(g, k)
     if not rg.verts:
@@ -322,12 +335,12 @@ def _path_example(g, k, a, b):
 @settings(max_examples=200, deadline=None)
 @given(small_graphs(max_n=7), st.integers(min_value=0, max_value=7),
        st.integers(min_value=0), st.integers(min_value=0))
-@_path_example(_SHAPES[0], 5, range(5), range(5))  # edgeless: one dominating set
-@_path_example(_SHAPES[0], 4, range(5), range(5))  # ... above k
-@_path_example(_SHAPES[1], 5, [0, 1, 3, 5], [0, 2, 4])
-@_path_example(_SHAPES[1], 3, [0, 1, 4], [0, 2, 4])  # found:false
-@_path_example(_SHAPES[2], 3, [0, 4, 5], [1, 4, 5])  # found:false
-@_path_example(_SHAPES[2], 5, [0, 4, 5], [2, 3, 6])
+@_path_example(SHAPES[0], 5, range(5), range(5))  # edgeless: one dominating set
+@_path_example(SHAPES[0], 4, range(5), range(5))  # ... above k
+@_path_example(SHAPES[1], 5, [0, 1, 3, 5], [0, 2, 4])
+@_path_example(SHAPES[1], 3, [0, 1, 4], [0, 2, 4])  # found:false
+@_path_example(SHAPES[2], 3, [0, 4, 5], [1, 4, 5])  # found:false
+@_path_example(SHAPES[2], 5, [0, 4, 5], [2, 3, 6])
 @_path_example(star(3), 3, [1, 2, 3], [0])  # found:false
 def test_reconfig_path_matches_naive_bfs(g, k, i, j):
     k = min(k, g.n)
@@ -349,7 +362,7 @@ def test_reconfig_path_matches_naive_bfs(g, k, i, j):
 @given(small_graphs(max_n=7))
 @example(Graph.from_edges(3, []))  # edgeless: one set, no tree edge
 @example(Graph.from_edges(2, [(0, 1)]))  # two sets, one tree edge
-@example(_SHAPES[1])
+@example(SHAPES[1])
 @example(generate_gkr(4, 3)[0])  # 321 sets
 @example(generate_qkr(4, 3)[0])  # 382 sets
 def test_prim_tree_matches_naive_on_minimal_families(g):

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script, args", [
-    ("reproduce_constructions.py", ["--k-max", "3"]),
+    ("reproduce_constructions.py", ["--k-max", "4"]),  # the whole k <= 4 grid
     ("survey_small_graphs.py", ["--max-n", "4"]),
     ("diameter_survey.py", ["--count", "3", "--n-max", "6"]),
 ])
