@@ -1,18 +1,28 @@
 """Exact enumeration of dominating-set families and classical invariants.
 
-Everything here is exact; budgets exist to refuse inputs that would take
-too long, never to approximate. The enumerator is a depth-first scan over
-vertex ids with two sound prunes:
+Everything is exact: budgets refuse inputs that would take too long.
 
-  * coverage feasibility - a vertex that is still undominated and has no
-    closed neighbour among the undecided ids can never be dominated;
-  * irredundance (minimal enumeration only) - private-neighbour sets only
-    shrink as vertices are added, so a prefix in which some chosen vertex
-    already lost all privates has no minimal dominating extension.
+Minimal dominating sets branch on u, the lowest vertex not yet dominated.
+Each unbanned v in N[u] is tried in ascending order: v joins the chosen
+set if every chosen vertex keeps a private neighbour, and is banned for
+the later siblings once its branch returns. A full cover is emitted.
 
-gamma, Gamma, alpha and the well-covered flag are all read off the one
-minimal family: the maximal independent sets are exactly its members
-that contain no edge, because an independent dominating set is minimal.
+  * It is minimal: each chosen x has a private neighbour that only x
+    dominates, so dropping x undominates it; domination is closed
+    upwards, so no proper subset dominates either.
+  * Each minimal dominating set S comes out once. The branch on the first
+    member of S in N[u] bans only non-members and keeps chosen inside S,
+    where private neighbours survive, until chosen dominates, i.e. is S.
+    Each other sibling takes a non-member or bans a member of S.
+
+Every branch dominates u, so this route needs no coverage prune. The
+id-order scans keep theirs: _scan_dominating_prefixes cuts a prefix that
+leaves some undominated vertex no undecided closed neighbour; compute_ir
+cuts one whose chosen vertex lost all private neighbours (they only
+shrink as vertices are added) or that cannot beat the best size found.
+
+gamma, Gamma, alpha and the well-covered flag are read off the one minimal
+family: its members with no edge inside are the maximal independent sets.
 """
 
 from __future__ import annotations
@@ -22,14 +32,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Optional
 
-from .graph_core import (
-    BudgetError,
-    Graph,
-    VertexSet,
-    bit,
-    canonical_key,
-    popcount,
-)
+from .graph_core import BudgetError, Graph, VertexSet, popcount
 
 DEFAULT_MAX_N = 24
 DEFAULT_IR_MAX_N = 20
@@ -88,47 +91,42 @@ class InvariantReport:
     well_dominated: bool
 
 
-def _suffix_covers(g: Graph) -> list[VertexSet]:
-    """suffix[i] = union of closed neighbourhoods of vertices i..n-1."""
-    suffix = [0] * (g.n + 1)
-    for i in range(g.n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | g.closed[i]
-    return suffix
-
-
 def minimal_dominating_sets(g: Graph, budget: Optional[Budget] = None) -> list[VertexSet]:
     """All minimal dominating sets of g, in canonical order."""
     budget = budget or Budget.resolve()
     budget.check(g, "minimal dominating set enumeration")
-    n, closed, full = g.n, g.closed, g.full_mask
-    suffix = _suffix_covers(g)
+    closed, full = g.closed, g.full_mask
     out: list[VertexSet] = []
 
-    def rec(i: int, chosen: VertexSet, cover: VertexSet, privates: list[VertexSet]) -> None:
+    def rec(chosen: VertexSet, cover: VertexSet, privates: list[VertexSet],
+            banned: VertexSet) -> None:
         if cover == full:
             out.append(chosen)
             return
-        if i == n:
-            return
-        if (full ^ cover) & ~suffix[i]:
-            return
-        rec(i + 1, chosen, cover, privates)
-        ci = closed[i]
-        pn_new = ci & ~cover
-        if pn_new == 0:
-            return
-        shrunk = []
-        for p in privates:
-            p &= ~ci
-            if p == 0:
-                return
-            shrunk.append(p)
-        shrunk.append(pn_new)
-        rec(i + 1, chosen | bit(i), cover | ci, shrunk)
+        undominated = full ^ cover
+        u = (undominated & -undominated).bit_length() - 1
+        rest = closed[u] & ~banned
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cv = closed[low.bit_length() - 1]
+            keep = ~cv
+            shrunk = []
+            for p in privates:
+                p &= keep
+                if not p:
+                    break
+                shrunk.append(p)
+            else:
+                shrunk.append(cv & ~cover)
+                rec(chosen | low, cover | cv, shrunk, banned)
+            banned |= low  # later siblings leave it out, so no set comes twice
 
-    rec(0, 0, 0, [])
+    rec(0, 0, [], 0)
     del rec  # a self-recursive closure is a cycle; break it so its lists free now
-    out.sort(key=canonical_key)
+    # Two stable sorts give the canonical (size, mask) order without key tuples.
+    out.sort()
+    out.sort(key=int.bit_count)
     return out
 
 
@@ -155,7 +153,9 @@ def _scan_dominating_prefixes(
     if cap < 0:
         return
     n, closed, full = g.n, g.closed, g.full_mask
-    suffix = _suffix_covers(g)
+    suffix = [0] * (n + 1)  # suffix[i]: the vertices that ids i..n-1 dominate
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | closed[i]
 
     def rec(i: int, chosen: VertexSet, count: int, cover: VertexSet) -> None:
         if cover == full:

@@ -195,9 +195,17 @@ def parse_edge_list(text: str) -> Graph:
 # input plumbing
 
 
+def _stdin_lines() -> Iterable[str]:
+    """Lines of stdin, decoded from its bytes whatever the locale asks for."""
+    buf = getattr(sys.stdin, "buffer", None)
+    if buf is None:  # in-memory text, such as an io.StringIO, holds no bytes
+        return sys.stdin
+    return (raw.decode("ascii", "surrogateescape") for raw in buf)
+
+
 def _read_text(source: str) -> str:
     if source == "-":
-        return sys.stdin.read()
+        return "".join(_stdin_lines())
     # As on stdin, a non-ASCII byte becomes a lone surrogate that the parsers reject.
     with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
         return fh.read()
@@ -432,7 +440,7 @@ def cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
         g = generate_gkr(args.k, args.r)[0] if family == "gkr" else generate_qkr(args.k, args.r)[0]
     elif family == "cartesian":
         # Factors are piped in: exactly two graph6 lines on stdin.
-        lines = [ln.strip() for ln in sys.stdin.read().splitlines() if ln.strip()]
+        lines = [ln.strip() for ln in _read_text("-").splitlines() if ln.strip()]
         if len(lines) != 2:
             raise InputError("gen cartesian reads exactly two graph6 lines from stdin")
         g = cartesian_product(parse_graph6(lines[0]), parse_graph6(lines[1]))
@@ -518,7 +526,7 @@ def cmd_hunt(args: argparse.Namespace, out: TextIO) -> int:
 
     def stream() -> Iterator[_HuntItem]:
         nonlocal read
-        for raw in sys.stdin:
+        for raw in _stdin_lines():
             line = raw.strip()
             if line:
                 read += 1

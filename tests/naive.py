@@ -61,6 +61,48 @@ def naive_minimal_dominating_sets(g: Graph) -> list[frozenset[int]]:
     return out
 
 
+def naive_minimal_dfs(g: Graph) -> list[VertexSet]:
+    """The id-order include/exclude DFS, canonically sorted: a mid-size oracle.
+
+    Ids are decided in order, excluding before including. A prefix is cut
+    when an undominated vertex has no closed neighbour among the undecided
+    ids, or when some chosen vertex has lost all private neighbours. It
+    reaches graphs too large for the full scan above.
+    """
+    n, closed, full = g.n, g.closed, g.full_mask
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | closed[i]
+    out: list[VertexSet] = []
+
+    def rec(i: int, chosen: VertexSet, cover: VertexSet, privates: list[VertexSet]) -> None:
+        if cover == full:
+            out.append(chosen)
+            return
+        if i == n:
+            return
+        if (full ^ cover) & ~suffix[i]:
+            return
+        rec(i + 1, chosen, cover, privates)
+        ci = closed[i]
+        pn_new = ci & ~cover
+        if pn_new == 0:
+            return
+        shrunk = []
+        for p in privates:
+            p &= ~ci
+            if p == 0:
+                return
+            shrunk.append(p)
+        shrunk.append(pn_new)
+        rec(i + 1, chosen | 1 << i, cover | ci, shrunk)
+
+    rec(0, 0, 0, [])
+    del rec
+    out.sort(key=lambda m: (popcount(m), m))
+    return out
+
+
 def naive_maximal_independent_sets(g: Graph) -> list[frozenset[int]]:
     adj = adjacency_sets(g)
     out = []

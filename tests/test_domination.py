@@ -20,6 +20,7 @@ from domrec import (
     is_dominating,
     is_minimal_dominating,
     mask_of,
+    minimal_dominating_sets,
     path_graph,
     popcount,
     star,
@@ -31,6 +32,7 @@ from naive import (
     independent_members,
     naive_ir,
     naive_maximal_independent_sets,
+    naive_minimal_dfs,
     naive_minimal_dominating_sets,
 )
 
@@ -78,11 +80,33 @@ def test_enumeration_matches_naive_scan_on_random_graphs():
         assert as_frozensets(fam.sets) == set(naive_minimal_dominating_sets(g))
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_graphs(max_n=7))
+# The next three tests compare lists, so a duplicate or a change of order
+# fails as well as a wrong set.
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=8))
+@example(SHAPES[0])
+@example(SHAPES[1])
+@example(SHAPES[2])
 def test_enumeration_matches_naive_scan_property(g):
-    fam = enumerate_minimal_dominating(g)
-    assert as_frozensets(fam.sets) == set(naive_minimal_dominating_sets(g))
+    got = minimal_dominating_sets(g)
+    scan = [mask_of(s) for s in naive_minimal_dominating_sets(g)]
+    assert got == sorted(scan, key=lambda m: (popcount(m), m))
+    assert got == naive_minimal_dfs(g)
+
+
+@pytest.mark.parametrize("k,r", [(k, r) for k in (3, 4, 5) for r in range(1, k)] + [(6, 3)])
+@pytest.mark.parametrize("make", [generate_gkr, generate_qkr], ids=["gkr", "qkr"])
+def test_minimal_sets_equal_id_order_dfs_on_constructions(make, k, r):
+    g, _ = make(k, r)
+    assert minimal_dominating_sets(g, Budget(max_n=30)) == naive_minimal_dfs(g)
+
+
+def test_minimal_sets_equal_id_order_dfs_beyond_full_scan():
+    rng = random.Random(1014)
+    for n in range(14, 25):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            g = random_graph(rng, n, p)
+            assert minimal_dominating_sets(g) == naive_minimal_dfs(g), (n, p)
 
 
 def test_gkr_and_qkr_family_counts():

@@ -767,6 +767,17 @@ def test_cli_non_ascii_decimal_ids_are_a_parse_error(tmp_path, data, fmt, via):
     assert b"domrec: input:" in proc.stderr and b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [["sep", "-"], ["hunt"], ["gen", "cartesian"]],
+                         ids=["sep", "hunt", "gen-cartesian"])
+def test_cli_non_ascii_stdin_is_a_parse_error_under_strict_decoding(args):
+    # Strict decoding, as under a UTF-8 locale other than C/POSIX: the bad
+    # byte must reach the graph6 parser, not raise UnicodeDecodeError.
+    env = {**CLI_ENV, "PYTHONIOENCODING": "utf-8:strict"}
+    proc = subprocess.run(CLI + args, input=b"D\xff\nA_\n", capture_output=True, env=env)
+    assert proc.returncode == EXIT_PARSE
+    assert b"outside '?'..'~'" in proc.stderr and b"Traceback" not in proc.stderr
+
+
 @pytest.fixture(scope="module")
 def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "graph"
@@ -779,8 +790,8 @@ def fuzz_file(tmp_path_factory):
 def test_cli_arbitrary_bytes_exit_cleanly(fuzz_file, fmt, via, data):
     fuzz_file.write_bytes(data)
     source = "-" if via == "stdin" else str(fuzz_file)
-    # Decoded as the interpreter decodes stdin under the POSIX locale.
-    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    # A strict text layer, as under a UTF-8 locale: the bytes beneath it must be read instead.
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = stdin
