@@ -196,7 +196,7 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _stdin_lines() -> Iterable[str]:
-    """Lines of stdin, decoded from its bytes whatever the locale asks for."""
+    """Lines of stdin, decoded from its bytes as _read_text decodes a file, whatever the locale."""
     buf = getattr(sys.stdin, "buffer", None)
     if buf is None:  # in-memory text, such as an io.StringIO, holds no bytes
         return sys.stdin

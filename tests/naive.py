@@ -67,7 +67,8 @@ def naive_minimal_dfs(g: Graph) -> list[VertexSet]:
     Ids are decided in order, excluding before including. A prefix is cut
     when an undominated vertex has no closed neighbour among the undecided
     ids, or when some chosen vertex has lost all private neighbours. It
-    reaches graphs too large for the full scan above.
+    reaches graphs too large for the full scan above; it reads the package's
+    closed-neighbourhood masks, so it checks the search, not the kernel.
     """
     n, closed, full = g.n, g.closed, g.full_mask
     suffix = [0] * (n + 1)
