@@ -15,11 +15,19 @@ the later siblings once its branch returns. A full cover is emitted.
     where private neighbours survive, until chosen dominates, i.e. is S.
     Each other sibling takes a non-member or bans a member of S.
 
-Every branch dominates u, so this route needs no coverage prune. The
-id-order scans keep theirs: _scan_dominating_prefixes cuts a prefix that
-leaves some undominated vertex no undecided closed neighbour; compute_ir
-cuts one whose chosen vertex lost all private neighbours (they only
-shrink as vertices are added) or that cannot beat the best size found.
+Every dominating set of size <= cap comes from one walk with the same
+branching and bans but no private-neighbour check, cut once cap vertices
+are chosen. A full cover is a leaf (chosen, free), free being the
+vertices neither chosen nor banned there. Neither walk needs a coverage
+prune: every branch dominates u.
+
+  * Each dominating set S of size <= cap is chosen | T for exactly one
+    leaf and one T inside free. While chosen lies inside S and banned
+    outside it, S meets N[u]; the branch on the lowest member of S in
+    N[u] keeps both conditions, since it bans only non-members, and every
+    other sibling breaks one. Chosen stays a proper subset of S until it
+    dominates, so the cap never cuts this path, and its leaf has S - chosen
+    inside free. Conversely every chosen | T dominates, as chosen does.
 
 gamma, Gamma, alpha and the well-covered flag are read off the one minimal
 family: its members with no edge inside are the maximal independent sets.
@@ -28,11 +36,13 @@ family: its members with no edge inside are the maximal independent sets.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import comb
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
-from .graph_core import BudgetError, Graph, VertexSet, popcount
+from .graph_core import BudgetError, Graph, VertexSet, iter_vertices, popcount
 
 DEFAULT_MAX_N = 24
 DEFAULT_IR_MAX_N = 20
@@ -138,89 +148,69 @@ def enumerate_minimal_dominating(g: Graph, budget: Optional[Budget] = None) -> D
     return DomFamily(sets=tuple(sets), gamma=min(cards), Gamma=max(cards))
 
 
-def _scan_dominating_prefixes(
-    g: Graph, cap: int, budget: Optional[Budget], visit: Callable[[VertexSet, int, int], None]
-) -> None:
-    """Call visit(chosen, i, count) for each first dominating prefix of size <= cap.
-
-    Ids are decided in order and a prefix is reported as soon as it
-    dominates, with i its first undecided id. Every extension of it then
-    dominates too, so the dominating sets of size <= cap are exactly the
-    reported prefixes plus any ids from i..n-1, each set from one prefix.
-    """
+def _dominating_leaves(g: Graph, cap: int,
+                       budget: Optional[Budget]) -> list[tuple[VertexSet, VertexSet]]:
+    """(chosen, free) for each leaf of the walk, cut at cap, in the module docstring."""
     budget = budget or Budget.resolve()
     budget.check(g, "dominating set enumeration")
-    if cap < 0:
-        return
-    n, closed, full = g.n, g.closed, g.full_mask
-    suffix = [0] * (n + 1)  # suffix[i]: the vertices that ids i..n-1 dominate
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | closed[i]
+    closed, full = g.closed, g.full_mask
+    leaves: list[tuple[VertexSet, VertexSet]] = []
 
-    def rec(i: int, chosen: VertexSet, count: int, cover: VertexSet) -> None:
+    def rec(chosen: VertexSet, cover: VertexSet, count: int, banned: VertexSet) -> None:
         if cover == full:
-            visit(chosen, i, count)
+            leaves.append((chosen, full & ~(chosen | banned)))
             return
-        if i == n or count == cap:
+        if count >= cap:
             return
-        if (full ^ cover) & ~suffix[i]:
-            return
-        rec(i + 1, chosen, count, cover)
-        rec(i + 1, chosen | 1 << i, count + 1, cover | closed[i])
+        undominated = full ^ cover
+        u = (undominated & -undominated).bit_length() - 1
+        rest = closed[u] & ~banned
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            rec(chosen | low, cover | closed[low.bit_length() - 1], count + 1, banned)
+            banned |= low
 
     rec(0, 0, 0, 0)
     del rec  # a self-recursive closure is a cycle; break it so its lists free now
+    return leaves
 
 
-def dominating_sets_upto(
-    g: Graph, max_size: int, budget: Optional[Budget] = None
-) -> list[VertexSet]:
-    """All dominating sets of cardinality <= max_size, canonical order.
+def _dominating_layers(g: Graph, cap: int,
+                       budget: Optional[Budget]) -> Iterator[tuple[int, list[VertexSet]]]:
+    """Yield (size, layer) for each non-empty size <= cap, ascending; layers unsorted.
 
-    Once a prefix of `count` ids first dominates at id i, the sets it
-    stands for are the prefix joined with each subset of ids i..n-1 of at
-    most room = cap - count members. That list of subsets depends only on
-    (i, room), so it is built once, by doubling over the ids, and shared by
-    every prefix with the same pair. Each shared list is emitted in full at
-    least once, so the shared lists never hold more masks than the output.
+    A layer is built only when asked for, so a caller that stops early skips the rest.
     """
-    n = g.n
-    cap = min(max_size, n)
-    out: list[VertexSet] = []
-    shared: dict[tuple[int, int], list[VertexSet]] = {}
+    leaves = [(popcount(chosen), chosen, [1 << v for v in iter_vertices(free)])
+              for chosen, free in _dominating_leaves(g, cap, budget)]
+    for size in range(cap + 1):
+        layer: list[VertexSet] = []
+        for count, chosen, free_bits in leaves:
+            if count <= size:
+                layer += map(chosen.__or__, map(sum, combinations(free_bits, size - count)))
+        if layer:
+            yield size, layer
 
-    def emit_extensions(mask: VertexSet, i: int, count: int) -> None:
-        room = cap - count
-        ext = shared.get((i, room))
-        if ext is None:
-            ext = [0]
-            for v in range(i, n):
-                b = 1 << v
-                ext += [x | b for x in ext if x.bit_count() < room]
-            shared[i, room] = ext
-        out.extend([mask | x for x in ext])
 
-    _scan_dominating_prefixes(g, cap, budget, emit_extensions)
-    # Two stable sorts give the canonical (size, mask) order without key tuples.
-    out.sort()
-    out.sort(key=int.bit_count)
-    return out
+def dominating_sets_upto(g: Graph, max_size: int,
+                         budget: Optional[Budget] = None) -> list[VertexSet]:
+    """All dominating sets of cardinality <= max_size, canonical order."""
+    layers = _dominating_layers(g, min(max_size, g.n), budget)
+    return list(chain.from_iterable(sorted(layer) for _size, layer in layers))
 
 
 def _dominating_set_counts(g: Graph, budget: Optional[Budget] = None) -> list[int]:
     """counts[j] = number of dominating sets of cardinality j, for j = 0..n.
 
-    A prefix of `count` ids that first dominates at id i stands for
-    comb(n - i, e) sets of size count + e, so no set is listed.
+    A leaf (chosen, free) stands for comb(|free|, e) sets of size |chosen| + e.
     """
-    n = g.n
-    counts = [0] * (n + 1)
-
-    def tally(_mask: VertexSet, i: int, count: int) -> None:
-        for extra in range(n - i + 1):
-            counts[count + extra] += comb(n - i, extra)
-
-    _scan_dominating_prefixes(g, n, budget, tally)
+    counts = [0] * (g.n + 1)
+    shapes = Counter((popcount(chosen), popcount(free))
+                     for chosen, free in _dominating_leaves(g, g.n, budget))
+    for (count, free), leaves in shapes.items():
+        for extra in range(free + 1):
+            counts[count + extra] += leaves * comb(free, extra)
     return counts
 
 
@@ -228,7 +218,8 @@ def compute_ir(g: Graph, budget: Optional[Budget] = None) -> int:
     """Maximum cardinality of an irredundant set, exact.
 
     Irredundance is hereditary downward, so a DFS over irredundant
-    prefixes visits every irredundant set.
+    prefixes visits every irredundant set, and a prefix is cut once a
+    chosen vertex loses its last private neighbour or it cannot beat the best.
     """
     budget = budget or Budget.resolve()
     budget.check(g, "irredundant set scan")

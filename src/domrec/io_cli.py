@@ -23,6 +23,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import islice
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional, TextIO
@@ -197,6 +198,8 @@ def parse_edge_list(text: str) -> Graph:
 
 def _stdin_lines() -> Iterable[str]:
     """Lines of stdin, decoded from its bytes as _read_text decodes a file, whatever the locale."""
+    if sys.stdin is None:  # the process started with file descriptor 0 closed
+        raise InputError("standard input is closed")
     buf = getattr(sys.stdin, "buffer", None)
     if buf is None:  # in-memory text, such as an io.StringIO, holds no bytes
         return sys.stdin
@@ -695,8 +698,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser(env_defaults: tuple[Optional[str], Optional[str]]) -> argparse.ArgumentParser:
+    """build_parser() once per process, again only if the env defaults it reads change."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser((os.environ.get(BUDGET_ENV_VAR), os.environ.get(JOBS_ENV_VAR)))
     args = parser.parse_args(argv)
     try:
         status = args.func(args, sys.stdout)

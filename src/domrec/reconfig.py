@@ -42,9 +42,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, groupby
+from itertools import compress
 from operator import or_
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graph_core import (
     Graph,
@@ -59,6 +59,7 @@ from .graph_core import (
 from .domination import (
     Budget,
     DomFamily,
+    _dominating_layers,
     _dominating_set_counts,
     dominating_sets_upto,
     enumerate_minimal_dominating,
@@ -155,13 +156,14 @@ def build_dk(g: Graph, k: int, budget: Optional[Budget] = None) -> ReconfigGraph
     )
 
 
-def _layered_connectivity(all_sets: list[VertexSet]) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (k, order, size, components) for each cardinality layer k.
+def _layered_connectivity(
+    layers: Iterable[tuple[int, Iterable[VertexSet]]]) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (k, order, size, components) for each (k, layer of k-sets) given.
 
-    all_sets must be grouped by size, ascending; no size is skipped, since
-    supersets of a dominating set dominate. Every edge of D_k joins a set to
-    one with a single vertex fewer, so each set is merged with the labels of
-    its one-smaller neighbours, already seen. label maps each set seen to a
+    Layers come by size, ascending; no size is skipped, since supersets of a
+    dominating set dominate. Every edge of D_k joins a set to one with a
+    single vertex fewer, so each set is merged with the labels of its
+    one-smaller neighbours, already seen. label maps each set seen to a
     union-find node, and root[x] is x's parent node, shortened by path
     halving on every find. A set takes its first neighbour's root as its
     label, and opens a new node only when it has no neighbour below, that is
@@ -172,7 +174,7 @@ def _layered_connectivity(all_sets: list[VertexSet]) -> Iterator[tuple[int, int,
     label: dict[VertexSet, int] = {}
     root: list[int] = []
     edge_total = components = 0
-    for k, layer in groupby(all_sets, int.bit_count):
+    for k, layer in layers:
         for mask in layer:
             c = -1
             rest = mask
@@ -298,10 +300,10 @@ def d0_direct(
     """Smallest j such that D_k(G) is connected for every k >= j.
 
     Returns the first k > Gamma at which D_k(G) is connected; connectivity
-    is monotone from Gamma on, and the union-find stops there. D_Gamma
-    itself is always disconnected, so the threshold is never lower: a
-    Gamma-set is isolated in it, and a graph with an edge has at least two
-    minimal dominating sets.
+    is monotone from Gamma on, and the layers, streamed with no cap, stop
+    there. D_Gamma itself is always disconnected, so the threshold is never
+    lower: a Gamma-set is isolated in it, and a graph with an edge has at
+    least two minimal dominating sets.
 
     This is the independent oracle for d0, not the fast route: d0 equals
     the separation sep (proof in separation.py), so `domrec d0` and `hunt`
@@ -309,17 +311,15 @@ def d0_direct(
     and `both`, and to re-verify every `hunt` hit.
 
     family is g's minimal family when the caller already holds it; only
-    its gamma and Gamma are read, and it is enumerated when omitted.
+    its Gamma is read, and it is enumerated when omitted.
     """
     if all(row == 0 for row in g.adj):
         raise InputError("d_0 requires a graph with at least one edge")
     budget = budget or Budget.resolve()
     fam = family if family is not None else enumerate_minimal_dominating(g, budget)
-    # Gamma + gamma bounds d0, but the oracle does not trust it: it rescans up to n.
-    for cap in (min(g.n, fam.Gamma + fam.gamma), g.n):
-        for k, _order, _size, comps in _layered_connectivity(dominating_sets_upto(g, cap, budget)):
-            if k > fam.Gamma and comps == 1:
-                return k
+    for k, _order, _size, comps in _layered_connectivity(_dominating_layers(g, g.n, budget)):
+        if k > fam.Gamma and comps == 1:
+            return k
     raise InputError("D_n(G) reported disconnected; graph state inconsistent")
 
 

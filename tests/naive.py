@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+from math import comb
+from typing import Callable
 
 from domrec import (
     DomFamily,
@@ -100,6 +102,67 @@ def naive_minimal_dfs(g: Graph) -> list[VertexSet]:
 
     rec(0, 0, 0, [])
     del rec
+    out.sort(key=lambda m: (popcount(m), m))
+    return out
+
+
+def naive_dominating_prefixes(
+    g: Graph, cap: int, visit: Callable[[VertexSet, int, int], None]
+) -> None:
+    """Call visit(chosen, i, count) for each first dominating prefix of size <= cap.
+
+    Ids are decided in order and a prefix is reported as soon as it
+    dominates, with i its first undecided id. Every extension of it then
+    dominates too, so the dominating sets of size <= cap are exactly the
+    reported prefixes plus any ids from i..n-1, each set from one prefix.
+    A prefix is cut when some undominated vertex has no undecided closed
+    neighbour. It reads the package's closed-neighbourhood masks, so it
+    checks the search, not the kernel.
+    """
+    if cap < 0:
+        return
+    n, closed, full = g.n, g.closed, g.full_mask
+    suffix = [0] * (n + 1)  # suffix[i]: the vertices that ids i..n-1 dominate
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | closed[i]
+
+    def rec(i: int, chosen: VertexSet, count: int, cover: VertexSet) -> None:
+        if cover == full:
+            visit(chosen, i, count)
+            return
+        if i == n or count == cap:
+            return
+        if (full ^ cover) & ~suffix[i]:
+            return
+        rec(i + 1, chosen, count, cover)
+        rec(i + 1, chosen | 1 << i, count + 1, cover | closed[i])
+
+    rec(0, 0, 0, 0)
+    del rec
+
+
+def naive_prefix_counts(g: Graph) -> list[int]:
+    """counts[j] = number of dominating sets of size j, from the id-order prefix scan."""
+    n = g.n
+    counts = [0] * (n + 1)
+
+    def tally(_mask: VertexSet, i: int, count: int) -> None:
+        for extra in range(n - i + 1):
+            counts[count + extra] += comb(n - i, extra)
+
+    naive_dominating_prefixes(g, n, tally)
+    return counts
+
+
+def naive_prefix_sets(g: Graph, cap: int) -> list[VertexSet]:
+    """The dominating sets of size <= cap, canonically sorted, from the id-order prefix scan."""
+    out: list[VertexSet] = []
+
+    def extend(mask: VertexSet, i: int, count: int) -> None:
+        for extra in range(cap - count + 1):
+            out.extend(mask | mask_of(c) for c in combinations(range(i, g.n), extra))
+
+    naive_dominating_prefixes(g, cap, extend)
     out.sort(key=lambda m: (popcount(m), m))
     return out
 

@@ -12,6 +12,7 @@ from domrec import (
     complete_graph,
     compute_ir,
     connectivity_profile,
+    d0_direct,
     dominating_sets_upto,
     enumerate_minimal_dominating,
     generate_gkr,
@@ -26,6 +27,7 @@ from domrec import (
     star,
     vertex_list,
 )
+from domrec.domination import _dominating_set_counts
 from conftest import SHAPES, random_graph, small_graphs
 from naive import (
     compute_alpha,
@@ -33,6 +35,8 @@ from naive import (
     naive_ir,
     naive_maximal_independent_sets,
     naive_minimal_dfs,
+    naive_prefix_counts,
+    naive_prefix_sets,
     naive_minimal_dominating_sets,
 )
 
@@ -107,6 +111,36 @@ def test_minimal_sets_equal_id_order_dfs_beyond_full_scan():
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             g = random_graph(rng, n, p)
             assert minimal_dominating_sets(g) == naive_minimal_dfs(g), (n, p)
+
+
+@pytest.mark.parametrize("k,r", [(k, r) for k in (3, 4) for r in range(1, k)])
+@pytest.mark.parametrize("make", [generate_gkr, generate_qkr], ids=["gkr", "qkr"])
+def test_dominating_sets_equal_prefix_scan_on_constructions(make, k, r):
+    g, _ = make(k, r)
+    fam = enumerate_minimal_dominating(g)
+    cap = fam.Gamma + fam.gamma
+    assert dominating_sets_upto(g, cap) == naive_prefix_sets(g, cap)
+    assert _dominating_set_counts(g) == naive_prefix_counts(g)
+
+
+def test_dominating_set_counts_equal_prefix_scan_beyond_full_scan():
+    # The prefix scan slows most on sparse graphs (0.5 s at n=24, p=0.1;
+    # 3 s at p=0.3), so those stop at n=19; dense ones go on to n=24.
+    rng = random.Random(1114)
+    for n in range(14, 25):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9) if n < 20 else (0.7, 0.9):
+            g = random_graph(rng, n, p)
+            assert _dominating_set_counts(g) == naive_prefix_counts(g), (n, p)
+
+
+def test_dominating_sets_equal_prefix_scan_on_random_graphs():
+    # Up to 2^13 sets per listing, at every cap, so the cut at cap is checked too.
+    rng = random.Random(1115)
+    for n in range(9, 14):
+        for p in (0.2, 0.5, 0.8):
+            g = random_graph(rng, n, p)
+            for cap in range(-1, n + 2):
+                assert dominating_sets_upto(g, cap) == naive_prefix_sets(g, cap), (n, p, cap)
 
 
 def test_gkr_and_qkr_family_counts():
@@ -265,6 +299,8 @@ def test_enumerators_leave_no_cyclic_garbage():
     try:
         enumerate_minimal_dominating(g)
         dominating_sets_upto(g, 5)
+        _dominating_set_counts(g)
+        d0_direct(g)
         compute_ir(g)
         connectivity_profile(g)
         assert gc.collect() == 0

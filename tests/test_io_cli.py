@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -714,6 +715,38 @@ def test_cli_budget_rejects_bad_values(monkeypatch, capsys, value):
     # A valid env value is still the budget.
     monkeypatch.setenv(BUDGET_ENV_VAR, "3")
     assert main(["d0", "-"]) == EXIT_BUDGET
+
+
+def test_cli_env_budget_is_read_at_every_call(monkeypatch):
+    # main keeps its parser across calls; the env default must not stick to it.
+    for value, code in (("3", EXIT_BUDGET), ("4", 0), ("3", EXIT_BUDGET)):
+        monkeypatch.setenv(BUDGET_ENV_VAR, value)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(export_graph6(star(3)) + "\n"))
+        assert main(["d0", "-"]) == code
+
+
+def test_cli_main_leaves_no_cyclic_garbage(capsys):
+    # Each argparse parser holds hundreds of objects in reference cycles,
+    # so building one per call grows an in-process caller's heap.
+    main(["gen", "star", "--n", "3"])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert main(["gen", "star", "--n", "3"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("args", [["sep", "-"], ["hunt"], ["gen", "cartesian"]],
+                         ids=["sep", "hunt", "gen-cartesian"])
+def test_cli_closed_stdin_is_an_input_error(args):
+    # With file descriptor 0 closed at startup, sys.stdin is None.
+    proc = subprocess.run(CLI + args, capture_output=True, text=True, env=CLI_ENV,
+                          preexec_fn=lambda: os.close(0), timeout=120)
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stderr == "domrec: input: standard input is closed\n"
 
 
 @pytest.mark.parametrize("data", [b"D\xff\xfe\n", b"0 1\n1 \xff\n"], ids=["graph6", "edgelist"])

@@ -263,7 +263,7 @@ def test_dn_diameter_bound(corpus50):
 @example(SHAPES[2])
 def test_profile_matches_naive_dk_and_layered_union_find(g):
     prof = connectivity_profile(g)
-    layered = list(_layered_connectivity(dominating_sets_upto(g, g.n)))
+    layered = list(_layered_connectivity(groupby(dominating_sets_upto(g, g.n), popcount)))
     assert [(e.k, e.order, e.size, e.component_count) for e in prof.entries] == layered
     assert prof.gamma == layered[0][0]
     for e in prof.entries:
@@ -282,12 +282,12 @@ def test_profile_matches_naive_dk_and_layered_union_find(g):
 @example(SHAPES[2], random.Random(2))
 def test_layered_connectivity_ignores_order_within_a_layer(g, rnd):
     sets = dominating_sets_upto(g, g.n)
-    layered = list(_layered_connectivity(sets))
+    layered = list(_layered_connectivity(groupby(sets, popcount)))
     shuffled = []
-    for _, layer in groupby(sets, popcount):
+    for k, layer in groupby(sets, popcount):
         layer = list(layer)
         rnd.shuffle(layer)
-        shuffled += layer
+        shuffled.append((k, layer))
     assert list(_layered_connectivity(shuffled)) == layered
     for k, _order, _size, comps in layered:
         verts, edges = naive_dk(g, k)
