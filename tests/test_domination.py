@@ -35,9 +35,9 @@ from naive import (
     naive_ir,
     naive_maximal_independent_sets,
     naive_minimal_dfs,
+    naive_minimal_dominating_sets,
     naive_prefix_counts,
     naive_prefix_sets,
-    naive_minimal_dominating_sets,
 )
 
 

@@ -27,7 +27,7 @@ from domrec import (
     star,
     vertex_list,
 )
-from domrec import reconfig
+from domrec import domination, reconfig
 from domrec.domination import _dominating_set_counts
 from domrec.reconfig import _layered_connectivity, _prim_tree
 from conftest import SHAPES, random_connected_graph, random_graph, small_graphs
@@ -100,6 +100,22 @@ def test_d0_examples():
     assert d0_direct(prod) == 5
     g43, _ = generate_gkr(4, 3)
     assert d0_direct(g43) == 7
+
+
+def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
+    # Layers stream on demand: gkr(4,3) has 106,067 dominating sets, and
+    # those above d0 = 7 are never listed.
+    built = []
+
+    def layers(*args):
+        for size, layer in domination._dominating_layers(*args):
+            built.append(size)
+            yield size, layer
+
+    monkeypatch.setattr(reconfig, "_dominating_layers", layers)
+    g43, _ = generate_gkr(4, 3)
+    assert d0_direct(g43) == 7
+    assert built == [4, 5, 6, 7]
 
 
 def test_d0_matches_naive_on_random_graphs():
