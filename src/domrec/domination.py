@@ -86,9 +86,6 @@ class DomFamily:
     gamma: int
     Gamma: int
 
-    def __len__(self) -> int:
-        return len(self.sets)
-
 
 @dataclass(frozen=True)
 class InvariantReport:

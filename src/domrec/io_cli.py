@@ -12,6 +12,9 @@ stderr only. Exit codes: 0 ok, 2 usage, 3 parse/input, 4 budget,
 5 assertion failure (cross-check disagreement or structure violation).
 A reader that closes stdout early (`domrec hunt | head -1`) ends the
 command quietly with exit 0, as a broken pipe ends other filters.
+An early stop of `hunt` (exit 3, 4 or 5) stops reading stdin; its stderr
+`hunt: N graphs` then counts the graphs judged, up to and including the
+one that stopped it.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
-from functools import lru_cache
+from dataclasses import asdict
+from functools import lru_cache, partial
 from itertools import islice
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Optional, TextIO
 
 from .graph_core import (
     MAX_VERTICES,
@@ -223,21 +226,14 @@ def _looks_like_edge_list(text: str) -> bool:
     return False
 
 
-def read_graphs(source: str, fmt: str = "auto") -> list[tuple[str, Graph]]:
+def read_graphs(source: str, fmt: str = "auto") -> list[Graph]:
     """Read one or more graphs; graph6 sources may hold many, one per line."""
     text = _read_text(source)
     if fmt == "auto":
         fmt = "edgelist" if _looks_like_edge_list(text) else "graph6"
     if fmt == "edgelist":
-        return [(f"{source}:1", parse_edge_list(text))]
-    out = []
-    ordinal = 0
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        ordinal += 1
-        out.append((f"{source}:{ordinal}", parse_graph6(line)))
+        return [parse_edge_list(text)]
+    out = [parse_graph6(line) for line in map(str.strip, text.splitlines()) if line]
     if not out:
         raise ParseError(f"no graphs found in {source!r}")
     return out
@@ -348,7 +344,7 @@ def _emit(out: TextIO, text: str) -> None:
 
 def cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
     budget = _budget_from(args)
-    for _gid, g in read_graphs(args.input, args.format):
+    for g in read_graphs(args.input, args.format):
         rep = invariant_report(g, budget, include_ir=True if args.ir else None)
         _emit(out, export_json(invariant_report_json(rep)))
     return EXIT_OK
@@ -357,7 +353,7 @@ def cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_d0(args: argparse.Namespace, out: TextIO) -> int:
     budget = _budget_from(args)
     status = EXIT_OK
-    for _gid, g in read_graphs(args.input, args.format):
+    for g in read_graphs(args.input, args.format):
         if args.method is None:
             # d0 = sep on every graph with an edge (proof in separation.py).
             if not g.edge_count():
@@ -379,7 +375,7 @@ def cmd_d0(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_profile(args: argparse.Namespace, out: TextIO) -> int:
     budget = _budget_from(args)
-    for _gid, g in read_graphs(args.input, args.format):
+    for g in read_graphs(args.input, args.format):
         _emit(out, export_json(profile_json(connectivity_profile(g, budget))))
     return EXIT_OK
 
@@ -387,7 +383,7 @@ def cmd_profile(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_sep(args: argparse.Namespace, out: TextIO) -> int:
     budget = _budget_from(args)
     status = EXIT_OK
-    for _gid, g in read_graphs(args.input, args.format):
+    for g in read_graphs(args.input, args.format):
         fam = enumerate_minimal_dominating(g, budget)
         rep = sep_bottleneck(fam)
         payload = sep_report_json(rep)
@@ -404,7 +400,7 @@ def cmd_sep(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_dk(args: argparse.Namespace, out: TextIO) -> int:
     budget = _budget_from(args)
-    for _gid, g in read_graphs(args.input, args.format):
+    for g in read_graphs(args.input, args.format):
         rg = build_dk(g, args.k, budget)
         if args.export == "dot":
             out.write(export_dot(rg))
@@ -422,7 +418,7 @@ def cmd_path(args: argparse.Namespace, out: TextIO) -> int:
     budget = _budget_from(args)
     a = _parse_id_list(args.from_ids)
     b = _parse_id_list(args.to_ids)
-    for _gid, g in read_graphs(args.input, args.format):
+    for g in read_graphs(args.input, args.format):
         seq = reconfig_path(g, a, b, args.k, budget)
         if seq is None:
             _emit(out, export_json({"found": False}))
@@ -474,104 +470,76 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 # hunt -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _HuntItem:
-    ordinal: int
-    line: str
-    max_n: int
-    min_excess: int
-    budget_max_n: int
+def _hunt_worker(line: str, max_n: int, min_excess: int, budget: Budget) -> tuple[str, object]:
+    """Judge one graph6 line; returns (kind, payload).
 
-
-def _hunt_worker(item: _HuntItem) -> tuple[int, str, str]:
-    """Process one graph6 line; returns (ordinal, kind, payload).
-
-    The threshold is decided by the separation route (d0 = sep, see
-    separation.py); the direct D_k scan then re-verifies every hit as an
-    independent oracle, and a mismatch is reported as "disagree".
+    The payload is a hit's fields, an error's text, or None. The threshold
+    is decided by the separation route (d0 = sep, see separation.py); the
+    direct D_k scan then re-verifies every hit as an independent oracle,
+    and a mismatch is reported as "disagree".
     """
     try:
-        g = parse_graph6(item.line)
+        g = parse_graph6(line)
     except InputError as exc:
-        return item.ordinal, "parse-error", str(exc)
-    if g.n > item.max_n:
-        return item.ordinal, "skip-size", ""
+        return "parse-error", str(exc)
+    if g.n > max_n:
+        return "skip-size", None
     if all(row == 0 for row in g.adj):
-        return item.ordinal, "skip-edgeless", ""
-    budget = Budget(max_n=item.budget_max_n)
+        return "skip-edgeless", None
     try:
         fam = enumerate_minimal_dominating(g, budget)
         sep = sep_bottleneck(fam).sep
-        if sep - fam.Gamma < item.min_excess:
-            return item.ordinal, "miss", ""
+        if sep - fam.Gamma < min_excess:
+            return "miss", None
         d0 = d0_direct(g, budget, family=fam)
     except BudgetError as exc:
-        return item.ordinal, "budget-error", str(exc)
-    excess = d0 - fam.Gamma
-    payload = export_json({
-        "id": item.ordinal,
-        "graph6": item.line,
-        "n": g.n,
-        "gamma": fam.gamma,
-        "Gamma": fam.Gamma,
-        "d0": d0,
-        "sep": sep,
-        "excess": excess,
-        "agree": sep == d0,
-    })
-    return item.ordinal, ("hit" if sep == d0 else "disagree"), payload
+        return "budget-error", str(exc)
+    fields = {"graph6": line, "n": g.n, "gamma": fam.gamma, "Gamma": fam.Gamma,
+              "d0": d0, "sep": sep, "excess": d0 - fam.Gamma, "agree": sep == d0}
+    return ("hit" if sep == d0 else "disagree"), fields
 
 
 def cmd_hunt(args: argparse.Namespace, out: TextIO) -> int:
     budget = _budget_from(args)
     max_n = args.max_n if args.max_n is not None else budget.max_n
-    read = 0
-
-    def stream() -> Iterator[_HuntItem]:
-        nonlocal read
-        for raw in _stdin_lines():
-            line = raw.strip()
-            if line:
-                read += 1
-                yield _HuntItem(read, line, max_n, args.min_excess, budget.max_n)
-
-    items = stream()
+    judge = partial(_hunt_worker, max_n=max_n, min_excess=args.min_excess, budget=budget)
+    lines = (line for line in map(str.strip, _stdin_lines()) if line)
     started = time.perf_counter()
     if args.jobs > 1:
         # imap's task feeder drains its iterable eagerly, so it is handed
         # one fixed-size window at a time; results stay in stream order.
-        windows = iter(lambda: list(islice(items, HUNT_WINDOW)), [])
+        windows = iter(lambda: list(islice(lines, HUNT_WINDOW)), [])
         with Pool(processes=args.jobs) as pool:
-            results = (
-                r for w in windows for r in pool.imap(_hunt_worker, w, chunksize=8)
-            )
-            status = _drain_hunt(results, out)
+            results = (r for w in windows for r in pool.imap(judge, w, chunksize=8))
+            status, judged = _drain_hunt(results, out)
     else:
-        status = _drain_hunt(map(_hunt_worker, items), out)
-    for _ in items:  # an early stop still reports the stream's graph count
-        pass
+        status, judged = _drain_hunt(map(judge, lines), out)
     elapsed = time.perf_counter() - started
-    print(f"hunt: {read} graphs in {elapsed:.2f}s", file=sys.stderr)
+    print(f"hunt: {judged} graphs in {elapsed:.2f}s", file=sys.stderr)
     return status
 
 
-def _drain_hunt(results: Iterable[tuple[int, str, str]], out: TextIO) -> int:
-    status = EXIT_OK
+def _drain_hunt(results: Iterable[tuple[str, object]], out: TextIO) -> tuple[int, int]:
+    """Write the hits; returns (exit status, graphs judged).
+
+    Results come in stream order, so their position is the line ordinal.
+    An error or a disagreement stops the drain, and nothing more is read.
+    """
     counts = {"hit": 0, "miss": 0, "skip-size": 0, "skip-edgeless": 0}
-    for ordinal, kind, payload in results:
+    ordinal = 0
+    for ordinal, (kind, payload) in enumerate(results, 1):
         if kind == "parse-error":
             print(f"hunt: graph {ordinal}: {payload}", file=sys.stderr)
-            return EXIT_PARSE
+            return EXIT_PARSE, ordinal
         if kind == "budget-error":
             print(f"hunt: graph {ordinal}: {payload}", file=sys.stderr)
-            return EXIT_BUDGET
+            return EXIT_BUDGET, ordinal
+        if kind in ("hit", "disagree"):
+            _emit(out, export_json({"id": ordinal, **payload}))
         if kind == "disagree":
-            _emit(out, payload)
             print(f"hunt: graph {ordinal}: d0/sep disagreement", file=sys.stderr)
-            return EXIT_ASSERT
-        if kind == "hit":
-            _emit(out, payload)
-        counts[kind] = counts.get(kind, 0) + 1
+            return EXIT_ASSERT, ordinal
+        counts[kind] += 1
     print(
         "hunt: {hit} hits, {miss} below threshold, {s} skipped oversize,"
         " {e} skipped edgeless".format(
@@ -580,7 +548,7 @@ def _drain_hunt(results: Iterable[tuple[int, str, str]], out: TextIO) -> int:
         ),
         file=sys.stderr,
     )
-    return status
+    return EXIT_OK, ordinal
 
 
 # ---------------------------------------------------------------------------

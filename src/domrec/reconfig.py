@@ -157,8 +157,8 @@ def build_dk(g: Graph, k: int, budget: Optional[Budget] = None) -> ReconfigGraph
 
 
 def _layered_connectivity(
-    layers: Iterable[tuple[int, Iterable[VertexSet]]]) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (k, order, size, components) for each (k, layer of k-sets) given.
+    layers: Iterable[tuple[int, Iterable[VertexSet]]]) -> Iterator[tuple[int, int]]:
+    """Yield (k, components) for each (k, layer of k-sets) given.
 
     Layers come by size, ascending; no size is skipped, since supersets of a
     dominating set dominate. Every edge of D_k joins a set to one with a
@@ -173,7 +173,7 @@ def _layered_connectivity(
     """
     label: dict[VertexSet, int] = {}
     root: list[int] = []
-    edge_total = components = 0
+    components = 0
     for k, layer in layers:
         for mask in layer:
             c = -1
@@ -184,7 +184,6 @@ def _layered_connectivity(
                 d = label.get(mask ^ low)
                 if d is None:
                     continue
-                edge_total += 1
                 while root[d] != d:
                     root[d] = d = root[root[d]]
                 if c < 0:
@@ -197,7 +196,7 @@ def _layered_connectivity(
                 root.append(c)
                 components += 1
             label[mask] = c
-        yield k, len(label), edge_total, components
+        yield k, components
 
 
 def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
@@ -317,7 +316,7 @@ def d0_direct(
         raise InputError("d_0 requires a graph with at least one edge")
     budget = budget or Budget.resolve()
     fam = family if family is not None else enumerate_minimal_dominating(g, budget)
-    for k, _order, _size, comps in _layered_connectivity(_dominating_layers(g, g.n, budget)):
+    for k, comps in _layered_connectivity(_dominating_layers(g, g.n, budget)):
         if k > fam.Gamma and comps == 1:
             return k
     raise InputError("D_n(G) reported disconnected; graph state inconsistent")

@@ -77,9 +77,6 @@ class D0SepEvidence:
     d0: int
     sep: int
     agree: bool
-    gamma: int
-    Gamma: int
-    report: SepReport
 
 
 def _require_at_least_two(fam: DomFamily) -> None:
@@ -171,13 +168,6 @@ def check_sep_equals_d0(
         raise InputError("cross-check requires a graph with at least one edge")
     budget = budget or Budget.resolve()
     fam = enumerate_minimal_dominating(g, budget)
-    report = sep_bottleneck(fam)
+    sep = sep_bottleneck(fam).sep
     d0 = d0_direct(g, budget, family=fam)
-    return D0SepEvidence(
-        d0=d0,
-        sep=report.sep,
-        agree=d0 == report.sep,
-        gamma=fam.gamma,
-        Gamma=fam.Gamma,
-        report=report,
-    )
+    return D0SepEvidence(d0=d0, sep=sep, agree=d0 == sep)

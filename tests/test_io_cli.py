@@ -144,19 +144,18 @@ def test_read_graphs_autodetect(tmp_path):
     g6 = tmp_path / "graphs.g6"
     g6.write_text(export_graph6(star(3)) + "\n" + export_graph6(complete_graph(3)) + "\n")
     graphs = read_graphs(str(g6))
-    assert len(graphs) == 2
-    assert graphs[0][0].endswith(":1") and graphs[1][0].endswith(":2")
+    assert [g.n for g in graphs] == [4, 3]
 
     el = tmp_path / "graph.txt"
     el.write_text("0 1\n1 2\n")
     graphs = read_graphs(str(el))
-    assert len(graphs) == 1 and graphs[0][1].n == 3
+    assert len(graphs) == 1 and graphs[0].n == 3
 
 
 def test_read_graphs_format_override(tmp_path):
     el = tmp_path / "graph.txt"
     el.write_text("0 1\n1 2\n")
-    assert read_graphs(str(el), "edgelist")[0][1].n == 3
+    assert read_graphs(str(el), "edgelist")[0].n == 3
     with pytest.raises(ParseError):
         read_graphs(str(el), "graph6")  # forced wrong format must fail loudly
     g6 = tmp_path / "graph.g6"
@@ -680,6 +679,31 @@ def test_cli_hunt_streams_its_input(monkeypatch, jobs):
     assert main(["hunt", "--min-excess", "1", "--jobs", jobs]) == 0
     assert out.getvalue().count("\n") == 20
     assert out.lines_read_then == (1 if jobs == "1" else 4)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("bad, flags, code", [
+    ("B!", (), EXIT_PARSE),
+    (export_graph6(star(5)), ("--max-n", "64", "--budget", "5"), EXIT_BUDGET),
+], ids=["parse-error", "budget-error"])
+def test_cli_hunt_stops_reading_at_an_early_stop(monkeypatch, capsys, jobs, bad, flags, code):
+    # The stop is reported at once: the rest of the stream is not read,
+    # beyond the pool window already in flight.
+    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
+    monkeypatch.setattr(io_cli, "HUNT_WINDOW", 4)
+    good = export_graph6(star(3)) + "\n"
+    read = []
+
+    def stdin():
+        for line in [good, bad + "\n"] + [good] * 10_000:
+            read.append(1)
+            yield line
+
+    monkeypatch.setattr(sys, "stdin", stdin())
+    assert main(["hunt", *flags, "--jobs", jobs]) == code
+    assert len(read) <= (2 if jobs == "1" else 4)
+    err = capsys.readouterr().err
+    assert "hunt: graph 2: " in err and "hunt: 2 graphs" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])

@@ -280,7 +280,7 @@ def test_dn_diameter_bound(corpus50):
 def test_profile_matches_naive_dk_and_layered_union_find(g):
     prof = connectivity_profile(g)
     layered = list(_layered_connectivity(groupby(dominating_sets_upto(g, g.n), popcount)))
-    assert [(e.k, e.order, e.size, e.component_count) for e in prof.entries] == layered
+    assert [(e.k, e.component_count) for e in prof.entries] == layered
     assert prof.gamma == layered[0][0]
     for e in prof.entries:
         verts, edges = naive_dk(g, e.k)
@@ -305,7 +305,7 @@ def test_layered_connectivity_ignores_order_within_a_layer(g, rnd):
         rnd.shuffle(layer)
         shuffled.append((k, layer))
     assert list(_layered_connectivity(shuffled)) == layered
-    for k, _order, _size, comps in layered:
+    for k, comps in layered:
         verts, edges = naive_dk(g, k)
         assert comps == _components(len(verts), edges)
 
