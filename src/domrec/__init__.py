@@ -35,7 +35,6 @@ from .domination import (
     dominating_sets_upto,
     enumerate_minimal_dominating,
     invariant_report,
-    minimal_dominating_sets,
 )
 from .reconfig import (
     ConnectivityProfile,

@@ -98,8 +98,8 @@ class InvariantReport:
     well_dominated: bool
 
 
-def minimal_dominating_sets(g: Graph, budget: Optional[Budget] = None) -> list[VertexSet]:
-    """All minimal dominating sets of g, in canonical order."""
+def enumerate_minimal_dominating(g: Graph, budget: Optional[Budget] = None) -> DomFamily:
+    """All minimal dominating sets of g, in canonical order, with gamma and Gamma."""
     budget = budget or Budget.resolve()
     budget.check(g, "minimal dominating set enumeration")
     closed, full = g.closed, g.full_mask
@@ -134,15 +134,7 @@ def minimal_dominating_sets(g: Graph, budget: Optional[Budget] = None) -> list[V
     # Two stable sorts give the canonical (size, mask) order without key tuples.
     out.sort()
     out.sort(key=int.bit_count)
-    return out
-
-
-def enumerate_minimal_dominating(g: Graph, budget: Optional[Budget] = None) -> DomFamily:
-    sets = minimal_dominating_sets(g, budget)
-    if not sets:
-        raise BudgetError("no minimal dominating set found; graph state inconsistent")
-    cards = [popcount(s) for s in sets]
-    return DomFamily(sets=tuple(sets), gamma=min(cards), Gamma=max(cards))
+    return DomFamily(sets=tuple(out), gamma=popcount(out[0]), Gamma=popcount(out[-1]))
 
 
 def _dominating_leaves(g: Graph, cap: int,

@@ -27,7 +27,7 @@ import sys
 import time
 from dataclasses import asdict
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import compress, islice
 from multiprocessing import Pool
 from typing import Iterable, Optional, TextIO
 
@@ -42,8 +42,8 @@ from .graph_core import (
     mask_of,
     vertex_list,
 )
-from .domination import (BUDGET_ENV_VAR, Budget, InvariantReport,
-                         enumerate_minimal_dominating, invariant_report)
+from .domination import (BUDGET_ENV_VAR, Budget, enumerate_minimal_dominating,
+                         invariant_report)
 from .families import (
     StructureReport,
     complete_graph,
@@ -56,6 +56,7 @@ from .families import (
     verify_qkr_structure,
 )
 from .reconfig import (
+    _BINARY_DIGITS,
     ConnectivityProfile,
     ReconfigGraph,
     build_dk,
@@ -64,13 +65,7 @@ from .reconfig import (
     dk_diameter,
     reconfig_path,
 )
-from .separation import (
-    D0SepEvidence,
-    SepReport,
-    check_sep_equals_d0,
-    sep_bottleneck,
-    sep_brute_force,
-)
+from .separation import SepReport, check_sep_equals_d0, sep_bottleneck, sep_brute_force
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -83,6 +78,9 @@ JOBS_ENV_VAR = "DOMREC_JOBS"
 HUNT_WINDOW = 512
 
 _GRAPH6_HEADER = ">>graph6<<"
+# The graph6 bit order for MAX_VERTICES vertices: pairs (i, j), i < j, column
+# by column. The pairs of an n-vertex graph are its first n(n-1)/2.
+_GRAPH6_PAIRS = tuple((i, j) for j in range(1, MAX_VERTICES) for i in range(j))
 # Vertex ids, in edge lists and in --from/--to, are ASCII decimal; int() alone
 # would also take other scripts' digits, '+', spaces and underscores. A
 # leading '-' matches so the error can name it.
@@ -130,20 +128,10 @@ def parse_graph6(line: str) -> Graph:
             f"graph6 line for n={n} must carry {nbytes} data bytes,"
             f" found {len(data) - pos}"
         )
-    edges = []
-    bit_idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = data[pos + bit_idx // 6]
-            if (byte >> (5 - bit_idx % 6)) & 1:
-                edges.append((i, j))
-            bit_idx += 1
-    # Padding bits beyond the triangle must be zero.
-    for extra in range(nbits, nbytes * 6):
-        byte = data[pos + extra // 6]
-        if (byte >> (5 - extra % 6)) & 1:
-            raise ParseError("graph6 padding bits are not zero")
-    return Graph.from_edges(n, edges)
+    bits = "".join([format(b, "06b") for b in data[pos:]]).encode().translate(_BINARY_DIGITS)
+    if any(bits[nbits:]):
+        raise ParseError("graph6 padding bits are not zero")
+    return Graph.from_edges(n, compress(_GRAPH6_PAIRS, bits))
 
 
 def export_graph6(g: Graph) -> str:
@@ -153,19 +141,11 @@ def export_graph6(g: Graph) -> str:
         head = [n + 63]
     else:
         head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for p in range(0, len(bits), 6):
-        val = 0
-        for b in bits[p:p + 6]:
-            val = (val << 1) | b
-        body.append(val + 63)
-    return "".join(chr(b) for b in head + body)
+    # Column j holds the pairs (0, j) .. (j - 1, j): the low j bits of adj[j], lowest first.
+    bits = "".join(format(g.adj[j] & ~(-1 << j), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    body = [int(bits[p:p + 6], 2) + 63 for p in range(0, len(bits), 6)]
+    return "".join(map(chr, head + body))
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +238,13 @@ def _parse_id_list(text: str) -> VertexSet:
 # serialization
 
 
-def invariant_report_json(rep: InvariantReport) -> dict:
-    return asdict(rep)
-
-
 def sep_report_json(rep: SepReport) -> dict:
     return {
         "sep": rep.sep,
         "method": rep.method,
-        "witness_partition": [list(rep.witness_partition[0]), list(rep.witness_partition[1])],
+        "witness_partition": rep.witness_partition,
         "witness_pair": [vertex_list(rep.witness_pair[0]), vertex_list(rep.witness_pair[1])],
     }
-
-
-def evidence_json(ev: D0SepEvidence) -> dict:
-    return {"d0": ev.d0, "sep": ev.sep, "agree": ev.agree}
 
 
 def reconfig_graph_json(rg: ReconfigGraph, diameter: Optional[int] = None,
@@ -284,7 +256,7 @@ def reconfig_graph_json(rg: ReconfigGraph, diameter: Optional[int] = None,
         "size": rg.size(),
         "component_count": rg.component_count,
         "verts": [vertex_list(m) for m in rg.verts],
-        "edges": [list(e) for e in rg.edges],
+        "edges": rg.edges,
     }
     if with_diameter:
         out["diameter"] = diameter
@@ -332,10 +304,6 @@ def export_dot(rg: ReconfigGraph) -> str:
 # commands
 
 
-def _budget_from(args: argparse.Namespace) -> Budget:
-    return Budget.resolve(getattr(args, "budget", None))
-
-
 def _emit(out: TextIO, text: str) -> None:
     out.write(text)
     if not text.endswith("\n"):
@@ -343,45 +311,40 @@ def _emit(out: TextIO, text: str) -> None:
 
 
 def cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
-    budget = _budget_from(args)
+    budget = Budget.resolve(args.budget)
     for g in read_graphs(args.input, args.format):
         rep = invariant_report(g, budget, include_ir=True if args.ir else None)
-        _emit(out, export_json(invariant_report_json(rep)))
+        _emit(out, export_json(asdict(rep)))
     return EXIT_OK
 
 
 def cmd_d0(args: argparse.Namespace, out: TextIO) -> int:
-    budget = _budget_from(args)
+    budget = Budget.resolve(args.budget)
     status = EXIT_OK
     for g in read_graphs(args.input, args.format):
-        if args.method is None:
-            # d0 = sep on every graph with an edge (proof in separation.py).
-            if not g.edge_count():
-                raise InputError("d_0 requires a graph with at least one edge")
-            fam = enumerate_minimal_dominating(g, budget)
-            _emit(out, export_json({"d0": sep_bottleneck(fam).sep}))
-        elif args.method == "direct":
+        if args.method == "direct":
             _emit(out, export_json({"d0": d0_direct(g, budget)}))
-        elif args.method == "sep":
-            fam = enumerate_minimal_dominating(g, budget)
-            _emit(out, export_json({"sep": sep_bottleneck(fam).sep}))
-        else:
+        elif args.method == "both":
             ev = check_sep_equals_d0(g, budget)
-            _emit(out, export_json(evidence_json(ev)))
+            _emit(out, export_json(asdict(ev)))
             if not ev.agree:
                 status = EXIT_ASSERT
+        else:
+            # d0 = sep on every graph with an edge (proof in separation.py).
+            sep = sep_bottleneck(enumerate_minimal_dominating(g, budget)).sep
+            _emit(out, export_json({"sep" if args.method else "d0": sep}))
     return status
 
 
 def cmd_profile(args: argparse.Namespace, out: TextIO) -> int:
-    budget = _budget_from(args)
+    budget = Budget.resolve(args.budget)
     for g in read_graphs(args.input, args.format):
         _emit(out, export_json(profile_json(connectivity_profile(g, budget))))
     return EXIT_OK
 
 
 def cmd_sep(args: argparse.Namespace, out: TextIO) -> int:
-    budget = _budget_from(args)
+    budget = Budget.resolve(args.budget)
     status = EXIT_OK
     for g in read_graphs(args.input, args.format):
         fam = enumerate_minimal_dominating(g, budget)
@@ -399,7 +362,7 @@ def cmd_sep(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_dk(args: argparse.Namespace, out: TextIO) -> int:
-    budget = _budget_from(args)
+    budget = Budget.resolve(args.budget)
     for g in read_graphs(args.input, args.format):
         rg = build_dk(g, args.k, budget)
         if args.export == "dot":
@@ -415,7 +378,7 @@ def cmd_dk(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_path(args: argparse.Namespace, out: TextIO) -> int:
-    budget = _budget_from(args)
+    budget = Budget.resolve(args.budget)
     a = _parse_id_list(args.from_ids)
     b = _parse_id_list(args.to_ids)
     for g in read_graphs(args.input, args.format):
@@ -458,7 +421,7 @@ def cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    budget = _budget_from(args)
+    budget = Budget.resolve(args.budget)
     if args.construction == "gkr":
         rep = verify_gkr_structure(args.k, args.r, budget)
     else:
@@ -500,7 +463,7 @@ def _hunt_worker(line: str, max_n: int, min_excess: int, budget: Budget) -> tupl
 
 
 def cmd_hunt(args: argparse.Namespace, out: TextIO) -> int:
-    budget = _budget_from(args)
+    budget = Budget.resolve(args.budget)
     max_n = args.max_n if args.max_n is not None else budget.max_n
     judge = partial(_hunt_worker, max_n=max_n, min_excess=args.min_excess, budget=budget)
     lines = (line for line in map(str.strip, _stdin_lines()) if line)
@@ -596,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     p.add_argument("--ir", action="store_true", help="force the IR scan even on larger graphs")
     _add_budget(p)
-    p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("d0", help="connectivity threshold of the k-dominating graphs")
     _add_input(p)
@@ -604,19 +566,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="direct: scan D_k; sep: print the separation; both: cross-check the"
                         " two (default: d0 read off the separation)")
     _add_budget(p)
-    p.set_defaults(func=cmd_d0)
 
     p = sub.add_parser("profile", help="per-k order/size/connectivity of D_k")
     _add_input(p)
     _add_budget(p)
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("sep", help="separation of the minimal dominating family")
     _add_input(p)
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force partition scan and compare")
     _add_budget(p)
-    p.set_defaults(func=cmd_sep)
 
     p = sub.add_parser("dk", help="build D_k explicitly")
     _add_input(p)
@@ -624,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export", choices=["dot", "json"], default="json")
     p.add_argument("--diameter", action="store_true")
     _add_budget(p)
-    p.set_defaults(func=cmd_dk)
 
     p = sub.add_parser("path", help="shortest reconfiguration sequence inside D_k")
     _add_input(p)
@@ -632,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_ids", required=True, metavar="ID-LIST")
     p.add_argument("--k", type=int, required=True)
     _add_budget(p)
-    p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("gen", help="emit a generated graph as graph6")
     p.add_argument("family",
@@ -640,14 +597,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="check the structural facts of a construction")
     p.add_argument("construction", choices=["gkr", "qkr"])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     _add_budget(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
         "hunt",
@@ -661,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=os.environ.get(JOBS_ENV_VAR, "1"),
                    help="worker processes, at least 1 (env DOMREC_JOBS)")
     _add_budget(p)
-    p.set_defaults(func=cmd_hunt)
 
     return parser
 
@@ -676,7 +630,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _parser((os.environ.get(BUDGET_ENV_VAR), os.environ.get(JOBS_ENV_VAR)))
     args = parser.parse_args(argv)
     try:
-        status = args.func(args, sys.stdout)
+        status = globals()["cmd_" + args.command](args, sys.stdout)
         sys.stdout.flush()  # a closed pipe must surface inside this try
         return status
     except BrokenPipeError:

@@ -21,7 +21,6 @@ from domrec import (
     is_dominating,
     is_minimal_dominating,
     mask_of,
-    minimal_dominating_sets,
     path_graph,
     popcount,
     star,
@@ -92,7 +91,7 @@ def test_enumeration_matches_naive_scan_on_random_graphs():
 @example(SHAPES[1])
 @example(SHAPES[2])
 def test_enumeration_matches_naive_scan_property(g):
-    got = minimal_dominating_sets(g)
+    got = list(enumerate_minimal_dominating(g).sets)
     scan = [mask_of(s) for s in naive_minimal_dominating_sets(g)]
     assert got == sorted(scan, key=lambda m: (popcount(m), m))
     assert got == naive_minimal_dfs(g)
@@ -102,7 +101,7 @@ def test_enumeration_matches_naive_scan_property(g):
 @pytest.mark.parametrize("make", [generate_gkr, generate_qkr], ids=["gkr", "qkr"])
 def test_minimal_sets_equal_id_order_dfs_on_constructions(make, k, r):
     g, _ = make(k, r)
-    assert minimal_dominating_sets(g, Budget(max_n=30)) == naive_minimal_dfs(g)
+    assert list(enumerate_minimal_dominating(g, Budget(max_n=30)).sets) == naive_minimal_dfs(g)
 
 
 def test_minimal_sets_equal_id_order_dfs_beyond_full_scan():
@@ -110,7 +109,7 @@ def test_minimal_sets_equal_id_order_dfs_beyond_full_scan():
     for n in range(14, 25):
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             g = random_graph(rng, n, p)
-            assert minimal_dominating_sets(g) == naive_minimal_dfs(g), (n, p)
+            assert list(enumerate_minimal_dominating(g).sets) == naive_minimal_dfs(g), (n, p)
 
 
 @pytest.mark.parametrize("k,r", [(k, r) for k in (3, 4) for r in range(1, k)])

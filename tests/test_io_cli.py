@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -25,7 +26,7 @@ from domrec import (
     path_graph,
     star,
 )
-from domrec import domination, families, io_cli
+from domrec import domination, families, io_cli, reconfig, separation
 from domrec.io_cli import (
     EXIT_ASSERT,
     EXIT_BUDGET,
@@ -77,6 +78,18 @@ def test_parse_graph6_errors():
         parse_graph6("A" + chr(63 + 16))  # padding bit set
     with pytest.raises(ParseError):
         parse_graph6("A__")  # too many data bytes for n=2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 63])
+def test_parse_graph6_refuses_each_padding_bit(n):
+    line = export_graph6(complete_graph(n))
+    assert parse_graph6(line).adj == complete_graph(n).adj
+    padding = -(n * (n - 1) // 2) % 6  # n = 4 fills its one data byte: nothing to set
+    last = ord(line[-1]) - 63
+    for b in range(padding):
+        bad = line[:-1] + chr((last | 1 << b) + 63)
+        with pytest.raises(ParseError, match="padding"):
+            parse_graph6(bad)
 
 
 def test_parse_graph6_width_cap():
@@ -476,6 +489,33 @@ def test_cli_exit_codes():
     assert edgeless.returncode == EXIT_PARSE
 
 
+@pytest.mark.parametrize("args", [["d0", "-"], ["d0", "-", "--method", "sep"],
+                                  ["d0", "-", "--method", "both"], ["sep", "-"]],
+                         ids=["d0", "d0-sep", "d0-both", "sep"])
+def test_cli_edgeless_graph_is_refused_by_one_rule(monkeypatch, capsys, args):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("B?\n"))
+    assert main(args) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at least one edge" in captured.err
+
+
+def test_cli_dispatch_looks_commands_up_at_call_time(monkeypatch, capsys):
+    # main caches its parser; a command replaced after that must still run.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(export_graph6(star(3)) + "\n"))
+    assert main(["profile", "-"]) == 0
+    calls = []
+    monkeypatch.setattr(io_cli, "cmd_profile", lambda args, out: calls.append(args.input) or 7)
+    assert main(["profile", "-"]) == 7
+    assert calls == ["-"]
+
+
+def test_cli_every_subcommand_has_its_cmd_function():
+    parser = io_cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = {name[len("cmd_"):] for name in vars(io_cli) if name.startswith("cmd_")}
+    assert set(sub.choices) == commands
+
+
 def test_cli_hunt_finds_excess_two():
     rows = [
         export_graph6(star(3)),
@@ -599,13 +639,14 @@ def test_cli_hunt_runs_d0_direct_only_on_hits(monkeypatch, capsys, planted_strea
 def test_cli_enumerates_each_minimal_family_once(monkeypatch, capsys, planted_stream):
     stream, expected, count = planted_stream
     graphs = []  # every minimal-family enumeration, by any caller
-    real = domination.minimal_dominating_sets
+    real = domination.enumerate_minimal_dominating
 
     def counting(g, budget=None):
         graphs.append(export_graph6(g))
         return real(g, budget)
 
-    monkeypatch.setattr(domination, "minimal_dominating_sets", counting)
+    for module in (domination, families, io_cli, reconfig, separation):  # each importer
+        monkeypatch.setattr(module, "enumerate_minimal_dominating", counting)
     code, out, _ = _hunt_in_process(monkeypatch, capsys, stream, "--min-excess", "2")
     assert code == 0 and len(out.splitlines()) == len(expected) > 0
     assert len(graphs) == len(set(graphs)) == count
