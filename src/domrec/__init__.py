@@ -51,6 +51,7 @@ from .separation import (
     D0SepEvidence,
     SepReport,
     check_sep_equals_d0,
+    sep_at_most,
     sep_bottleneck,
     sep_brute_force,
 )

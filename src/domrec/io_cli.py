@@ -65,7 +65,13 @@ from .reconfig import (
     dk_diameter,
     reconfig_path,
 )
-from .separation import SepReport, check_sep_equals_d0, sep_bottleneck, sep_brute_force
+from .separation import (
+    SepReport,
+    check_sep_equals_d0,
+    sep_at_most,
+    sep_bottleneck,
+    sep_brute_force,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -436,10 +442,12 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 def _hunt_worker(line: str, max_n: int, min_excess: int, budget: Budget) -> tuple[str, object]:
     """Judge one graph6 line; returns (kind, payload).
 
-    The payload is a hit's fields, an error's text, or None. The threshold
-    is decided by the separation route (d0 = sep, see separation.py); the
-    direct D_k scan then re-verifies every hit as an independent oracle,
-    and a mismatch is reported as "disagree".
+    The payload is a hit's fields, an error's text, or None. A graph is a
+    miss when sep <= Gamma + min_excess - 1, asked of sep_at_most as a
+    yes/no question (d0 = sep, see separation.py). Only a hit gets its sep
+    from sep_bottleneck, for the payload; the direct D_k scan then
+    re-verifies it as an independent oracle, and a mismatch is reported as
+    "disagree".
     """
     try:
         g = parse_graph6(line)
@@ -451,9 +459,9 @@ def _hunt_worker(line: str, max_n: int, min_excess: int, budget: Budget) -> tupl
         return "skip-edgeless", None
     try:
         fam = enumerate_minimal_dominating(g, budget)
-        sep = sep_bottleneck(fam).sep
-        if sep - fam.Gamma < min_excess:
+        if sep_at_most(fam, fam.Gamma + min_excess - 1):
             return "miss", None
+        sep = sep_bottleneck(fam).sep
         d0 = d0_direct(g, budget, family=fam)
     except BudgetError as exc:
         return "budget-error", str(exc)
@@ -606,11 +614,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "hunt",
-        help="scan a graph6 stream for d0 - Gamma >= threshold; filters on sep,"
-             " re-verifies every hit with the direct D_k scan",
+        help="scan a graph6 stream for d0 - Gamma >= threshold; asks whether"
+             " sep <= Gamma + threshold - 1, computes sep only for hits and"
+             " re-verifies each with the direct D_k scan",
     )
-    p.add_argument("--max-n", type=int, default=None,
-                   help="skip graphs larger than this (default: enumeration budget)")
+    p.add_argument("--max-n", type=_positive_int("largest vertex count judged"), default=None,
+                   help="skip graphs larger than this, at least 1 (default: enumeration budget)")
     p.add_argument("--min-excess", type=int, default=2)
     p.add_argument("--jobs", type=_positive_int(f"worker count (--jobs or {JOBS_ENV_VAR})"),
                    default=os.environ.get(JOBS_ENV_VAR, "1"),

@@ -67,6 +67,8 @@ from .domination import (
 
 # Maps the text of bin() to one byte per digit: 0 for "0" and "b", 1 for "1".
 _BINARY_DIGITS = bytes.maketrans(b"0b1", b"\0\0\1")
+# The complement on the digits: 1 for "0", 0 for "b" and "1".
+_LACKING_DIGITS = bytes.maketrans(b"0b1", b"\1\0\0")
 
 # Sources per bit-parallel BFS in dk_diameter; memory is O(order * block) bits.
 _DIAMETER_BLOCK = 4096
@@ -199,6 +201,43 @@ def _layered_connectivity(
         yield k, components
 
 
+def _packed(sets: tuple[VertexSet, ...]) -> tuple[int, bytes, int, Callable[[int, int], int]]:
+    """One byte per member, so that one member's union sizes with all come at once.
+
+    Returns (ones, sizes, size, beyond). Member Y_i owns byte i of each
+    little-endian int, and ones holds 1 in every byte. sizes holds |Y_i|
+    as byte i, and size is the same as an int. beyond(x, start) is start
+    plus |Y_x - Y_i| in byte i for every i, so beyond(x, size) holds
+    |Y_i| + |Y_x - Y_i| = |Y_x u Y_i|.
+
+    lacks[j] holds 1 where Y_i lacks the vertex of binary digit j, and
+    bin(top | Y_i) puts that digit at the same offset for every i; beyond
+    sums lacks[j] over the digits of Y_x. That is |Y_x| whole-int
+    additions, all in C; no pair is formed on its own. The sizes are the
+    digit count less the sum of all lacks[j].
+
+    Field range: every union size is at most graph_core.MAX_VERTICES = 64,
+    so a caller may hold values up to 127 per byte with no carry or
+    borrow between members, or up to 126 with a guard bit 0x80 above them.
+    """
+    m = len(sets)
+    ones = int.from_bytes(b"\1" * m, "little")
+    # bin(top | s) is "0b1" and then one digit per vertex, at the same offsets for every s.
+    top = 1 << max(sets).bit_length()
+    width = top.bit_length() + 2
+    text = "".join(map(bin, map(top.__or__, sets))).encode()
+    digits = text.translate(_BINARY_DIGITS)
+    holes = text.translate(_LACKING_DIGITS)
+    lacks = [int.from_bytes(holes[j::width], "little") for j in range(3, width)]
+    size = (width - 3) * ones - sum(lacks)
+
+    def beyond(x: int, start: int) -> int:
+        at = x * width
+        return sum(compress(lacks, digits[at + 3:at + width]), start)
+
+    return ones, size.to_bytes(m, "little"), size, beyond
+
+
 def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
     """Minimum spanning tree of the pair weights |X u Y|, by Prim's algorithm.
 
@@ -206,18 +245,14 @@ def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
     before children, rooted at index 0. The sets must be distinct, as the
     members of a minimal family are.
 
-    Packed layout: member Y_i owns byte i of each little-endian int. size
-    holds |Y_i|, and dist holds Y_i's distance to the tree, 0 once Y_i is
-    taken. lacks[j] holds 1 where Y_i lacks the vertex of binary digit j;
-    bin(top | Y_i) puts that digit at the same offset for every i. For the
-    set X just taken, size plus the sum of lacks[j] over the digits of X
-    holds |Y_i| + |X - Y_i| = |X u Y_i| in byte i, for all i at once.
+    Packed layout (_packed): dist holds Y_i's distance to the tree in
+    byte i, 0 once Y_i is taken. For the set X just taken, beyond gives
+    |X u Y_i| for all i at once.
 
-    Field range: every weight is at most graph_core.MAX_VERTICES = 64, and
-    the fields hold up to 126. So no byte carries or borrows, and the
-    guard bit 0x80 of (dist | 0x80..) - (w + 1) is set in exactly the
-    bytes where w < dist. Those members take w as their distance and X as
-    their parent; no other member changes.
+    Guard: weights stay below 127, so the guard bit 0x80 of
+    (dist | 0x80..) - (w + 1) is set in exactly the bytes where w < dist.
+    Those members take w as their distance and X as their parent; no
+    other member changes.
 
     Tie-break: the next member is the first byte of dist equal to the
     smallest weight present, tried upward from min |Y_i| + 1 (distinct
@@ -234,18 +269,11 @@ def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
     m = len(sets)
     if m < 2:
         return []
-    ones = int.from_bytes(b"\1" * m, "little")
+    ones, sizes, size, beyond = _packed(sets)
     guard = ones << 7
-    # bin(top | s) is "0b1" and then one digit per vertex, at the same offsets for every s.
-    top = 1 << max(sets).bit_length()
-    width = top.bit_length() + 2
-    digits = "".join(map(bin, map(top.__or__, sets))).encode().translate(_BINARY_DIGITS)
-    lacks = [ones - int.from_bytes(digits[j::width], "little") for j in range(3, width)]
-    sizes = bytes(map(popcount, sets))
-    size = int.from_bytes(sizes, "little")
     weights = range(min(sizes) + 1, 127)
     # Member 0 is the root: its own byte, |Y_0 u Y_0| = |Y_0|, drops to 0.
-    dist = sum(compress(lacks, digits[3:width]), size) - sizes[0]
+    dist = beyond(0, size) - sizes[0]
     size_plus_one = size + ones
     parent = [0] * m
     tree: list[tuple[int, int, int]] = []
@@ -257,8 +285,7 @@ def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
                 break
         dist -= wt << 8 * nxt
         tree.append((wt, parent[nxt], nxt))
-        at = nxt * width
-        w_plus_one = sum(compress(lacks, digits[at + 3:at + width]), size_plus_one)
+        w_plus_one = beyond(nxt, size_plus_one)
         closer = ((dist | guard) - w_plus_one) & guard
         if closer:
             dist ^= (dist ^ (w_plus_one - ones)) & ((closer >> 7) * 255)

@@ -57,7 +57,7 @@ from typing import Optional
 
 from .graph_core import BudgetError, Graph, InputError, VertexSet, popcount
 from .domination import Budget, DomFamily, enumerate_minimal_dominating
-from .reconfig import _prim_tree, d0_direct
+from .reconfig import _packed, _prim_tree, d0_direct
 
 BRUTE_FORCE_MAX_FAMILY = 15
 
@@ -158,6 +158,40 @@ def sep_bottleneck(fam: DomFamily) -> SepReport:
         witness_pair=(sets[p_star], sets[c_star]),
         method="bottleneck",
     )
+
+
+def sep_at_most(fam: DomFamily, k: int) -> bool:
+    """Whether sep <= k, that is whether U_k is connected (module docstring).
+
+    Breadth-first search from member 0 of U_k, on the packed layout that
+    reconfig._prim_tree uses (reconfig._packed): unseen holds the guard
+    bit 0x80 of every member not reached yet. For a popped X, byte i of
+    (k | 0x80..) - |X u Y_i| keeps its guard bit exactly when
+    |X u Y_i| <= k; no byte borrows, because k is clamped into [0, 126]
+    and every weight is at most 64, and a k outside that range answers as
+    its clamp does. Masked by unseen, that marks X's new neighbours in a
+    few whole-int operations. The search returns as soon as nothing is
+    unseen, so a connected U_k is often settled after a few pops.
+    """
+    _require_at_least_two(fam)
+    m = len(fam.sets)
+    ones, _, size, beyond = _packed(fam.sets)
+    guard = ones << 7
+    within = min(max(k, 0), 126) * ones | guard
+    unseen = guard ^ 0x80
+    reached = [0]
+    for x in reached:  # grows while it is read: a FIFO queue
+        near = (within - beyond(x, size)) & unseen
+        if near:
+            unseen ^= near
+            if not unseen:
+                return True
+            flags = near.to_bytes(m, "little")
+            j = flags.find(128)
+            while j >= 0:
+                reached.append(j)
+                j = flags.find(128, j + 1)
+    return False
 
 
 def check_sep_equals_d0(

@@ -559,7 +559,7 @@ def test_main_returns_exit_code_in_process(capsys, monkeypatch, tmp_path):
     assert json.loads(out)["gamma"] == 1
 
 
-# hunt: sep filter, d0_direct re-verification ---------------------------------
+# hunt: threshold test, d0_direct re-verification ----------------------------
 
 
 def _permuted(g: Graph, rng: random.Random) -> Graph:
@@ -569,9 +569,9 @@ def _permuted(g: Graph, rng: random.Random) -> Graph:
 
 
 @pytest.fixture(scope="module")
-def planted_stream():
+def planted_excess():
     """Random small graphs with permuted gkr(3,2)/qkr(3,2) planted in them,
-    and the ids whose excess d0 - Gamma is >= 2 by the naive oracles."""
+    and each id's excess d0 - Gamma by the naive oracles."""
     rng = random.Random(2017)
     graphs = []
     while len(graphs) < 30:
@@ -580,13 +580,19 @@ def planted_stream():
             graphs.append(g)
     for pos, make in ((3, generate_gkr), (11, generate_qkr), (20, generate_gkr), (27, generate_qkr)):
         graphs.insert(pos, _permuted(make(3, 2)[0], rng))
-    hits = set()
+    excess = {}
     for ordinal, g in enumerate(graphs, 1):
         Gamma = max(len(d) for d in naive_minimal_dominating_sets(g))
-        if naive_d0(g) - Gamma >= 2:
-            hits.add(ordinal)
+        excess[ordinal] = naive_d0(g) - Gamma
     text = "".join(export_graph6(g) + "\n" for g in graphs)
-    return text, hits, len(graphs)
+    return text, excess
+
+
+@pytest.fixture(scope="module")
+def planted_stream(planted_excess):
+    """The planted stream, the ids whose excess is >= 2, and its length."""
+    text, excess = planted_excess
+    return text, {ordinal for ordinal, e in excess.items() if e >= 2}, len(excess)
 
 
 def _hunt_in_process(monkeypatch, capsys, stream, *flags):
@@ -606,6 +612,23 @@ def test_cli_hunt_hit_set_matches_naive_oracle(planted_stream):
     assert {h["id"] for h in hits} == expected
     for h in hits:
         assert h["agree"] and h["d0"] == h["sep"] == h["Gamma"] + h["excess"]
+
+
+@pytest.mark.parametrize("min_excess", [-3, 0, 1, 2, 3, 100])
+def test_cli_hunt_hit_set_at_every_threshold(monkeypatch, capsys, planted_excess, min_excess):
+    # The threshold Gamma + E - 1 is clamped into the packed field range;
+    # every graph has excess >= 1, and none has 100.
+    stream, excess = planted_excess
+    expected = {ordinal for ordinal, e in excess.items() if e >= min_excess}
+    if min_excess <= 1:
+        assert expected == set(excess)
+    if min_excess == 100:
+        assert not expected
+    code, out, _ = _hunt_in_process(monkeypatch, capsys, stream, "--min-excess", str(min_excess))
+    assert code == 0
+    hits = [json.loads(line) for line in out.splitlines()]
+    assert [h["id"] for h in hits] == sorted(expected)
+    assert all(h["excess"] == excess[h["id"]] for h in hits)
 
 
 def test_cli_hunt_parallel_matches_serial_on_hits(monkeypatch, capsys, planted_stream):
@@ -634,6 +657,24 @@ def test_cli_hunt_runs_d0_direct_only_on_hits(monkeypatch, capsys, planted_strea
     assert code == 0
     assert len(calls) == len(expected) < count
     assert calls == [json.loads(line)["graph6"] for line in out.splitlines()]
+
+
+def test_cli_hunt_calls_sep_bottleneck_only_on_hits(monkeypatch, capsys, planted_stream):
+    # A miss is settled by sep_at_most; the full tree runs only for a hit's sep.
+    stream, expected, count = planted_stream
+    calls = []
+    real = io_cli.sep_bottleneck
+
+    def counting(fam):
+        calls.append(fam)
+        return real(fam)
+
+    monkeypatch.setattr(io_cli, "sep_bottleneck", counting)
+    code, out, _ = _hunt_in_process(monkeypatch, capsys, stream, "--min-excess", "2")
+    assert code == 0
+    hits = [json.loads(line) for line in out.splitlines()]
+    assert len(calls) == len(hits) == len(expected) < count
+    assert [real(fam).sep for fam in calls] == [h["sep"] for h in hits]
 
 
 def test_cli_enumerates_each_minimal_family_once(monkeypatch, capsys, planted_stream):
@@ -763,6 +804,20 @@ def test_cli_jobs_rejects_bad_values(monkeypatch, capsys, value):
     # Commands other than hunt do not read the variable.
     assert main(["gen", "star", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip() == export_graph6(star(3))
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_cli_hunt_max_n_rejects_bad_values(monkeypatch, capsys, value):
+    # Once, --max-n -1 skipped every graph as oversize and exited 0.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(export_graph6(star(3)) + "\n"))
+    with pytest.raises(SystemExit) as flag:
+        main(["hunt", "--max-n", value])
+    assert flag.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"largest vertex count judged must be an integer >= 1, got {value!r}" in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO(export_graph6(star(3)) + "\n"))
+    assert main(["hunt", "--max-n", "1", "--min-excess", "0"]) == 0
+    assert "1 skipped oversize" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["junk", "0", "-1"])

@@ -15,6 +15,7 @@ from domrec import (
     generate_gkr,
     generate_qkr,
     popcount,
+    sep_at_most,
     sep_bottleneck,
     sep_brute_force,
     star,
@@ -184,7 +185,79 @@ def test_d0_equals_sep_is_exact_not_approximate():
 @example(Graph.from_edges(5, [(1, 2)]))  # isolated vertices
 @example(Graph.from_edges(6, [(0, 1), (2, 3), (3, 4)]))  # two components
 def test_d0_equals_sep_on_any_edged_graph(g):
-    # hunt decides its threshold on sep alone; this is the equality it
+    # hunt decides its threshold by asking whether sep <= Gamma + E - 1,
+    # and computes sep only for a hit; d0 = sep is the equality that
     # relies on, checked against the definition, off the connected corpus.
     fam = enumerate_minimal_dominating(g)
     assert naive_d0(g) == d0_direct(g) == sep_bottleneck(fam).sep
+
+
+# sep_at_most: the threshold question, against sep and the definition ----------
+
+
+def _threshold_ks(fam):
+    return [*range(-1, fam.Gamma + fam.gamma + 2), 64, 200]
+
+
+@settings(max_examples=150, deadline=None)
+@given(edged_graphs())
+@example(Graph.from_edges(5, [(1, 2)]))  # isolated vertices
+@example(Graph.from_edges(6, [(0, 1), (2, 3), (3, 4)]))  # two components
+def test_sep_at_most_matches_sep_and_the_definition(g):
+    fam = enumerate_minimal_dominating(g)
+    sep = sep_bottleneck(fam).sep
+    naive = None
+    if len(fam.sets) <= 11:
+        naive = naive_sep([frozenset(vertex_list(s)) for s in fam.sets])
+    for k in _threshold_ks(fam):
+        assert sep_at_most(fam, k) == (sep <= k)
+        if naive is not None:
+            assert sep_at_most(fam, k) == (naive <= k)
+
+
+def test_sep_at_most_on_synthetic_families():
+    # Arbitrary distinct sets over up to 64 vertices, the empty set and
+    # nested sets included, at every k around the field range.
+    from domrec import DomFamily
+
+    rng = random.Random(1464)
+    for _ in range(200):
+        width = rng.choice([4, 8, 16, 63, 64])
+        m = rng.randint(2, 12)
+        sets = {0} if rng.random() < 0.2 else set()
+        while len(sets) < m:
+            sets.add(rng.getrandbits(width))
+        sizes = [popcount(s) for s in sets]
+        fam = DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
+        sep = sep_bottleneck(fam).sep
+        for k in [*range(-2, 67), 126, 127, 128, 255, 256, 300, 1000]:
+            assert sep_at_most(fam, k) == (sep <= k)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("make", [generate_gkr, generate_qkr])
+def test_sep_at_most_on_the_constructions(make, k):
+    for r in range(1, k):
+        fam = enumerate_minimal_dominating(make(k, r)[0])
+        assert not sep_at_most(fam, k + r - 1)
+        assert sep_at_most(fam, k + r)
+
+
+def test_sep_at_most_guard_admits_no_weight_above_k():
+    # Pair weights 4, 5, 4: sep is 4, so U_3 has no edge at all. A guard
+    # built from (k + 1) per byte would admit weight k + 1 = 4 here.
+    from domrec import DomFamily
+
+    fam = DomFamily(sets=(19, 20, 38), gamma=2, Gamma=3)
+    assert sep_bottleneck(fam).sep == 4
+    assert not sep_at_most(fam, 3)
+    assert sep_at_most(fam, 4)
+
+
+def test_sep_at_most_rejects_single_set_family():
+    fam = enumerate_minimal_dominating(Graph.from_edges(3, []))
+    with pytest.raises(InputError) as fast:
+        sep_at_most(fam, 5)
+    with pytest.raises(InputError) as tree:
+        sep_bottleneck(fam)
+    assert str(fast.value) == str(tree.value)
