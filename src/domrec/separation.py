@@ -43,11 +43,13 @@ G to be connected. F has at least 2 sets whenever G has an edge uv
 dominating sets); only the edgeless graph, with the single set V, is
 excluded, and d0 is rejected there too.
 
-This is why `domrec d0` reads d0 off sep_bottleneck by default and `hunt`
-filters its threshold on it. The direct D_k scan (reconfig.d0_direct)
-stays the oracle: `d0 --method direct|both` run it, `hunt` re-verifies
-every hit with it, and sep is still checked against it on every corpus
-graph.
+This is why `domrec d0` reads d0 off sep_bottleneck by default. `hunt`
+needs only the yes/no answer: a graph is a miss when U_k is connected at
+k = Gamma + E - 1, for the threshold E on d0 - Gamma, and sep_at_most
+asks exactly that, so sep_bottleneck runs only on hits, for their sep.
+The direct D_k scan (reconfig.d0_direct) stays the oracle: `d0 --method
+direct|both` run it, `hunt` re-verifies every hit with it, and sep is
+still checked against it on every corpus graph.
 """
 
 from __future__ import annotations

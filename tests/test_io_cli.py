@@ -808,7 +808,7 @@ def test_cli_jobs_rejects_bad_values(monkeypatch, capsys, value):
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
 def test_cli_hunt_max_n_rejects_bad_values(monkeypatch, capsys, value):
-    # Once, --max-n -1 skipped every graph as oversize and exited 0.
+    # A cap below 1 would skip every graph as oversize and still exit 0.
     monkeypatch.setattr(sys, "stdin", io.StringIO(export_graph6(star(3)) + "\n"))
     with pytest.raises(SystemExit) as flag:
         main(["hunt", "--max-n", value])

@@ -51,8 +51,11 @@ def test_sep_rejects_single_set_family():
     fam = enumerate_minimal_dominating(Graph.from_edges(3, []))
     with pytest.raises(InputError):
         sep_brute_force(fam)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as tree:
         sep_bottleneck(fam)
+    with pytest.raises(InputError) as threshold:
+        sep_at_most(fam, 5)
+    assert str(threshold.value) == str(tree.value)
 
 
 def test_sep_brute_force_family_size_cap():
@@ -186,17 +189,13 @@ def test_d0_equals_sep_is_exact_not_approximate():
 @example(Graph.from_edges(6, [(0, 1), (2, 3), (3, 4)]))  # two components
 def test_d0_equals_sep_on_any_edged_graph(g):
     # hunt decides its threshold by asking whether sep <= Gamma + E - 1,
-    # and computes sep only for a hit; d0 = sep is the equality that
-    # relies on, checked against the definition, off the connected corpus.
+    # and computes sep only for a hit; this is the equality it relies on,
+    # checked against the definition, off the connected corpus.
     fam = enumerate_minimal_dominating(g)
     assert naive_d0(g) == d0_direct(g) == sep_bottleneck(fam).sep
 
 
 # sep_at_most: the threshold question, against sep and the definition ----------
-
-
-def _threshold_ks(fam):
-    return [*range(-1, fam.Gamma + fam.gamma + 2), 64, 200]
 
 
 @settings(max_examples=150, deadline=None)
@@ -206,18 +205,15 @@ def _threshold_ks(fam):
 def test_sep_at_most_matches_sep_and_the_definition(g):
     fam = enumerate_minimal_dominating(g)
     sep = sep_bottleneck(fam).sep
-    naive = None
-    if len(fam.sets) <= 11:
-        naive = naive_sep([frozenset(vertex_list(s)) for s in fam.sets])
-    for k in _threshold_ks(fam):
+    if len(fam.sets) <= 11:  # naive_sep scans all 2^(m-1) partitions
+        assert naive_sep([frozenset(vertex_list(s)) for s in fam.sets]) == sep
+    for k in [*range(-1, fam.Gamma + fam.gamma + 2), 64, 200]:
         assert sep_at_most(fam, k) == (sep <= k)
-        if naive is not None:
-            assert sep_at_most(fam, k) == (naive <= k)
 
 
 def test_sep_at_most_on_synthetic_families():
-    # Arbitrary distinct sets over up to 64 vertices, the empty set and
-    # nested sets included, at every k around the field range.
+    # Arbitrary distinct sets over up to 64 vertices, the empty set
+    # included, at every k around the field range.
     from domrec import DomFamily
 
     rng = random.Random(1464)
@@ -252,12 +248,3 @@ def test_sep_at_most_guard_admits_no_weight_above_k():
     assert sep_bottleneck(fam).sep == 4
     assert not sep_at_most(fam, 3)
     assert sep_at_most(fam, 4)
-
-
-def test_sep_at_most_rejects_single_set_family():
-    fam = enumerate_minimal_dominating(Graph.from_edges(3, []))
-    with pytest.raises(InputError) as fast:
-        sep_at_most(fam, 5)
-    with pytest.raises(InputError) as tree:
-        sep_bottleneck(fam)
-    assert str(fast.value) == str(tree.value)
