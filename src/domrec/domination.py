@@ -42,7 +42,7 @@ from itertools import chain, combinations
 from math import comb
 from typing import Iterator, Optional
 
-from .graph_core import BudgetError, Graph, VertexSet, iter_vertices, popcount
+from .graph_core import BudgetError, Graph, InputError, VertexSet, iter_vertices, popcount
 
 DEFAULT_MAX_N = 24
 DEFAULT_IR_MAX_N = 20
@@ -85,6 +85,15 @@ class DomFamily:
     sets: tuple[VertexSet, ...]
     gamma: int
     Gamma: int
+
+
+def _require_at_least_two(fam: DomFamily) -> None:
+    """The one edgeless rule: d0 and sep are defined only when G has an edge."""
+    if len(fam.sets) < 2:
+        raise InputError(
+            "d0 and sep need a graph with at least one edge"
+            " (an edgeless graph has one minimal dominating set)"
+        )
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,18 @@ class GkrLayout:
     def order(self) -> int:
         return self.k * (self.r + 1) + 1
 
+    def label(self, x: int) -> str:
+        """The paper's name of vertex x: u0, u_j, v_{i,j} as "vi,j", or w_i (qkr only)."""
+        if not 0 <= x < self.order:
+            raise InputError(f"vertex {x} outside 0..{self.order - 1}")
+        if x <= self.k:
+            return f"u{x}"
+        leaves_end = self.k * (self.r + 1)
+        if x > leaves_end:
+            return f"w{x - leaves_end}"
+        i, j = divmod(x - self.k - 1, self.k)
+        return f"v{i + 1},{j + 1}"
+
     @property
     def hub_mask(self) -> VertexSet:  # U
         return mask_of(range(1, self.k + 1))
@@ -122,18 +134,10 @@ def _gkr_edges(layout: GkrLayout) -> list[tuple[int, int]]:
     return edges
 
 
-def _gkr_labels(layout: GkrLayout) -> list[str]:
-    k, r = layout.k, layout.r
-    labels = ["u0"] + [f"u{j}" for j in range(1, k + 1)]
-    for i in range(1, r + 1):
-        labels.extend(f"v{i},{j}" for j in range(1, k + 1))
-    return labels
-
-
 def generate_gkr(k: int, r: int) -> tuple[Graph, GkrLayout]:
     layout = GkrLayout(k=k, r=r)
     _check_layout(layout)
-    g = Graph.from_edges(layout.order, _gkr_edges(layout), _gkr_labels(layout))
+    g = Graph.from_edges(layout.order, _gkr_edges(layout))
     return g, layout
 
 
@@ -147,8 +151,7 @@ def generate_qkr(k: int, r: int) -> tuple[Graph, QkrLayout]:
         for j in range(1, k + 1):
             edges.append((layout.u(j), wi))
             edges.append((layout.v(i, j), wi))
-    labels = _gkr_labels(layout) + [f"w{i}" for i in range(1, r + 1)]
-    g = Graph.from_edges(layout.order, edges, labels)
+    g = Graph.from_edges(layout.order, edges)
     return g, layout
 
 
@@ -199,24 +202,21 @@ class StructureReport:
     family_size: int
     gamma: int
     Gamma: int
+    ok: bool  # every check passed
     checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
 
 def _first_violation(
-    g: Graph, sets: Iterable[VertexSet], bad: Callable[[VertexSet], object]
+    layout: GkrLayout, sets: Iterable[VertexSet], bad: Callable[[VertexSet], object]
 ) -> tuple[bool, str]:
-    """(True, "") when no set is bad, else (False, the first bad set rendered)."""
+    """(True, "") when no set is bad, else (False, the first bad set in the paper's names)."""
     viol = next((d for d in sets if bad(d)), None)
     if viol is None:
         return True, ""
-    return False, "{" + ",".join(g.label_of(v) for v in vertex_list(viol)) + "}"
+    return False, "{" + ",".join(map(layout.label, vertex_list(viol))) + "}"
 
 
 def _forced_leaf_hits(
@@ -240,6 +240,7 @@ def _forced_leaf_hits(
 def _structure_report(
     construction: str, layout: GkrLayout, fam: DomFamily, rows: list[tuple[str, tuple[bool, str]]]
 ) -> StructureReport:
+    checks = tuple(CheckResult(name, passed, detail) for name, (passed, detail) in rows)
     return StructureReport(
         construction=construction,
         k=layout.k,
@@ -247,7 +248,8 @@ def _structure_report(
         family_size=len(fam.sets),
         gamma=fam.gamma,
         Gamma=fam.Gamma,
-        checks=tuple(CheckResult(name, passed, detail) for name, (passed, detail) in rows),
+        ok=all(c.passed for c in checks),
+        checks=checks,
     )
 
 
@@ -257,7 +259,7 @@ def verify_gkr_structure(
     """Mechanically check the structure of the minimal dominating sets of gkr."""
     g, layout = generate_gkr(k, r)
     fam = enumerate_minimal_dominating(g, budget)
-    first = partial(_first_violation, g, fam.sets)
+    first = partial(_first_violation, layout, fam.sets)
     hub, hub_apex = layout.hub_mask, layout.hub_apex_mask
     leaves = [layout.leaf_mask(i) for i in range(1, r + 1)]
     expected = sorted(family_x(layout) + [hub], key=canonical_key)
@@ -296,7 +298,7 @@ def verify_qkr_structure(
     """Same style of checks for the saturated construction."""
     g, layout = generate_qkr(k, r)
     fam = enumerate_minimal_dominating(g, budget)
-    first = partial(_first_violation, g, fam.sets)
+    first = partial(_first_violation, layout, fam.sets)
     hub, hub_apex, w_all = layout.hub_mask, layout.hub_apex_mask, layout.w_mask
     wleaves = [layout.leaf_plus_w_mask(i) for i in range(1, r + 1)]
     xs = family_x(layout)

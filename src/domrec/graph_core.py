@@ -8,7 +8,7 @@ work on these masks, so the kernel stays allocation-free on the hot paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, TypeAlias
+from typing import Iterable, Iterator, TypeAlias
 
 VertexSet: TypeAlias = int
 
@@ -69,13 +69,12 @@ class Graph:
     """Simple undirected graph with precomputed closed-neighbourhood masks.
 
     Immutable after construction; safe to share across threads/processes.
-    Vertex ids are dense 0..n-1; `labels` is display metadata only.
+    Vertex ids are dense 0..n-1.
     """
 
     n: int
     adj: tuple[VertexSet, ...]
     closed: tuple[VertexSet, ...] = field(init=False)
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if self.n <= 0:
@@ -97,8 +96,6 @@ class Graph:
                 if not self.adj[u] & bit(v):
                     raise UnsupportedGraphError(f"asymmetric adjacency between {u} and {v}")
         object.__setattr__(self, "closed", tuple(self.adj[v] | bit(v) for v in range(self.n)))
-        if self.labels is not None and len(self.labels) != self.n:
-            raise UnsupportedGraphError("labels length does not match n")
 
     @property
     def full_mask(self) -> VertexSet:
@@ -124,15 +121,8 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & bit(v))
 
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
     @staticmethod
-    def from_edges(
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Optional[Iterable[str]] = None,
-    ) -> "Graph":
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list, rejecting loops and multi-edges."""
         if n <= 0:
             raise UnsupportedGraphError("graph must have at least one vertex")
@@ -150,8 +140,7 @@ class Graph:
                 raise UnsupportedGraphError(f"multi-edge {(min(u, v), max(u, v))}")
             adj[u] |= bit(v)
             adj[v] |= bit(u)
-        lab = tuple(labels) if labels is not None else None
-        return Graph(n=n, adj=tuple(adj), labels=lab)
+        return Graph(n=n, adj=tuple(adj))
 
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:
@@ -219,12 +208,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for v in range(h.n):
         for u1, u2 in g.edges():
             edges.append((u1 * h.n + v, u2 * h.n + v))
-    labels = None
-    if g.labels is not None and h.labels is not None:
-        labels = tuple(
-            f"({g.labels[u]},{h.labels[v]})" for u in range(g.n) for v in range(h.n)
-        )
-    return Graph.from_edges(n, edges, labels)
+    return Graph.from_edges(n, edges)
 
 
 def is_connected(g: Graph) -> bool:

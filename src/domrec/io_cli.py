@@ -45,7 +45,6 @@ from .graph_core import (
 from .domination import (BUDGET_ENV_VAR, Budget, enumerate_minimal_dominating,
                          invariant_report)
 from .families import (
-    StructureReport,
     complete_graph,
     cycle_graph,
     generate_gkr,
@@ -57,7 +56,6 @@ from .families import (
 )
 from .reconfig import (
     _BINARY_DIGITS,
-    ConnectivityProfile,
     ReconfigGraph,
     build_dk,
     connectivity_profile,
@@ -82,6 +80,10 @@ EXIT_ASSERT = 5
 JOBS_ENV_VAR = "DOMREC_JOBS"
 # Stream lines handed to the worker pool at a time; bounds hunt's memory.
 HUNT_WINDOW = 512
+# Lines per worker task. A window holds at most HUNT_MAX_JOBS tasks, so a
+# worker beyond that would never get one.
+HUNT_CHUNK = 8
+HUNT_MAX_JOBS = -(-HUNT_WINDOW // HUNT_CHUNK)
 
 _GRAPH6_HEADER = ">>graph6<<"
 # The graph6 bit order for MAX_VERTICES vertices: pairs (i, j), i < j, column
@@ -269,27 +271,6 @@ def reconfig_graph_json(rg: ReconfigGraph, diameter: Optional[int] = None,
     return out
 
 
-def profile_json(profile: ConnectivityProfile) -> dict:
-    return {
-        "gamma": profile.gamma,
-        "n": profile.n,
-        "profile": [asdict(e) for e in profile.entries],
-    }
-
-
-def structure_report_json(rep: StructureReport) -> dict:
-    return {
-        "construction": rep.construction,
-        "k": rep.k,
-        "r": rep.r,
-        "family_size": rep.family_size,
-        "gamma": rep.gamma,
-        "Gamma": rep.Gamma,
-        "ok": rep.ok,
-        "checks": [asdict(c) for c in rep.checks],
-    }
-
-
 def export_json(payload: dict) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
@@ -345,7 +326,7 @@ def cmd_d0(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_profile(args: argparse.Namespace, out: TextIO) -> int:
     budget = Budget.resolve(args.budget)
     for g in read_graphs(args.input, args.format):
-        _emit(out, export_json(profile_json(connectivity_profile(g, budget))))
+        _emit(out, export_json(asdict(connectivity_profile(g, budget))))
     return EXIT_OK
 
 
@@ -432,7 +413,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         rep = verify_gkr_structure(args.k, args.r, budget)
     else:
         rep = verify_qkr_structure(args.k, args.r, budget)
-    _emit(out, export_json(structure_report_json(rep)))
+    _emit(out, export_json(asdict(rep)))
     return EXIT_OK if rep.ok else EXIT_ASSERT
 
 
@@ -480,8 +461,8 @@ def cmd_hunt(args: argparse.Namespace, out: TextIO) -> int:
         # imap's task feeder drains its iterable eagerly, so it is handed
         # one fixed-size window at a time; results stay in stream order.
         windows = iter(lambda: list(islice(lines, HUNT_WINDOW)), [])
-        with Pool(processes=args.jobs) as pool:
-            results = (r for w in windows for r in pool.imap(judge, w, chunksize=8))
+        with Pool(processes=min(args.jobs, HUNT_MAX_JOBS)) as pool:
+            results = (r for w in windows for r in pool.imap(judge, w, chunksize=HUNT_CHUNK))
             status, judged = _drain_hunt(results, out)
     else:
         status, judged = _drain_hunt(map(judge, lines), out)
@@ -623,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-excess", type=int, default=2)
     p.add_argument("--jobs", type=_positive_int(f"worker count (--jobs or {JOBS_ENV_VAR})"),
                    default=os.environ.get(JOBS_ENV_VAR, "1"),
-                   help="worker processes, at least 1 (env DOMREC_JOBS)")
+                   help=f"worker processes, at least 1; at most {HUNT_MAX_JOBS} run"
+                        f" (env {JOBS_ENV_VAR})")
     _add_budget(p)
 
     return parser

@@ -60,6 +60,7 @@ from .domination import (
     Budget,
     DomFamily,
     _dominating_layers,
+    _require_at_least_two,
     _dominating_set_counts,
     dominating_sets_upto,
     enumerate_minimal_dominating,
@@ -117,7 +118,7 @@ class ProfileEntry:
 class ConnectivityProfile:
     gamma: int
     n: int
-    entries: tuple[ProfileEntry, ...]
+    profile: tuple[ProfileEntry, ...]
 
 
 def _edges(verts: list[VertexSet]) -> list[tuple[int, int]]:
@@ -317,7 +318,7 @@ def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> Connectiv
                                         component_count=comps))
         size += count * (g.n - k)
     gamma = entries[0].k if entries else 0
-    return ConnectivityProfile(gamma=gamma, n=g.n, entries=tuple(entries))
+    return ConnectivityProfile(gamma=gamma, n=g.n, profile=tuple(entries))
 
 
 def d0_direct(
@@ -336,13 +337,12 @@ def d0_direct(
     read it off sep_bottleneck. This scan runs for `d0 --method direct`
     and `both`, and to re-verify every `hunt` hit.
 
-    family is g's minimal family when the caller already holds it; only
-    its Gamma is read, and it is enumerated when omitted.
+    family is g's minimal family when the caller already holds it, and is
+    enumerated when omitted; a family of one set (edgeless g) is refused.
     """
-    if all(row == 0 for row in g.adj):
-        raise InputError("d_0 requires a graph with at least one edge")
     budget = budget or Budget.resolve()
     fam = family if family is not None else enumerate_minimal_dominating(g, budget)
+    _require_at_least_two(fam)
     for k, comps in _layered_connectivity(_dominating_layers(g, g.n, budget)):
         if k > fam.Gamma and comps == 1:
             return k

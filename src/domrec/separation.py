@@ -57,8 +57,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph_core import BudgetError, Graph, InputError, VertexSet, popcount
-from .domination import Budget, DomFamily, enumerate_minimal_dominating
+from .graph_core import BudgetError, Graph, VertexSet, popcount
+from .domination import Budget, DomFamily, _require_at_least_two, enumerate_minimal_dominating
 from .reconfig import _packed, _prim_tree, d0_direct
 
 BRUTE_FORCE_MAX_FAMILY = 15
@@ -79,14 +79,6 @@ class D0SepEvidence:
     d0: int
     sep: int
     agree: bool
-
-
-def _require_at_least_two(fam: DomFamily) -> None:
-    if len(fam.sets) < 2:
-        raise InputError(
-            "d0 and sep need a graph with at least one edge"
-            " (an edgeless graph has one minimal dominating set)"
-        )
 
 
 def sep_brute_force(fam: DomFamily) -> SepReport:

@@ -153,7 +153,7 @@ def test_criterion_05_star_profiles():
     for n in range(3, 7):
         g = star(n)
         prof = connectivity_profile(g)
-        by_k = {e.k: e.connected for e in prof.entries}
+        by_k = {e.k: e.connected for e in prof.profile}
         want = {k: (k != n) for k in range(1, n + 2)}
         if by_k != want:
             ok = False

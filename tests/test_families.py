@@ -161,10 +161,25 @@ def test_values_hold_beyond_the_default_grid():
         assert d0_direct(q) == sep_bottleneck(qfam).sep == k + r
 
 
+@pytest.mark.parametrize("make", [generate_gkr, generate_qkr], ids=["gkr", "qkr"])
+def test_layout_names_every_vertex_in_numbering_order(make):
+    for k in range(3, 6):
+        for r in range(1, k):
+            _, lay = make(k, r)
+            names = ["u0"] + [f"u{j}" for j in range(1, k + 1)]
+            names += [f"v{i},{j}" for i in range(1, r + 1) for j in range(1, k + 1)]
+            if make is generate_qkr:
+                names += [f"w{i}" for i in range(1, r + 1)]
+            assert [lay.label(x) for x in range(lay.order)] == names
+            for x in (-1, lay.order):
+                with pytest.raises(InputError):
+                    lay.label(x)
+
+
 def test_labels_follow_frozen_numbering():
-    g, lay = generate_gkr(3, 2)
-    assert g.labels[lay.u0] == "u0"
-    assert g.labels[lay.u(2)] == "u2"
-    assert g.labels[lay.v(2, 3)] == "v2,3"
-    q, qlay = generate_qkr(3, 2)
-    assert q.labels[qlay.w(2)] == "w2"
+    _, lay = generate_gkr(3, 2)
+    assert lay.label(lay.u0) == "u0"
+    assert lay.label(lay.u(2)) == "u2"
+    assert lay.label(lay.v(2, 3)) == "v2,3"
+    _, qlay = generate_qkr(3, 2)
+    assert qlay.label(qlay.w(2)) == "w2"

@@ -489,14 +489,29 @@ def test_cli_exit_codes():
     assert edgeless.returncode == EXIT_PARSE
 
 
-@pytest.mark.parametrize("args", [["d0", "-"], ["d0", "-", "--method", "sep"],
-                                  ["d0", "-", "--method", "both"], ["sep", "-"]],
-                         ids=["d0", "d0-sep", "d0-both", "sep"])
+EDGELESS_CALLS = pytest.mark.parametrize(
+    "args", [["d0", "-"], ["d0", "-", "--method", "sep"], ["d0", "-", "--method", "both"],
+             ["sep", "-"], ["d0", "-", "--method", "direct"]],
+    ids=["d0", "d0-sep", "d0-both", "sep", "d0-direct"])
+
+
+@EDGELESS_CALLS
 def test_cli_edgeless_graph_is_refused_by_one_rule(monkeypatch, capsys, args):
     monkeypatch.setattr(sys, "stdin", io.StringIO("B?\n"))
     assert main(args) == EXIT_PARSE
     captured = capsys.readouterr()
-    assert captured.out == "" and "at least one edge" in captured.err
+    assert captured.out == "" and captured.err == (
+        "domrec: input: d0 and sep need a graph with at least one edge"
+        " (an edgeless graph has one minimal dominating set)\n")
+
+
+@EDGELESS_CALLS
+def test_cli_edgeless_graph_over_the_budget_is_refused_by_the_budget(monkeypatch, capsys, args):
+    # The budget is checked first on every d0 route, --method direct included.
+    monkeypatch.setattr(sys, "stdin", io.StringIO("B?\n"))
+    assert main(args + ["--budget", "1"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds enumeration budget max_n=1" in captured.err
 
 
 def test_cli_dispatch_looks_commands_up_at_call_time(monkeypatch, capsys):
@@ -786,6 +801,41 @@ def test_cli_hunt_stops_reading_at_an_early_stop(monkeypatch, capsys, jobs, bad,
     assert len(read) <= (2 if jobs == "1" else 4)
     err = capsys.readouterr().err
     assert "hunt: graph 2: " in err and "hunt: 2 graphs" in err
+
+
+@pytest.mark.parametrize("flags, env", [
+    (["--jobs", "2"], None), (["--jobs", "64"], None), (["--jobs", "65"], None),
+    (["--jobs", "1000"], None), ([], "100000"),
+], ids=["flag-2", "flag-64", "flag-65", "flag-1000", "env-100000"])
+def test_cli_hunt_starts_at_most_64_workers(monkeypatch, capsys, planted_stream, flags, env):
+    # A fake Pool records the worker count and judges in process, so no
+    # process is started, however many are asked for.
+    stream = planted_stream[0]
+    serial = _hunt_in_process(monkeypatch, capsys, stream, "--jobs", "1")
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize):
+            assert chunksize == io_cli.HUNT_CHUNK
+            return map(func, iterable)
+
+    monkeypatch.setattr(io_cli, "Pool", InProcessPool)
+    if env is not None:
+        monkeypatch.setenv(JOBS_ENV_VAR, env)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+    assert main(["hunt", *flags]) == serial[0] == 0
+    assert started == [min(int(flags[1]) if flags else int(env), 64)]
+    assert io_cli.HUNT_MAX_JOBS == 64
+    assert capsys.readouterr().out == serial[1] != ""
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])

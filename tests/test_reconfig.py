@@ -139,16 +139,16 @@ def test_d0_handles_isolated_vertices_by_definition():
 
 def test_connectivity_profiles():
     prof = connectivity_profile(star(4))
-    by_k = {e.k: e.connected for e in prof.entries}
+    by_k = {e.k: e.connected for e in prof.profile}
     assert by_k == {1: True, 2: True, 3: True, 4: False, 5: True}
 
     prof_k3 = connectivity_profile(complete_graph(3))
-    by_k = {e.k: e.connected for e in prof_k3.entries}
+    by_k = {e.k: e.connected for e in prof_k3.profile}
     assert by_k == {1: False, 2: True, 3: True}
 
     g43, _ = generate_gkr(4, 3)
     prof43 = connectivity_profile(g43)
-    for e in prof43.entries:
+    for e in prof43.profile:
         assert e.connected == (e.k >= 7)
 
 
@@ -157,7 +157,7 @@ def test_profile_orders_and_sizes_match_explicit_dk():
     for _ in range(10):
         g = random_graph(rng, rng.randint(1, 7), 0.6)
         prof = connectivity_profile(g)
-        for entry in prof.entries:
+        for entry in prof.profile:
             rg = build_dk(g, entry.k)
             assert entry.order == rg.order()
             assert entry.size == rg.size()
@@ -170,7 +170,7 @@ def test_connectivity_monotone_above_Gamma(corpus50):
         Gamma = enumerate_minimal_dominating(g).Gamma
         prof = connectivity_profile(g)
         seen_connected = False
-        for e in prof.entries:
+        for e in prof.profile:
             if e.k <= Gamma:
                 continue
             if seen_connected:
@@ -280,9 +280,9 @@ def test_dn_diameter_bound(corpus50):
 def test_profile_matches_naive_dk_and_layered_union_find(g):
     prof = connectivity_profile(g)
     layered = list(_layered_connectivity(groupby(dominating_sets_upto(g, g.n), popcount)))
-    assert [(e.k, e.component_count) for e in prof.entries] == layered
+    assert [(e.k, e.component_count) for e in prof.profile] == layered
     assert prof.gamma == layered[0][0]
-    for e in prof.entries:
+    for e in prof.profile:
         verts, edges = naive_dk(g, e.k)
         comps = _components(len(verts), edges)
         assert (e.order, e.size, e.component_count) == (len(verts), len(edges), comps)
