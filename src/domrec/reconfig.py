@@ -3,10 +3,7 @@
 The vertex set of D_k(G) is every dominating set of G with at most k
 elements; two sets are adjacent when one is the other plus a single vertex.
 Edges therefore always join consecutive cardinality layers, which makes
-D_k(G) bipartite by cardinality parity and lets connectivity be tracked
-incrementally with a union-find as layers are added. That union-find is
-the independent route (d0_direct); `dk`, `path` and `profile` need none
-of it.
+D_k(G) bipartite by cardinality parity.
 
 Order and size. Let c_j count the dominating sets of size j. Every
 superset of a dominating set dominates, so a set T of size j has n - j
@@ -35,6 +32,33 @@ components. A set X with |X| > k is isolated there, since every weight is
 at least both set sizes, and it is not in F_k. Hence
 
   components(D_k) = 1 + #{tree edges of weight > k} - #{X in F : |X| > k}.
+
+One layer. Call two s-sets a swap apart when they share s - 1 elements,
+and let L_s be the dominating sets of size exactly s. For every k > gamma,
+
+  components(D_k) = swap components of L_{k-1} + #{X in F : |X| = k}.
+
+  Every set of D_k below size k - 1 grows into L_{k-1} by additions. A
+  k-set S either is minimal, so isolated in D_k (no deletion keeps it
+  dominating, no addition stays in D_k), or has a dominating (k-1)-subset.
+  Two (k-1)-sets a swap apart are joined through their union, a k-set
+  that dominates. Conversely take a path in D_k between two sets of
+  L_{k-1}. While it dips below k - 1, its lowest set S sits in a valley
+  S + a, S, S + b with |S| <= k - 2; replace S by S + a + b, which
+  dominates and has at most k elements, or drop the detour when a = b.
+  Each step shortens the path or raises a size by 2, never above k, so
+  this ends with the path on layers k - 1 and k, where consecutive
+  (k-1)-sets share a k-superset and are a swap apart. L_{k-1} is not
+  empty, as k - 1 >= gamma.
+
+For k > Gamma no minimal set has size k, so D_k is connected iff L_{k-1}
+is swap-connected. Connectivity is monotone from Gamma on: each
+(k+1)-set has a dominating k-subset, since a minimal subset has at most
+Gamma <= k elements, so a connected D_k, an induced subgraph of D_{k+1},
+reaches all of it. D_Gamma is disconnected when F has two sets: both lie
+in it, and a minimal set of size Gamma is isolated there. So d0 = 1 + the
+first s >= Gamma with L_s swap-connected. d0_direct tests the layers in
+turn, each on its own, and never lists a set of size d0 or more.
 """
 
 from __future__ import annotations
@@ -44,7 +68,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Optional
 
 from .graph_core import (
     Graph,
@@ -159,47 +183,29 @@ def build_dk(g: Graph, k: int, budget: Optional[Budget] = None) -> ReconfigGraph
     )
 
 
-def _layered_connectivity(
-    layers: Iterable[tuple[int, Iterable[VertexSet]]]) -> Iterator[tuple[int, int]]:
-    """Yield (k, components) for each (k, layer of k-sets) given.
+def _swap_components(layer: list[VertexSet]) -> int:
+    """Components of one layer of s-sets, X ~ Y when |X n Y| = s - 1.
 
-    Layers come by size, ascending; no size is skipped, since supersets of a
-    dominating set dominate. Every edge of D_k joins a set to one with a
-    single vertex fewer, so each set is merged with the labels of its
-    one-smaller neighbours, already seen. label maps each set seen to a
-    union-find node, and root[x] is x's parent node, shortened by path
-    halving on every find. A set takes its first neighbour's root as its
-    label, and opens a new node only when it has no neighbour below, that is
-    when it is a minimal dominating set. State is cumulative: after layer k
-    the component count is exactly that of D_k. Layers are merged lazily,
-    so a caller that stops early skips the rest.
+    Two s-sets differ by one swap exactly when they share an (s-1)-subset,
+    so the union-find is keyed on those: owner maps each (s-1)-subset seen
+    to the first set that had it, and root[i] is set i's parent, shortened
+    by path halving on every find. The set being read stays the root: each
+    older tree met through a shared subset is hung below it. Order within
+    the layer does not matter.
     """
-    label: dict[VertexSet, int] = {}
+    owner: dict[VertexSet, int] = {}
     root: list[int] = []
-    components = 0
-    for k, layer in layers:
-        for mask in layer:
-            c = -1
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                d = label.get(mask ^ low)
-                if d is None:
-                    continue
-                while root[d] != d:
-                    root[d] = d = root[root[d]]
-                if c < 0:
-                    c = d
-                elif d != c:
-                    root[d] = c
-                    components -= 1
-            if c < 0:
-                c = len(root)
-                root.append(c)
-                components += 1
-            label[mask] = c
-        yield k, components
+    for i, mask in enumerate(layer):
+        root.append(i)
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = owner.setdefault(mask ^ low, i)
+            while root[d] != d:
+                root[d] = d = root[root[d]]
+            root[d] = i
+    return sum(r == i for i, r in enumerate(root))
 
 
 def _packed(sets: tuple[VertexSet, ...]) -> tuple[int, bytes, int, Callable[[int, int], int]]:
@@ -326,16 +332,22 @@ def d0_direct(
 ) -> int:
     """Smallest j such that D_k(G) is connected for every k >= j.
 
-    Returns the first k > Gamma at which D_k(G) is connected; connectivity
-    is monotone from Gamma on, and the layers, streamed with no cap, stop
-    there. D_Gamma itself is always disconnected, so the threshold is never
-    lower: a Gamma-set is isolated in it, and a graph with an edge has at
-    least two minimal dominating sets.
+    Returns 1 + the first size s >= Gamma whose layer of dominating s-sets
+    is swap-connected (_swap_components): by the module docstring, that is
+    the first k > Gamma at which D_k(G) is connected, connectivity is
+    monotone from Gamma on, and D_Gamma is disconnected. Each layer is
+    tested on its own, with a fresh union-find, and the layers stream from
+    the leaf walk on demand, so no set of size d0 or more is ever built.
 
     This is the independent oracle for d0, not the fast route: d0 equals
     the separation sep (proof in separation.py), so `domrec d0` and `hunt`
     read it off sep_bottleneck. This scan runs for `d0 --method direct`
-    and `both`, and to re-verify every `hunt` hit.
+    and `both`, and to re-verify every `hunt` hit. It takes only Gamma
+    and the edgeless rule from the minimal family, never the family's
+    U_k. A Gamma that came out too small would let it test a layer below
+    Gamma, where a minimal set of the next size is isolated and the answer
+    can be too low; the tests against tests/naive.py, which build no
+    family, are what guard against that.
 
     family is g's minimal family when the caller already holds it, and is
     enumerated when omitted; a family of one set (edgeless g) is refused.
@@ -343,9 +355,9 @@ def d0_direct(
     budget = budget or Budget.resolve()
     fam = family if family is not None else enumerate_minimal_dominating(g, budget)
     _require_at_least_two(fam)
-    for k, comps in _layered_connectivity(_dominating_layers(g, g.n, budget)):
-        if k > fam.Gamma and comps == 1:
-            return k
+    for size, layer in _dominating_layers(g, g.n - 1, budget):
+        if size >= fam.Gamma and _swap_components(layer) == 1:
+            return size + 1
     raise InputError("D_n(G) reported disconnected; graph state inconsistent")
 
 

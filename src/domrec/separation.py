@@ -49,7 +49,10 @@ k = Gamma + E - 1, for the threshold E on d0 - Gamma, and sep_at_most
 asks exactly that, so sep_bottleneck runs only on hits, for their sep.
 The direct D_k scan (reconfig.d0_direct) stays the oracle: `d0 --method
 direct|both` run it, `hunt` re-verifies every hit with it, and sep is
-still checked against it on every corpus graph.
+still checked against it on every corpus graph. It reads one layer of
+D_k per k, never the minimal family's U_k: for k > Gamma, D_k is
+connected iff the dominating sets of size k - 1 are connected under
+single swaps (proof in reconfig.py).
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ at the end are test-only checks and conversions on the package's objects.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from domrec import (
     DomFamily,
@@ -19,10 +19,12 @@ from domrec import (
     InputError,
     ReconfigGraph,
     VertexSet,
+    dominating_sets_upto,
     mask_of,
     popcount,
     vertex_list,
 )
+from domrec.reconfig import _swap_components
 
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
@@ -406,6 +408,69 @@ def is_parity_bipartite(rg: ReconfigGraph) -> bool:
     return all(
         abs(popcount(rg.verts[a]) - popcount(rg.verts[b])) == 1 for a, b in rg.edges
     )
+
+
+def naive_layered_components(
+        layers: Iterable[tuple[int, Iterable[VertexSet]]]) -> Iterator[tuple[int, int]]:
+    """Yield (k, components of D_k) for each (k, layer of dominating k-sets) given.
+
+    Layers come by size, ascending, with no size skipped. Every edge of D_k
+    joins a set to one with a single vertex fewer, so each set is merged
+    with the labels of its one-smaller neighbours, already seen. label maps
+    each set seen to a union-find node, and root[x] is x's parent node. A
+    set takes its first neighbour's root as its label, and opens a new node
+    only when it has no neighbour below, that is when it is a minimal
+    dominating set. State is cumulative: after layer k the count is that
+    of D_k. This reads every layer up to k, where reconfig._swap_components
+    reads layer k - 1 alone.
+    """
+    label: dict[VertexSet, int] = {}
+    root: list[int] = []
+    components = 0
+    for k, layer in layers:
+        for mask in layer:
+            c = -1
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                d = label.get(mask ^ low)
+                if d is None:
+                    continue
+                while root[d] != d:
+                    root[d] = d = root[root[d]]
+                if c < 0:
+                    c = d
+                elif d != c:
+                    root[d] = c
+                    components -= 1
+            if c < 0:
+                c = len(root)
+                root.append(c)
+                components += 1
+            label[mask] = c
+        yield k, components
+
+
+def one_layer_mismatches(g: Graph) -> list[int]:
+    """Each k from gamma + 1 to n where the one-layer identity fails.
+
+    The identity (reconfig module docstring): the components of D_k are
+    the swap components of the dominating (k-1)-sets plus the minimal
+    dominating k-sets. The left side comes from naive_dk, the minimal sets
+    from naive_minimal_dominating_sets, and the right side's swap count
+    from reconfig._swap_components.
+    """
+    minimal = naive_minimal_dominating_sets(g)
+    sets = dominating_sets_upto(g, g.n)
+    layers = {size: list(layer) for size, layer in groupby(sets, popcount)}
+    bad = []
+    for k in range(min(map(len, minimal)) + 1, g.n + 1):
+        verts, edges = naive_dk(g, k)
+        minimal_k = sum(len(s) == k for s in minimal)
+        if _components(len(verts), edges) != _swap_components(layers[k - 1]) + minimal_k:
+            bad.append(k)
+    return bad
 
 
 def export_edge_list(g: Graph) -> str:

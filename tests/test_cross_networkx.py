@@ -11,10 +11,17 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
-from domrec import build_dk, dk_diameter, enumerate_minimal_dominating
+from domrec import (
+    Graph,
+    build_dk,
+    d0_direct,
+    dk_diameter,
+    enumerate_minimal_dominating,
+    sep_bottleneck,
+)
 from domrec.io_cli import export_graph6, parse_graph6
 from conftest import random_connected_graph, random_graph
-from naive import independent_members
+from naive import independent_members, naive_d0, one_layer_mismatches
 
 
 def to_nx(g):
@@ -63,3 +70,20 @@ def test_maximal_independent_sets_match_complement_cliques():
         comp = nx.complement(to_nx(g))
         theirs = {frozenset(c) for c in nx.find_cliques(comp)}
         assert mine == theirs
+
+
+def test_d0_direct_equals_sep_on_every_small_atlas_graph():
+    # Every graph of order <= 7 with an edge, up to isomorphism, disconnected
+    # ones included. naive_d0 and one_layer_mismatches build D_k by
+    # definition, so up to order 6 the one-layer test is also checked
+    # against routes that read no family.
+    atlas = [G for G in nx.graph_atlas_g() if G.number_of_edges()]
+    assert len(atlas) == 1245
+    for G in atlas:
+        g = Graph.from_edges(G.number_of_nodes(), G.edges())
+        fam = enumerate_minimal_dominating(g)
+        d0 = d0_direct(g, family=fam)
+        assert d0 == sep_bottleneck(fam).sep
+        if g.n <= 6:
+            assert d0 == naive_d0(g)
+            assert one_layer_mismatches(g) == []

@@ -11,6 +11,7 @@ from domrec import (
     cartesian_product,
     complete_graph,
     connectivity_profile,
+    cycle_graph,
     d0_direct,
     dk_diameter,
     dominating_sets_upto,
@@ -29,7 +30,7 @@ from domrec import (
 )
 from domrec import domination, reconfig
 from domrec.domination import _dominating_set_counts
-from domrec.reconfig import _layered_connectivity, _prim_tree
+from domrec.reconfig import _prim_tree, _swap_components
 from conftest import SHAPES, random_connected_graph, random_graph, small_graphs
 from naive import (
     _components,
@@ -38,9 +39,11 @@ from naive import (
     naive_diameter,
     naive_dk,
     naive_is_dominating,
+    naive_layered_components,
     naive_prim_tree,
     naive_reconfig_path,
     naive_shortest_path_length,
+    one_layer_mismatches,
 )
 
 
@@ -104,7 +107,8 @@ def test_d0_examples():
 
 def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
     # Layers stream on demand: gkr(4,3) has 106,067 dominating sets, and
-    # those above d0 = 7 are never listed.
+    # the test of layer d0 - 1 = 6 settles d0 = 7, so no set above size 6
+    # is ever listed.
     built = []
 
     def layers(*args):
@@ -115,7 +119,7 @@ def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
     monkeypatch.setattr(reconfig, "_dominating_layers", layers)
     g43, _ = generate_gkr(4, 3)
     assert d0_direct(g43) == 7
-    assert built == [4, 5, 6, 7]
+    assert built == [4, 5, 6]
 
 
 def test_d0_matches_naive_on_random_graphs():
@@ -279,7 +283,7 @@ def test_dn_diameter_bound(corpus50):
 @example(SHAPES[2])
 def test_profile_matches_naive_dk_and_layered_union_find(g):
     prof = connectivity_profile(g)
-    layered = list(_layered_connectivity(groupby(dominating_sets_upto(g, g.n), popcount)))
+    layered = list(naive_layered_components(groupby(dominating_sets_upto(g, g.n), popcount)))
     assert [(e.k, e.component_count) for e in prof.profile] == layered
     assert prof.gamma == layered[0][0]
     for e in prof.profile:
@@ -298,16 +302,33 @@ def test_profile_matches_naive_dk_and_layered_union_find(g):
 @example(SHAPES[2], random.Random(2))
 def test_layered_connectivity_ignores_order_within_a_layer(g, rnd):
     sets = dominating_sets_upto(g, g.n)
-    layered = list(_layered_connectivity(groupby(sets, popcount)))
+    layers = [(k, list(layer)) for k, layer in groupby(sets, popcount)]
+    layered = list(naive_layered_components(layers))
+    swaps = [_swap_components(layer) for _k, layer in layers]
     shuffled = []
-    for k, layer in groupby(sets, popcount):
-        layer = list(layer)
+    for k, layer in layers:
+        layer = layer[:]
         rnd.shuffle(layer)
         shuffled.append((k, layer))
-    assert list(_layered_connectivity(shuffled)) == layered
+    assert list(naive_layered_components(shuffled)) == layered
+    assert [_swap_components(layer) for _k, layer in shuffled] == swaps
     for k, comps in layered:
         verts, edges = naive_dk(g, k)
         assert comps == _components(len(verts), edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=7))
+@example(SHAPES[0])
+@example(SHAPES[1])
+@example(SHAPES[2])
+@example(cycle_graph(6))
+def test_dk_components_are_swap_components_of_one_layer(g):
+    # For k > gamma, every set of D_k below size k - 1 grows into layer
+    # k - 1, and a k-set either shrinks into it or is a minimal dominating
+    # set, isolated in D_k. Two (k-1)-sets are joined in D_k exactly when
+    # swaps join them (reconfig module docstring).
+    assert one_layer_mismatches(g) == []
 
 
 @settings(max_examples=150, deadline=None)
