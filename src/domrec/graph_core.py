@@ -101,9 +101,6 @@ class Graph:
     def full_mask(self) -> VertexSet:
         return (1 << self.n) - 1
 
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):
@@ -112,18 +109,20 @@ class Graph:
                     out.append((v, u))
         return out
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(row.bit_count() for row in self.adj))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] & bit(v))
+    @staticmethod
+    def _trusted(n: int, adj: tuple[VertexSet, ...]) -> "Graph":
+        """Build without the __post_init__ checks; the caller has made them."""
+        g = object.__new__(Graph)
+        g.__dict__.update(n=n, adj=adj, closed=tuple([row | 1 << v for v, row in enumerate(adj)]))
+        return g
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list, rejecting loops and multi-edges."""
+        """Build a graph from an edge list, rejecting loops and multi-edges.
+
+        The checks here imply every __post_init__ check (n in range, ids
+        below n, no loop, symmetric rows), so the graph skips them.
+        """
         if n <= 0:
             raise UnsupportedGraphError("graph must have at least one vertex")
         if n > MAX_VERTICES:
@@ -136,11 +135,11 @@ class Graph:
                 raise UnsupportedGraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise UnsupportedGraphError(f"self-loop at vertex {u}")
-            if adj[u] & bit(v):
+            if adj[u] & 1 << v:
                 raise UnsupportedGraphError(f"multi-edge {(min(u, v), max(u, v))}")
-            adj[u] |= bit(v)
-            adj[v] |= bit(u)
-        return Graph(n=n, adj=tuple(adj))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return Graph._trusted(n, tuple(adj))
 
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:

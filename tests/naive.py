@@ -24,6 +24,7 @@ from domrec import (
     popcount,
     vertex_list,
 )
+from domrec.io_cli import export_graph6, parse_edge_list, parse_graph6
 from domrec.reconfig import _swap_components
 
 
@@ -370,7 +371,7 @@ def naive_diameter(g: Graph, k: int) -> int | None:
 
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """Backtracking isomorphism search with degree pruning (small graphs)."""
-    if g.n != h.n or g.degree_sequence() != h.degree_sequence():
+    if g.n != h.n or degree_sequence(g) != degree_sequence(h):
         return None
     g_adj = adjacency_sets(g)
     h_adj = adjacency_sets(h)
@@ -401,6 +402,22 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
 
 
 # Test-only helpers on the package's objects ----------------------------------
+
+
+def edge_count(g: Graph) -> int:
+    return sum(row.bit_count() for row in g.adj) // 2
+
+
+def degree(g: Graph, v: int) -> int:
+    return g.adj[v].bit_count()
+
+
+def degree_sequence(g: Graph) -> tuple[int, ...]:
+    return tuple(sorted(row.bit_count() for row in g.adj))
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool(g.adj[u] & 1 << v)
 
 
 def is_parity_bipartite(rg: ReconfigGraph) -> bool:
@@ -476,6 +493,23 @@ def one_layer_mismatches(g: Graph) -> list[int]:
 def export_edge_list(g: Graph) -> str:
     lines = [f"{u} {v}" for u, v in g.edges()]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def parser_round_trips(g: Graph) -> list[tuple[str, Graph, Graph]]:
+    """(route, g rebuilt through Graph.from_edges, the same graph built checked).
+
+    The checked side is Graph(n, adj), which runs every __post_init__ check.
+    The edge-list parser infers n from the largest id, so vertices above
+    the last edge drop out; its checked side keeps the same prefix.
+    """
+    checked = Graph(g.n, g.adj)
+    edges = g.edges()
+    out = [("from_edges", Graph.from_edges(g.n, edges), checked),
+           ("graph6", parse_graph6(export_graph6(g)), checked)]
+    if edges:
+        m = max(v for _, v in edges) + 1
+        out.append(("edge list", parse_edge_list(export_edge_list(g)), Graph(m, g.adj[:m])))
+    return out
 
 
 def compute_alpha(g: Graph) -> int:

@@ -13,6 +13,7 @@ nx = pytest.importorskip("networkx")
 
 from domrec import (
     Graph,
+    mask_of,
     build_dk,
     d0_direct,
     dk_diameter,
@@ -21,7 +22,7 @@ from domrec import (
 )
 from domrec.io_cli import export_graph6, parse_graph6
 from conftest import random_connected_graph, random_graph
-from naive import independent_members, naive_d0, one_layer_mismatches
+from naive import independent_members, naive_d0, one_layer_mismatches, parser_round_trips
 
 
 def to_nx(g):
@@ -87,3 +88,39 @@ def test_d0_direct_equals_sep_on_every_small_atlas_graph():
         if g.n <= 6:
             assert d0 == naive_d0(g)
             assert one_layer_mismatches(g) == []
+
+
+def test_every_small_atlas_graph_builds_what_the_checked_constructor_builds():
+    # The checked side takes its rows from networkx, not from Graph.from_edges.
+    atlas = [G for G in nx.graph_atlas_g() if G.number_of_nodes()]
+    assert len(atlas) == 1252
+    for G in atlas:
+        n = G.number_of_nodes()
+        checked = Graph(n, tuple(mask_of(G.adj[v]) for v in range(n)))
+        assert Graph.from_edges(n, G.edges()) == checked
+        theirs = nx.to_graph6_bytes(G, header=False).decode().strip()
+        assert parse_graph6(theirs) == checked
+        for route, built, again in parser_round_trips(checked):
+            assert built == again, route
+
+
+def test_d0_sits_between_the_known_bounds_on_every_small_atlas_graph():
+    # Gamma + 1 <= d0 <= Gamma + gamma (source paper; Haas & Seyffarth, "The
+    # k-dominating graph", Graphs Combin. 30, 2014), d0 <= n - 1 once the
+    # matching number mu is at least 2, and d0 <= n - mu + 1. The counts
+    # pin how often each upper bound is met.
+    at_gamma_sum = at_matching = 0
+    for G in nx.graph_atlas_g():
+        if not G.number_of_edges():
+            continue
+        n = G.number_of_nodes()
+        fam = enumerate_minimal_dominating(Graph.from_edges(n, G.edges()))
+        d0 = sep_bottleneck(fam).sep
+        mu = len(nx.max_weight_matching(G, maxcardinality=True))
+        assert fam.Gamma + 1 <= d0 <= fam.Gamma + fam.gamma
+        assert d0 <= n - mu + 1
+        if mu >= 2:
+            assert d0 <= n - 1
+        at_gamma_sum += d0 == fam.Gamma + fam.gamma
+        at_matching += d0 == n - mu + 1
+    assert (at_gamma_sum, at_matching) == (208, 466)

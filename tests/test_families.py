@@ -19,7 +19,7 @@ from domrec import (
     verify_gkr_structure,
     verify_qkr_structure,
 )
-from naive import irredundance_witness
+from naive import degree, edge_count, irredundance_witness
 
 GRID = [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
 
@@ -27,12 +27,12 @@ GRID = [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
 def test_gkr_orders_and_degrees():
     g, lay = generate_gkr(4, 3)
     assert g.n == 17 and lay.order == 17
-    assert g.degree(lay.u0) == 4
+    assert degree(g, lay.u0) == 4
     for j in range(1, 5):
-        assert g.degree(lay.u(j)) == 7  # k-1 clique + apex + r matching edges
+        assert degree(g, lay.u(j)) == 7  # k-1 clique + apex + r matching edges
     for i in range(1, 4):
         for j in range(1, 5):
-            assert g.degree(lay.v(i, j)) == 4  # k-1 clique + one matching edge
+            assert degree(g, lay.v(i, j)) == 4  # k-1 clique + one matching edge
     g31, lay31 = generate_gkr(3, 1)
     assert g31.n == 7 and lay31.order == 7
 
@@ -133,11 +133,11 @@ def test_irredundance_witness_properties():
 
 
 def test_stock_generators():
-    assert star(3).n == 4 and star(3).edge_count() == 3
-    assert cycle_graph(5).n == 5 and cycle_graph(5).edge_count() == 5
+    assert star(3).n == 4 and edge_count(star(3)) == 3
+    assert cycle_graph(5).n == 5 and edge_count(cycle_graph(5)) == 5
     p1 = path_graph(1)
-    assert p1.n == 1 and p1.edge_count() == 0
-    assert complete_graph(4).edge_count() == 6
+    assert p1.n == 1 and edge_count(p1) == 0
+    assert edge_count(complete_graph(4)) == 6
     with pytest.raises(InputError):
         cycle_graph(2)
     with pytest.raises(InputError):
@@ -159,6 +159,20 @@ def test_values_hold_beyond_the_default_grid():
         assert (qfam.gamma, qfam.Gamma) == (r, k)
         assert len(qfam.sets) == (k + 1) * k**r + (k + 1) ** r - k**r + 1
         assert d0_direct(q) == sep_bottleneck(qfam).sep == k + r
+
+
+def test_constructions_sit_at_the_gamma_plus_gamma_bound():
+    # Gamma + 1 <= d0 <= Gamma + gamma for every graph with an edge. The
+    # paper's qkr attains the upper bound, and gkr misses it by one.
+    from domrec import d0_direct, sep_bottleneck
+
+    for k in range(3, 5):
+        for r in range(1, k):
+            for make, slack in ((generate_gkr, 1), (generate_qkr, 0)):
+                g, _ = make(k, r)
+                fam = enumerate_minimal_dominating(g)
+                d0 = d0_direct(g, family=fam)
+                assert d0 == sep_bottleneck(fam).sep == fam.Gamma + fam.gamma - slack, (k, r)
 
 
 @pytest.mark.parametrize("make", [generate_gkr, generate_qkr], ids=["gkr", "qkr"])

@@ -11,6 +11,8 @@ from domrec import (
     cartesian_product,
     complete_graph,
     cycle_graph,
+    generate_gkr,
+    generate_qkr,
     is_dominating,
     is_irredundant,
     is_minimal_dominating,
@@ -21,24 +23,31 @@ from domrec import (
     vertex_list,
 )
 from conftest import random_graph, small_graphs
-from naive import naive_private_neighbours
+from naive import degree_sequence, edge_count, naive_private_neighbours, parser_round_trips
 
 K13 = star(3)  # centre 0, leaves 1..3
 
 
 def test_graph_construction_rejects_bad_input():
-    with pytest.raises(UnsupportedGraphError):
-        Graph.from_edges(0, [])
-    with pytest.raises(UnsupportedGraphError):
-        Graph.from_edges(3, [(0, 0)])
-    with pytest.raises(UnsupportedGraphError):
-        Graph.from_edges(3, [(0, 1), (1, 0)])
-    with pytest.raises(UnsupportedGraphError):
-        Graph.from_edges(65, [])
-    with pytest.raises(UnsupportedGraphError):
-        Graph.from_edges(10**12, [])  # refused before allocating n adjacency rows
-    with pytest.raises(UnsupportedGraphError):
-        Graph.from_edges(2, [(0, 5)])
+    # These refusals are the only guard on the from_edges route: the graph
+    # it builds skips __post_init__, so each message is pinned.
+    cases = [
+        (3, [(-1, 0)], "edge (-1,0) out of range for n=3"),
+        (2, [(0, 5)], "edge (0,5) out of range for n=2"),
+        (2, [(0, 1), (1, 2)], "edge (1,2) out of range for n=2"),
+        (3, [(0, 0)], "self-loop at vertex 0"),
+        (3, [(0, 1), (1, 0)], "multi-edge (0, 1)"),
+        (3, [(2, 1), (1, 2)], "multi-edge (1, 2)"),
+        (3, [(1, 2), (1, 2)], "multi-edge (1, 2)"),
+        (0, [], "graph must have at least one vertex"),
+        (65, [], "graph has 65 vertices; supported maximum is 64"),
+        # refused before allocating n adjacency rows
+        (10**12, [], "graph has 1000000000000 vertices; supported maximum is 64"),
+    ]
+    for n, edges, message in cases:
+        with pytest.raises(UnsupportedGraphError) as err:
+            Graph.from_edges(n, edges)
+        assert str(err.value) == message, (n, edges)
 
 
 @pytest.mark.parametrize("n, adj, message", [
@@ -53,6 +62,35 @@ def test_graph_direct_construction_rejects_bad_input(n, adj, message):
     with pytest.raises(UnsupportedGraphError) as err:
         Graph(n=n, adj=adj)
     assert str(err.value) == message
+
+
+# Graph.from_edges builds without the __post_init__ checks. Each route
+# through it must give the graph that the checked constructor gives;
+# dataclass equality compares n, adj and closed.
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=8))
+def test_parsers_build_what_the_checked_constructor_builds(g):
+    for route, built, checked in parser_round_trips(g):
+        assert built == checked, route
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(max_n=5), small_graphs(max_n=5))
+def test_cartesian_product_builds_what_the_checked_constructor_builds(g, h):
+    prod = cartesian_product(g, h)
+    assert prod == Graph(prod.n, prod.adj)
+
+
+def test_families_build_what_the_checked_constructor_builds():
+    graphs = [make(n) for n in range(1, 11) for make in (complete_graph, star, path_graph)]
+    graphs += [cycle_graph(n) for n in range(3, 11)]
+    graphs += [make(k, r)[0] for make in (generate_gkr, generate_qkr)
+               for k in range(3, 6) for r in range(1, k)]
+    assert len(graphs) == 56
+    for g in graphs:
+        assert g == Graph(g.n, g.adj)
 
 
 def test_closed_neighbourhoods():
@@ -112,14 +150,14 @@ def test_is_irredundant_examples():
 def test_cartesian_product_sizes():
     prod = cartesian_product(path_graph(3), complete_graph(3))
     assert prod.n == 9
-    assert prod.edge_count() == 15
+    assert edge_count(prod) == 15
     k1 = complete_graph(1)
     g = cycle_graph(5)
     same = cartesian_product(k1, g)
-    assert same.n == g.n and same.edge_count() == g.edge_count()
+    assert same.n == g.n and edge_count(same) == edge_count(g)
     square = cartesian_product(complete_graph(2), complete_graph(2))
-    assert square.n == 4 and square.edge_count() == 4
-    assert square.degree_sequence() == (2, 2, 2, 2)
+    assert square.n == 4 and edge_count(square) == 4
+    assert degree_sequence(square) == (2, 2, 2, 2)
 
 
 def test_cartesian_product_width_guard():
@@ -134,8 +172,8 @@ def test_cartesian_product_commutes_on_degree_sequences():
         h = random_graph(rng, rng.randint(2, 4), 0.6)
         left = cartesian_product(g, h)
         right = cartesian_product(h, g)
-        assert left.degree_sequence() == right.degree_sequence()
-        assert left.edge_count() == right.edge_count()
+        assert degree_sequence(left) == degree_sequence(right)
+        assert edge_count(left) == edge_count(right)
 
 
 @settings(max_examples=150, deadline=None)

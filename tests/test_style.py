@@ -1,4 +1,5 @@
-"""Source checks: line width, and a runtime that imports only the standard library."""
+"""Source checks: line width, a runtime that imports only the standard library,
+and one owner for the unchecked graph constructor."""
 
 import ast
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "domrec").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "domrec").glob("*.py"))
 MAX_LINE = 99
 
 
@@ -31,3 +33,17 @@ def test_imports_are_stdlib_or_package_relative(path):
         foreign += [name for name in names
                     if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == [], f"{path.name}: non-stdlib imports {foreign}"
+
+
+def test_only_graph_core_builds_a_graph_unchecked():
+    # Graph._trusted skips every __post_init__ check; only from_edges, whose
+    # own checks imply them, may call it. Every other route validates.
+    users = []
+    for path in sorted(ROOT.glob("[!.]*/**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "_trusted":
+                users.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert users and all(u.startswith("src/domrec/graph_core.py:") for u in users), users
