@@ -4,6 +4,7 @@ from domrec import (
     InputError,
     complete_graph,
     cycle_graph,
+    d0_direct,
     enumerate_minimal_dominating,
     family_w,
     family_x,
@@ -15,6 +16,7 @@ from domrec import (
     mask_of,
     path_graph,
     popcount,
+    sep_bottleneck,
     star,
     verify_gkr_structure,
     verify_qkr_structure,
@@ -146,8 +148,6 @@ def test_stock_generators():
 
 def test_values_hold_beyond_the_default_grid():
     # One clique size past the usual grid; same closed forms must hold.
-    from domrec import d0_direct, sep_bottleneck
-
     for k, r in [(5, 1), (5, 2)]:
         g, _ = generate_gkr(k, r)
         fam = enumerate_minimal_dominating(g)
@@ -164,8 +164,6 @@ def test_values_hold_beyond_the_default_grid():
 def test_constructions_sit_at_the_gamma_plus_gamma_bound():
     # Gamma + 1 <= d0 <= Gamma + gamma for every graph with an edge. The
     # paper's qkr attains the upper bound, and gkr misses it by one.
-    from domrec import d0_direct, sep_bottleneck
-
     for k in range(3, 5):
         for r in range(1, k):
             for make, slack in ((generate_gkr, 1), (generate_qkr, 0)):
