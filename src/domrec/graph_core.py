@@ -121,24 +121,32 @@ class Graph:
         """Build a graph from an edge list, rejecting loops and multi-edges.
 
         The checks here imply every __post_init__ check (n in range, ids
-        below n, no loop, symmetric rows), so the graph skips them.
+        below n, no loop, symmetric rows), so the graph skips them. A
+        non-int n or id fails one of the int operations below with a
+        TypeError, which is turned into the one refusal for it; the try
+        costs nothing while no exception is raised.
         """
-        if n <= 0:
-            raise UnsupportedGraphError("graph must have at least one vertex")
-        if n > MAX_VERTICES:
+        try:
+            if n <= 0:
+                raise UnsupportedGraphError("graph must have at least one vertex")
+            if n > MAX_VERTICES:
+                raise UnsupportedGraphError(
+                    f"graph has {n} vertices; supported maximum is {MAX_VERTICES}"
+                )
+            adj = [0] * n
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise UnsupportedGraphError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise UnsupportedGraphError(f"self-loop at vertex {u}")
+                if adj[u] & 1 << v:
+                    raise UnsupportedGraphError(f"multi-edge {(min(u, v), max(u, v))}")
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        except TypeError:
             raise UnsupportedGraphError(
-                f"graph has {n} vertices; supported maximum is {MAX_VERTICES}"
-            )
-        adj = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise UnsupportedGraphError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise UnsupportedGraphError(f"self-loop at vertex {u}")
-            if adj[u] & 1 << v:
-                raise UnsupportedGraphError(f"multi-edge {(min(u, v), max(u, v))}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+                "the vertex count and every edge endpoint must be an int"
+            ) from None
         return Graph._trusted(n, tuple(adj))
 
 

@@ -97,6 +97,10 @@ _LACKING_DIGITS = bytes.maketrans(b"0b1", b"\1\0\0")
 
 # Sources per bit-parallel BFS in dk_diameter; memory is O(order * block) bits.
 _DIAMETER_BLOCK = 4096
+# _prim_tree looks for settled members every lanes / _RETIRE_EVERY steps while it
+# holds at least _LANE_FLOOR lanes; a smaller family is never packed again.
+_LANE_FLOOR = 256
+_RETIRE_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -208,14 +212,17 @@ def _swap_components(layer: list[VertexSet]) -> int:
     return sum(r == i for i, r in enumerate(root))
 
 
-def _packed(sets: tuple[VertexSet, ...]) -> tuple[int, bytes, int, Callable[[int, int], int]]:
+def _packed(
+    sets: tuple[VertexSet, ...], lanes: Optional[int] = None
+) -> tuple[int, bytes, int, Callable[[int, int], int]]:
     """One byte per member, so that one member's union sizes with all come at once.
 
-    Returns (ones, sizes, size, beyond). Member Y_i owns byte i of each
-    little-endian int, and ones holds 1 in every byte. sizes holds |Y_i|
-    as byte i, and size is the same as an int. beyond(x, start) is start
-    plus |Y_x - Y_i| in byte i for every i, so beyond(x, size) holds
-    |Y_i| + |Y_x - Y_i| = |Y_x u Y_i|.
+    Returns (ones, sizes, size, beyond). The first `lanes` members (all by
+    default) own a lane: member Y_i owns byte i of each little-endian int,
+    and ones holds 1 in every lane. sizes holds |Y_i| as byte i, and size
+    is the same as an int. beyond(x, start) is start plus |Y_x - Y_i| in
+    byte i for every lane i, so beyond(x, size) holds |Y_i| + |Y_x - Y_i|
+    = |Y_x u Y_i|. x may be any member, with a lane or not.
 
     lacks[j] holds 1 where Y_i lacks the vertex of binary digit j, and
     bin(top | Y_i) puts that digit at the same offset for every i; beyond
@@ -227,14 +234,14 @@ def _packed(sets: tuple[VertexSet, ...]) -> tuple[int, bytes, int, Callable[[int
     so a caller may hold values up to 127 per byte with no carry or
     borrow between members, or up to 126 with a guard bit 0x80 above them.
     """
-    m = len(sets)
+    m = len(sets) if lanes is None else lanes
     ones = int.from_bytes(b"\1" * m, "little")
     # bin(top | s) is "0b1" and then one digit per vertex, at the same offsets for every s.
     top = 1 << max(sets).bit_length()
     width = top.bit_length() + 2
     text = "".join(map(bin, map(top.__or__, sets))).encode()
     digits = text.translate(_BINARY_DIGITS)
-    holes = text.translate(_LACKING_DIGITS)
+    holes = text[:m * width].translate(_LACKING_DIGITS)
     lacks = [int.from_bytes(holes[j::width], "little") for j in range(3, width)]
     size = (width - 3) * ones - sum(lacks)
 
@@ -252,55 +259,133 @@ def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
     before children, rooted at index 0. The sets must be distinct, as the
     members of a minimal family are.
 
-    Packed layout (_packed): dist holds Y_i's distance to the tree in
-    byte i, 0 once Y_i is taken. For the set X just taken, beyond gives
-    |X u Y_i| for all i at once.
+    Packed layout (_packed): each member not yet taken either owns a lane,
+    order[i] for byte i, in index order, or waits (below). dist holds a
+    lane's distance to the tree in its byte, 0 once it is taken. For the
+    set X just taken, beyond gives |X u Y_i| for every lane i at once.
 
     Guard: weights stay below 127, so the guard bit 0x80 of
     (dist | 0x80..) - (w + 1) is set in exactly the bytes where w < dist.
     Those members take w as their distance and X as their parent; no
-    other member changes.
+    other member changes. Likewise a byte x is 0 exactly where the guard
+    bit of (x | 0x80..) - 0x01.. is clear.
 
-    Tie-break: the next member is the first byte of dist equal to the
-    smallest weight present, tried upward from min |Y_i| + 1 (distinct
-    sets are at least that far apart). Taken members hold 0, which is
-    never tried, so this is the lowest index at the smallest distance, and
-    a parent changes only on a strict decrease: the tree of the plain
-    O(m^2) loop, edge for edge.
+    Settled members. Take distinct X and Y: |X u Y| >= |Y|, and when
+    |X| >= |Y|, X is not inside Y, so |X u Y| >= |Y| + 1. So once the
+    distance of Y equals |Y|, or equals |Y| + 1 while no member left to
+    take is smaller than Y, no member taken later lowers it, and as a
+    parent changes only on a strict decrease, Y only waits to be taken.
+    While there are at least _LANE_FLOOR lanes, every lanes /
+    _RETIRE_EVERY steps the settled lanes are found in a few whole-int
+    operations. The smallest size left is read off the live lanes and
+    bounded below by near - 1, as a waiting distance is |Y| or |Y| + 1; a
+    bound below it only retires fewer members. Once at least half of the
+    lanes are taken or settled, each settled member moves to
+    waiting[its distance], and _packed packs the lanes left again, with
+    the waiting members after them, so that beyond still serves them.
 
-    Cost: O(m Gamma) whole-int operations and memchr scans over m bytes,
-    all in C; no pair weight is formed on its own. The Python-level work
-    is O(m Gamma): each member changes parent fewer than 2 Gamma times,
-    because its distance only falls and stays above gamma.
+    Tie-break: the next member is the lowest index at the smallest
+    distance, over the lanes and waiting together. Below near, the
+    smallest distance that waits, that is the first byte of dist equal to
+    the smallest weight present, tried upward from min |Y_i| + 1 (distinct
+    sets are at least that far apart); taken lanes hold 0, which is never
+    tried. At near it is the lower of the first such byte and the lowest
+    member waiting there. A parent changes only on a strict decrease, so
+    this is the tree of the plain O(m^2) loop, edge for edge.
+
+    Cost: each step is O(Gamma) whole-int operations and memchr scans
+    over the lanes, all in C; no pair weight is formed on its own. The
+    plain loop scans all m members at every step, while here a settled
+    member leaves at the next packing; on the gkr/qkr families most
+    members settle long before they are taken. Each packing is O(members
+    left) and at least halves the lanes, and a family below _LANE_FLOOR
+    is never packed again. The Python-level work is O(m Gamma): each
+    member changes parent fewer than 2 Gamma times, because its distance
+    only falls and stays above gamma.
     """
     m = len(sets)
     if m < 2:
         return []
     ones, sizes, size, beyond = _packed(sets)
+    low = min(sizes) + 1
+    order = list(range(m))
+    lanes = m
     guard = ones << 7
-    weights = range(min(sizes) + 1, 127)
     # Member 0 is the root: its own byte, |Y_0 u Y_0| = |Y_0|, drops to 0.
     dist = beyond(0, size) - sizes[0]
     size_plus_one = size + ones
-    parent = [0] * m
+    parent = [0] * m  # by lane
+    waiting: dict[int, list[int]] = {}  # distance -> settled members, the lowest last
+    settled_parent: dict[int, int] = {}  # settled member -> its parent
+    slot: dict[int, int] = {}  # settled member -> its place in the packing
+    near = 0  # the smallest distance in waiting, 0 while it is empty
+    weights = range(low, 127)  # the distances tried in the lanes, all below near
+    check = 0 if m >= _LANE_FLOOR else m
     tree: list[tuple[int, int, int]] = []
-    for _ in range(m - 1):
-        find = dist.to_bytes(m, "little").find
-        for wt in weights:
-            nxt = find(wt)
-            if nxt >= 0:
-                break
-        dist -= wt << 8 * nxt
-        tree.append((wt, parent[nxt], nxt))
-        w_plus_one = beyond(nxt, size_plus_one)
-        closer = ((dist | guard) - w_plus_one) & guard
-        if closer:
-            dist ^= (dist ^ (w_plus_one - ones)) & ((closer >> 7) * 255)
-            flags = closer.to_bytes(m, "little")
-            j = flags.find(128)
-            while j >= 0:
-                parent[j] = nxt
-                j = flags.find(128, j + 1)
+    while len(tree) < m - 1:
+        if len(tree) == check:
+            db = dist.to_bytes(lanes, "little")
+            smallest = min(compress(sizes, db), default=127)
+            if near:
+                smallest = min(smallest, near - 1)
+            live = ((dist | guard) - ones) & guard
+            off_size = (dist ^ size | guard) - ones
+            off_next = ((dist ^ size_plus_one) | (size ^ smallest * ones) | guard) - ones
+            settled = live & ~(off_size & off_next)
+            keep = live ^ settled
+            if 2 * keep.bit_count() <= lanes:
+                flags = settled.to_bytes(lanes, "little")
+                settled_parent.update(zip(compress(order, flags), compress(parent, flags)))
+                for wt in set(compress(db, flags)):
+                    at_wt = settled & ~((dist ^ wt * ones | guard) - ones)
+                    waiting.setdefault(wt, []).extend(
+                        compress(order, at_wt.to_bytes(lanes, "little")))
+                for queue in waiting.values():
+                    queue.sort(reverse=True)
+                near = min(waiting, default=0)
+                weights = range(low, near or 127)
+                flags = keep.to_bytes(lanes, "little")
+                order = list(compress(order, flags))
+                parent = list(compress(parent, flags))
+                dist = int.from_bytes(bytes(compress(db, flags)), "little")
+                lanes = len(order)
+                slot = dict(zip(settled_parent, range(lanes, m)))
+                ones, sizes, size, beyond = _packed(
+                    tuple(map(sets.__getitem__, order + list(slot))), lanes)
+                guard = ones << 7
+                size_plus_one = size + ones
+            check = len(tree) + lanes // _RETIRE_EVERY if lanes >= _LANE_FLOOR else m
+        for _ in range(min(check, m - 1) - len(tree)):
+            find = dist.to_bytes(lanes, "little").find
+            for wt in weights:
+                nxt = find(wt)
+                if nxt >= 0:
+                    break
+            else:  # no lane is closer than near
+                wt = near
+                queue = waiting[wt]
+                nxt = find(wt)
+                if nxt < 0 or queue[-1] < order[nxt]:
+                    member = queue.pop()
+                    if not queue:
+                        del waiting[wt]
+                        near = min(waiting, default=0)
+                        weights = range(low, near or 127)
+                    tree.append((wt, settled_parent.pop(member), member))
+                    nxt = slot[member]
+            if nxt < lanes:
+                dist -= wt << 8 * nxt
+                member = order[nxt]
+                tree.append((wt, parent[nxt], member))
+            w_plus_one = beyond(nxt, size_plus_one)
+            closer = ((dist | guard) - w_plus_one) & guard
+            if closer:
+                dist ^= (dist ^ (w_plus_one - ones)) & ((closer >> 7) * 255)
+                flags = closer.to_bytes(lanes, "little")
+                j = flags.find(128)
+                while j >= 0:
+                    parent[j] = member
+                    j = flags.find(128, j + 1)
     return tree
 
 

@@ -7,8 +7,11 @@ partition; the bottleneck route reads the same number off a minimum
 spanning tree over pair weights w(X,Y) = |X u Y|: the max-min over cuts
 equals the heaviest MST edge, and removing that edge exhibits a witness
 partition. The tree is reconfig._prim_tree's, which holds one byte per
-set and gets the weights from each newly added set to all others in a
-few whole-int operations, never one pair at a time. The two routes are
+set whose distance to the tree can still fall, and gets the weights from
+each newly added set to all of those in a few whole-int operations,
+never one pair at a time. A set Y drops its byte once its distance is
+|Y|, or |Y| + 1 while no set left to add is smaller: a set X at least
+as large is not inside Y, so |X u Y| >= |Y| + 1. The two routes are
 cross-validated in the tests rather than trusted on faith.
 
 Why d0 = sep. Let F be the minimal family and U_k the graph on F with

@@ -50,6 +50,21 @@ def test_graph_construction_rejects_bad_input():
         assert str(err.value) == message, (n, edges)
 
 
+@pytest.mark.parametrize("n, edges", [
+    (3, [(0.5, 1)]),
+    (3, [(1, 0.5)]),
+    (3.0, []),
+    ("3", []),
+    (3, [(True, 2.0)]),
+    (3, [(0, 1), ("1", 2)]),
+], ids=["float-first-id", "float-second-id", "float-n", "str-n", "float-after-bool", "str-id"])
+def test_from_edges_refuses_non_int_input_by_name(n, edges):
+    # A TypeError from inside from_edges would be an unnamed error.
+    with pytest.raises(UnsupportedGraphError) as err:
+        Graph.from_edges(n, edges)
+    assert str(err.value) == "the vertex count and every edge endpoint must be an int"
+
+
 @pytest.mark.parametrize("n, adj, message", [
     (2, (0b100, 0), "adjacency of vertex 0 mentions ids >= n"),
     (2, (0b01, 0), "self-loop at vertex 0"),
