@@ -59,6 +59,38 @@ def edged_graphs(draw) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+@st.composite
+def bipartite_graphs(draw, max_n=9) -> Graph:
+    """A graph with an edge and no edge inside either of two sides, one
+    holding vertex 0 and the other vertex 1; isolated vertices and several
+    components are drawn too."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    side = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if side[i] != side[j]]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def chordal_graphs(draw, max_n=9) -> Graph:
+    """A graph with the edge 01 where each later vertex v joins a clique of
+    vertices below v: the clique keeps each drawn candidate adjacent to all
+    it holds so far. Every vertex is simplicial when added, so reading the
+    vertices downward is a perfect elimination ordering: the graph is
+    chordal."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    adj = [0] * n
+    adj[0], adj[1] = 0b10, 0b01
+    for v in range(2, n):
+        for u in draw(st.lists(st.integers(0, v - 1), unique=True)):
+            if adj[v] & ~adj[u] == 0:
+                adj[v] |= 1 << u
+        for u in range(v):
+            if adj[v] >> u & 1:
+                adj[u] |= 1 << v
+    return Graph(n, tuple(adj))
+
+
 @pytest.fixture(scope="session")
 def corpus200() -> list[Graph]:
     return connected_corpus(200)

@@ -21,7 +21,9 @@ from domrec import (
     sep_bottleneck,
 )
 from domrec.io_cli import export_graph6, parse_graph6
-from conftest import random_connected_graph, random_graph
+from hypothesis import given, settings
+
+from conftest import bipartite_graphs, chordal_graphs, random_connected_graph, random_graph
 from naive import independent_members, naive_d0, one_layer_mismatches, parser_round_trips
 
 
@@ -124,3 +126,11 @@ def test_d0_sits_between_the_known_bounds_on_every_small_atlas_graph():
         at_gamma_sum += d0 == fam.Gamma + fam.gamma
         at_matching += d0 == n - mu + 1
     assert (at_gamma_sum, at_matching) == (208, 466)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bipartite_graphs(), chordal_graphs())
+def test_bipartite_and_chordal_strategies_draw_what_they_name(b, c):
+    # The d0 = Gamma + 1 checks in test_separation.py rest on these draws.
+    assert nx.is_bipartite(to_nx(b)) and any(b.adj)
+    assert nx.is_chordal(to_nx(c)) and c.adj[0] & 1 << 1

@@ -402,6 +402,8 @@ def test_reconfig_path_matches_naive_bfs(g, k, i, j):
 @example(SHAPES[1])
 @example(generate_gkr(4, 3)[0])  # 321 sets
 @example(generate_qkr(4, 3)[0])  # 382 sets
+@example(generate_gkr(5, 3)[0])  # 751 sets, packed again twice
+@example(generate_qkr(5, 3)[0])  # 842 sets, all but one lane settled at once
 def test_prim_tree_matches_naive_on_minimal_families(g):
     sets = enumerate_minimal_dominating(g).sets
     tree = _prim_tree(sets)
@@ -429,6 +431,53 @@ def distinct_masks(draw, max_width=64):
 @example((0b0001, 0b0011, 0b0111, 0b1111))  # a chain of nested sets
 def test_prim_tree_matches_naive_on_synthetic_families(sets):
     assert _prim_tree(sets) == naive_prim_tree(sets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_masks())
+@example((0b0001, 0b0011, 0b0111, 0b1111))
+@example((0b1, 0b1110, 0b110))  # {1, 2} lowers {1, 2, 3} from |Y| + 1 to |Y|
+# {1} waits at 2 behind seven singletons of lower index, and each {1, c} at
+# |Y| + 1 = 3 must stay in its lane until {1} is taken and lowers it to 2.
+@example((1, *(1 << a for a in range(3, 10)), 0b10,
+          *(0b10 | 1 << c for c in range(20, 24)), 0b1_1100_0000_0000, 0b10_1100_0000_0000))
+def test_prim_tree_retires_exactly_on_synthetic_families(sets):
+    # With a lane floor of 2, small families take the retire path too: they
+    # look for settled lanes every lanes / 2 steps and are packed again.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reconfig, "_LANE_FLOOR", 2)
+        patch.setattr(reconfig, "_RETIRE_EVERY", 2)
+        assert _prim_tree(sets) == naive_prim_tree(sets)
+
+
+def nested_family_above_the_floor() -> tuple[int, ...]:
+    """A family where a set Y sits at |Y| + 1 from the first step, while a
+    proper subset X of Y is taken much later and lowers Y to |Y|.
+
+    The root {0} is at |Y| + 1 = 11 from Y = {1..10} and at 10 from
+    X = {1..9}. 300 sets {0, a, b} with a, b in 11..40 hold the root, so
+    they sit at their own size and are taken first; then X, then Y. A set
+    smaller than Y is left to take until X is taken, so Y must not be
+    retired at |Y| + 1 before that.
+    """
+    root, y, x = 0b1, 0b111_1111_1110, 0b11_1111_1110
+    fillers = [1 | 1 << a | 1 << b for a, b in combinations(range(11, 41), 2)][:300]
+    rest = [y, x] + fillers
+    random.Random(18).shuffle(rest)
+    return (root, *rest)
+
+
+def test_prim_tree_keeps_a_member_whose_subset_is_left_to_take():
+    sets = nested_family_above_the_floor()
+    assert len(sets) >= reconfig._LANE_FLOOR
+    y, x = sets.index(0b111_1111_1110), sets.index(0b11_1111_1110)
+    tree = naive_prim_tree(sets)
+    taken = [child for _, _, child in tree]
+    # Y reaches |Y| + 1 = 11 from the root, and X is taken after every filler.
+    assert popcount(sets[0] | sets[y]) == 11
+    assert taken.index(x) == len(sets) - 3
+    assert (10, x, y) in tree
+    assert _prim_tree(sets) == tree
 
 
 def test_prim_tree_byte_fields_hold_every_weight():

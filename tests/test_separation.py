@@ -14,6 +14,7 @@ from domrec import (
     enumerate_minimal_dominating,
     generate_gkr,
     generate_qkr,
+    path_graph,
     popcount,
     sep_at_most,
     sep_bottleneck,
@@ -21,7 +22,7 @@ from domrec import (
     star,
     vertex_list,
 )
-from conftest import edged_graphs, random_connected_graph
+from conftest import bipartite_graphs, chordal_graphs, edged_graphs, random_connected_graph
 from naive import partition_separation
 from naive import naive_d0, naive_sep
 
@@ -196,6 +197,34 @@ def test_d0_equals_sep_on_any_edged_graph(g):
 
 
 # sep_at_most: the threshold question, against sep and the definition ----------
+
+
+# Haas and Seyffarth, "The k-dominating graph", Graphs Combin. 30 (2014):
+# d0 = Gamma + 1 on bipartite and on chordal graphs. Both routes must meet it.
+
+
+def assert_d0_is_gamma_plus_one(g):
+    fam = enumerate_minimal_dominating(g)
+    assert sep_bottleneck(fam).sep == fam.Gamma + 1
+    assert d0_direct(g, family=fam) == fam.Gamma + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_graphs())
+@example(path_graph(9))
+@example(cycle_graph(8))
+@example(Graph.from_edges(9, [(a, b) for a in range(3) for b in range(3, 6)]))  # K33, 3 isolated
+def test_d0_is_gamma_plus_one_on_bipartite_graphs(g):
+    assert_d0_is_gamma_plus_one(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chordal_graphs())
+@example(complete_graph(6))
+@example(star(8))
+@example(Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)]))
+def test_d0_is_gamma_plus_one_on_chordal_graphs(g):
+    assert_d0_is_gamma_plus_one(g)
 
 
 @settings(max_examples=150, deadline=None)

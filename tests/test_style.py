@@ -1,7 +1,9 @@
 """Source checks: line width, a runtime that imports only the standard library,
-and one owner for the unchecked graph constructor."""
+one owner for the unchecked graph constructor, and the layout of the
+committed benchmark records."""
 
 import ast
+import json
 import sys
 from pathlib import Path
 
@@ -47,3 +49,33 @@ def test_only_graph_core_builds_a_graph_unchecked():
             if name == "_trusted":
                 users.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert users and all(u.startswith("src/domrec/graph_core.py:") for u in users), users
+
+
+BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+BENCH_KEYS = {"change", "claim", "command", "machine", "parent_commit", "workloads"}
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=lambda p: p.name)
+def test_bench_records_name_what_the_benchmark_runs(path):
+    # Each perf change commits its before/after medians in one layout, read
+    # against the workloads and end-to-end metrics that BENCHMARK.json declares.
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"]}
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert BENCH_KEYS <= record.keys(), sorted(BENCH_KEYS - record.keys())
+    assert record["workloads"] and record["workloads"].keys() <= workloads
+    for name, workload in record["workloads"].items():
+        assert workload["metrics"].keys() >= metrics, name
+        for metric in metrics:
+            for side in ("parent", "change"):
+                assert isinstance(workload["metrics"][metric][side]["median"], (int, float)), (
+                    name, metric, side)
+    claim = record["claim"]
+    if claim is not None:
+        assert claim["workload"] in record["workloads"] and claim["metric"] in metrics
+
+
+def test_bench_records_are_found():
+    # An empty glob would leave the layout test above with no case to run.
+    assert BENCH_RECORDS
