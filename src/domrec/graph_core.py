@@ -7,8 +7,9 @@ work on these masks, so the kernel stays allocation-free on the hot paths.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TypeAlias
+from typing import Iterator, TypeAlias
 
 VertexSet: TypeAlias = int
 
@@ -77,6 +78,8 @@ class Graph:
     closed: tuple[VertexSet, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or not all(isinstance(row, int) for row in self.adj):
+            raise UnsupportedGraphError("the vertex count and every adjacency row must be an int")
         if self.n <= 0:
             raise UnsupportedGraphError("graph must have at least one vertex")
         if self.n > MAX_VERTICES:
@@ -121,11 +124,14 @@ class Graph:
         """Build a graph from an edge list, rejecting loops and multi-edges.
 
         The checks here imply every __post_init__ check (n in range, ids
-        below n, no loop, symmetric rows), so the graph skips them. A
-        non-int n or id fails one of the int operations below with a
-        TypeError, which is turned into the one refusal for it; the try
-        costs nothing while no exception is raised.
+        below n, no loop, symmetric rows), so the graph skips them. A bad
+        input is named only once the code below raises, so the try costs
+        nothing while nothing is raised. A ValueError is an edge of
+        another length. A TypeError is a non-int n or id, or else, with n
+        and the last edge read (u, v) all ints, edges or one of its items
+        not being iterable.
         """
+        u = v = 0
         try:
             if n <= 0:
                 raise UnsupportedGraphError("graph must have at least one vertex")
@@ -143,10 +149,18 @@ class Graph:
                     raise UnsupportedGraphError(f"multi-edge {(min(u, v), max(u, v))}")
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
+        except ValueError:
+            raise UnsupportedGraphError("every edge must be a pair of vertex ids") from None
         except TypeError:
-            raise UnsupportedGraphError(
-                "the vertex count and every edge endpoint must be an int"
-            ) from None
+            if not all(isinstance(x, int) for x in (n, u, v)):
+                raise UnsupportedGraphError(
+                    "the vertex count and every edge endpoint must be an int"
+                ) from None
+            if not isinstance(edges, Iterable):
+                raise UnsupportedGraphError(
+                    f"edges must be an iterable of pairs, got {type(edges).__name__}"
+                ) from None
+            raise UnsupportedGraphError("every edge must be a pair of vertex ids") from None
         return Graph._trusted(n, tuple(adj))
 
 

@@ -67,14 +67,13 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import and_, or_
 from typing import Callable, Optional
 
 from .graph_core import (
     Graph,
     InputError,
     VertexSet,
-    bit,
     is_dominating,
     iter_vertices,
     popcount,
@@ -123,15 +122,6 @@ class ReconfigGraph:
     def connected(self) -> bool:
         return self.component_count == 1 and len(self.verts) > 0
 
-    def adjacency(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.verts]
-        for a, b in self.edges:
-            out[a].append(b)
-            out[b].append(a)
-        for row in out:
-            row.sort()
-        return out
-
 
 @dataclass(frozen=True)
 class ProfileEntry:
@@ -154,8 +144,11 @@ def _edges(verts: list[VertexSet]) -> list[tuple[int, int]]:
     index = {m: i for i, m in enumerate(verts)}
     edges: list[tuple[int, int]] = []
     for idx, mask in enumerate(verts):
-        for v in iter_vertices(mask):
-            prev = index.get(mask ^ bit(v))
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            prev = index.get(mask ^ low)
             if prev is not None:
                 edges.append((prev, idx))
     edges.sort()
@@ -503,29 +496,68 @@ def reconfig_path(
 def dk_diameter(rg: ReconfigGraph) -> Optional[int]:
     """Diameter of a connected D_k; None when disconnected.
 
-    Breadth-first search from a block of sources at once: bit s of
-    reach[v] is set once v is within the rounds run so far of the block's
-    source s, and each round ORs every vertex's neighbours into it. The
-    rounds a block needs until every reach[v] is full is the largest
-    eccentricity of its sources.
+    Breadth-first search from a block of sources at once: bit s of a
+    vertex's row is set once the vertex is known to lie within the rounds
+    run so far of the block's source s.
+
+    Parity classes. Every edge joins sizes j and j + 1, so class x, the
+    sets of size parity x, has all its neighbours in class x ^ 1, and a
+    distance between classes x and y has parity x ^ y. Round t updates
+    class x = t & 1 ^ 1 only, even sizes on odd rounds and odd sizes on
+    even ones, ORing into each row the current rows of its neighbours.
+    By induction on t, a class-x row then holds exactly the sources within
+    t of it: each neighbour's row was last updated at round t - 1 (or is
+    the start, round 0) and holds the sources within t - 1 of it. These
+    are the rounds of the plain search, each over half of the edges' ORs.
+
+    Reading the diameter. Class x is read after each round it moves at,
+    and class 1 at round 0 too. Let t be the first such round at which
+    the AND of all class-x rows holds every class-y source of the block.
+    The largest distance D from such a source to a class-x vertex is at
+    most t, above t - 2 (class x's previous read, if any), and has
+    parity x ^ y, so D is t when t has that parity and t - 1 otherwise.
+    Class 0 skips round 0: its rows hold all class-0 sources there only
+    when class 0 is that one source, and round 1 reads D = 0 as well. The
+    block's largest eccentricity is the largest D over the pairs of
+    classes; a class whose rows hold every source is full and moves no
+    more, and the block ends once both classes are.
     """
     if not rg.verts:
         raise InputError("diameter of an empty reconfiguration graph is undefined")
     if not rg.connected:
         return None
-    adjacency = rg.adjacency()
     order = len(rg.verts)
+    side = [popcount(mask) & 1 for mask in rg.verts]
+    in_class = [0, 0]  # vertices per class
+    place = []  # each vertex's index within its class
+    for x in side:
+        place.append(in_class[x])
+        in_class[x] += 1
+    nbrs = [[[] for _ in range(in_class[0])], [[] for _ in range(in_class[1])]]
+    for a, b in rg.edges:
+        nbrs[side[a]][place[a]].append(place[b])
+        nbrs[side[b]][place[b]].append(place[a])
     best = 0
     for lo in range(0, order, _DIAMETER_BLOCK):
-        width = min(_DIAMETER_BLOCK, order - lo)
-        full = (1 << width) - 1
-        reach = [0] * order
-        for s in range(width):
-            reach[lo + s] = 1 << s
-        rounds = 0
-        while reach.count(full) < order:
-            reach = [reduce(or_, map(reach.__getitem__, nbrs), r)
-                     for r, nbrs in zip(reach, adjacency)]
-            rounds += 1
-        best = max(best, rounds)
+        rows = [[0] * in_class[0], [0] * in_class[1]]
+        sources = [0, 0]  # the block's sources in each class
+        for s, i in enumerate(range(lo, min(lo + _DIAMETER_BLOCK, order))):
+            rows[side[i]][place[i]] = 1 << s
+            sources[side[i]] |= 1 << s
+        # todo[x]: the classes y whose largest distance to class x is not read yet
+        todo = [[y for y in (0, 1) if sources[y]] if in_class[x] else [] for x in (0, 1)]
+        t = 0
+        while todo[0] or todo[1]:
+            x = t & 1 ^ 1
+            if todo[x]:
+                if t:
+                    other = rows[x ^ 1]
+                    rows[x] = [reduce(or_, map(other.__getitem__, nb), r)
+                               for r, nb in zip(rows[x], nbrs[x])]
+                held = reduce(and_, rows[x])
+                for y in todo[x]:
+                    if held & sources[y] == sources[y]:
+                        best = max(best, t - ((t ^ x ^ y) & 1))
+                todo[x] = [y for y in todo[x] if held & sources[y] != sources[y]]
+            t += 1
     return best

@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from domrec import (
     cartesian_product,
     complete_graph,
     compute_ir,
+    cycle_graph,
     connectivity_profile,
     d0_direct,
     dominating_sets_upto,
@@ -26,12 +28,13 @@ from domrec import (
     star,
     vertex_list,
 )
-from domrec.domination import _dominating_set_counts
+from domrec.domination import _dominating_leaves, _dominating_set_counts
 from conftest import SHAPES, random_graph, small_graphs
 from naive import (
     compute_alpha,
     independent_members,
     naive_ir,
+    naive_is_dominating,
     naive_maximal_independent_sets,
     naive_minimal_dfs,
     naive_minimal_dominating_sets,
@@ -61,8 +64,6 @@ def test_family_members_are_minimal_and_ordered():
 
 
 def test_no_family_member_contains_another():
-    from domrec import cycle_graph
-
     fam = enumerate_minimal_dominating(cycle_graph(6))
     for a in fam.sets:
         for b in fam.sets:
@@ -140,6 +141,41 @@ def test_dominating_sets_equal_prefix_scan_on_random_graphs():
             g = random_graph(rng, n, p)
             for cap in range(-1, n + 2):
                 assert dominating_sets_upto(g, cap) == naive_prefix_sets(g, cap), (n, p, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=8))
+@example(star(7))
+@example(SHAPES[0])
+@example(SHAPES[1])  # isolated vertex 0: its only option is itself
+@example(SHAPES[2])
+def test_dominating_leaves_partition_the_dominating_sets(g):
+    # Each leaf (chosen, free) stands for chosen | T, T inside free; cut at
+    # cap, those blocks must split the brute-force family with no overlap.
+    dominating = [m for m in range(1 << g.n)
+                  if naive_is_dominating(g, frozenset(vertex_list(m)))]
+    for cap in range(g.n + 1):
+        sets = []
+        for chosen, free in _dominating_leaves(g, cap, None):
+            assert is_dominating(g, chosen) and chosen & free == 0, (cap, chosen, free)
+            free_bits = [1 << v for v in vertex_list(free)]
+            for extra in range(cap - popcount(chosen) + 1):
+                sets += [chosen | sum(more) for more in combinations(free_bits, extra)]
+        assert len(sets) == len(set(sets)), cap
+        assert sorted(sets) == [m for m in dominating if popcount(m) <= cap], cap
+
+
+@pytest.mark.parametrize("g, leaves", [
+    pytest.param(cartesian_product(path_graph(3), path_graph(6)), 3943, id="P3xP6"),
+    pytest.param(cartesian_product(path_graph(4), cycle_graph(4)), 1871, id="P4xC4"),
+    pytest.param(cartesian_product(cycle_graph(4), cycle_graph(4)), 1451, id="C4xC4"),
+    pytest.param(cartesian_product(path_graph(4), path_graph(5)), 6397, id="P4xP5"),
+    pytest.param(generate_gkr(4, 3)[0], 642, id="gkr(4,3)"),
+])
+def test_leaf_walk_branches_on_the_most_constrained_vertex(g, leaves):
+    # Branching on the lowest undominated vertex gives 11,366, 4,120, 2,255
+    # and 49,994 leaves on the products; gkr(4,3) gives 642 either way.
+    assert len(_dominating_leaves(g, g.n, None)) == leaves
 
 
 def test_gkr_and_qkr_family_counts():

@@ -65,6 +65,32 @@ def test_from_edges_refuses_non_int_input_by_name(n, edges):
     assert str(err.value) == "the vertex count and every edge endpoint must be an int"
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 1, 2)], "every edge must be a pair of vertex ids"),
+    (3, [(1,)], "every edge must be a pair of vertex ids"),
+    (3, [(0, 1), 5], "every edge must be a pair of vertex ids"),
+    (3, iter([(0, 1), ()]), "every edge must be a pair of vertex ids"),
+    (3, 5, "edges must be an iterable of pairs, got int"),
+    (3, None, "edges must be an iterable of pairs, got NoneType"),
+], ids=["triple", "single", "int-edge", "empty-edge-from-iterator", "int-edges", "none-edges"])
+def test_from_edges_names_a_malformed_edge_list(n, edges, message):
+    with pytest.raises(UnsupportedGraphError) as err:
+        Graph.from_edges(n, edges)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n, adj", [
+    (3.0, (0, 0, 0)),
+    ("3", (0, 0, 0)),
+    (3, (0, 0.0, 0)),
+    (3, (0, 0, "0")),
+], ids=["float-n", "str-n", "float-row", "str-row"])
+def test_graph_direct_construction_refuses_non_int_input_by_name(n, adj):
+    with pytest.raises(UnsupportedGraphError) as err:
+        Graph(n=n, adj=adj)
+    assert str(err.value) == "the vertex count and every adjacency row must be an int"
+
+
 @pytest.mark.parametrize("n, adj, message", [
     (2, (0b100, 0), "adjacency of vertex 0 mentions ids >= n"),
     (2, (0b01, 0), "self-loop at vertex 0"),

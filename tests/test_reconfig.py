@@ -348,6 +348,10 @@ def test_dominating_set_counts_match_naive_count(g):
 @given(small_graphs(max_n=7), st.integers(min_value=0, max_value=7))
 @example(SHAPES[1], 5)
 @example(SHAPES[2], 7)
+@example(Graph.from_edges(3, [(0, 1), (1, 2)]), 3)  # P3: odd diameter 3
+@example(star(3), 4)  # even diameter 4
+@example(star(3), 1)  # one vertex {0}, of odd size: diameter 0 read at round 0
+@example(Graph.from_edges(2, []), 2)  # one vertex {0, 1}, of even size: read at round 1
 def test_dk_diameter_matches_all_pairs_bfs(block, g, k):
     rg = build_dk(g, k)
     if not rg.verts:
