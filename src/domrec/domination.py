@@ -10,14 +10,13 @@ walk chooses u by what it costs:
 
   * The minimal walk takes the lowest undominated vertex. The leaf walk's
     rule below cuts its nodes on the seed-71 hunt stream from 49,583 to
-    36,624, but two timings of the stream's enumeration disagree on
-    whether the scan for u pays: 49.6 -> 60.6 ms in one prototype, 60.5
-    -> 54.8 ms in another.
+    36,624, but the scan for u eats most of that: hunt-stream ran
+    8,927 -> 9,014 graphs/s with it, within the benchmark's noise.
   * The leaf walk takes the undominated vertex with the fewest unbanned
     closed neighbours, the lowest such vertex on a tie. A vertex with none
     ends the branch at once: no set below the node dominates it. On
     P3 x P6 this cuts the leaves from 11,366 to 3,943; the extra scan
-    costs 0.1-0.2 ms on gkr(4,3), whose leaves do not change.
+    costs about 0.1 ms on gkr(4,3), whose 642 leaves do not change.
 
 Minimal dominating sets: v joins the chosen set if every chosen vertex
 keeps a private neighbour, and a full cover is emitted.

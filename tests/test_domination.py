@@ -12,8 +12,8 @@ from domrec import (
     cartesian_product,
     complete_graph,
     compute_ir,
-    cycle_graph,
     connectivity_profile,
+    cycle_graph,
     d0_direct,
     dominating_sets_upto,
     enumerate_minimal_dominating,
