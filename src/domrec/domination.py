@@ -202,20 +202,20 @@ def _dominating_leaves(g: Graph, cap: int,
 
 
 def _dominating_layers(g: Graph, cap: int,
-                       budget: Optional[Budget]) -> Iterator[tuple[int, list[VertexSet]]]:
+                       budget: Optional[Budget]) -> Iterator[tuple[int, Iterator[VertexSet]]]:
     """Yield (size, layer) for each non-empty size <= cap, ascending; layers unsorted.
 
-    A layer is built only when asked for, so a caller that stops early skips the rest.
+    Each layer is a lazy iterator, one leaf's combinations after another, so
+    a caller draws only the sets it reads and skips a layer it does not.
     """
     leaves = [(popcount(chosen), chosen, [1 << v for v in iter_vertices(free)])
               for chosen, free in _dominating_leaves(g, cap, budget)]
     for size in range(cap + 1):
-        layer: list[VertexSet] = []
-        for count, chosen, free_bits in leaves:
-            if count <= size:
-                layer += map(chosen.__or__, map(sum, combinations(free_bits, size - count)))
-        if layer:
-            yield size, layer
+        parts = [map(chosen.__or__, map(sum, combinations(free_bits, size - count)))
+                 for count, chosen, free_bits in leaves
+                 if count <= size <= count + len(free_bits)]
+        if parts:
+            yield size, chain.from_iterable(parts)
 
 
 def dominating_sets_upto(g: Graph, max_size: int,

@@ -167,7 +167,8 @@ def family_x(layout: GkrLayout) -> list[VertexSet]:
         for h in hub_choices
         for vs in product(*leaf_choices)
     ]
-    out.sort(key=canonical_key)
+    out.sort()
+    out.sort(key=int.bit_count)
     return out
 
 
@@ -183,7 +184,8 @@ def family_w(layout: QkrLayout) -> list[VertexSet]:
         m = mask_of(vs)
         if m & w_all:
             out.append(m)
-    out.sort(key=canonical_key)
+    out.sort()
+    out.sort(key=int.bit_count)
     return out
 
 
@@ -304,8 +306,9 @@ def verify_qkr_structure(
     xs = family_x(layout)
     ws = family_w(layout)
     expected = sorted(xs + ws + [hub], key=canonical_key)
-    min_sets = sorted((d for d in fam.sets if popcount(d) == fam.gamma), key=canonical_key)
-    top = sorted((d for d in fam.sets if popcount(d) == fam.Gamma), key=canonical_key)
+    # fam.sets is in canonical order, so are its members of one size.
+    min_sets = [d for d in fam.sets if popcount(d) == fam.gamma]
+    top = [d for d in fam.sets if popcount(d) == fam.Gamma]
     if r < k - 1:
         top_row = ("hub-is-unique-maximum-set", (top == [hub], f"{len(top)} maximum sets"))
     else:

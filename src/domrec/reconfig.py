@@ -57,8 +57,29 @@ is swap-connected. Connectivity is monotone from Gamma on: each
 Gamma <= k elements, so a connected D_k, an induced subgraph of D_{k+1},
 reaches all of it. D_Gamma is disconnected when F has two sets: both lie
 in it, and a minimal set of size Gamma is isolated there. So d0 = 1 + the
-first s >= Gamma with L_s swap-connected. d0_direct tests the layers in
-turn, each on its own, and never lists a set of size d0 or more.
+first s >= Gamma with L_s swap-connected.
+
+Layer to layer. Let Gamma < s < n. The swap components of L_s are those of
+L_{s-1}, joined through the (s-1)-sets that do not dominate:
+
+  Each X in L_s is not minimal, as s > Gamma, so it has a dominating
+  (s-1)-subset. Any two (s-1)-subsets of X share s - 2 elements, so they
+  are a swap apart and lie in one component c(X) of L_{s-1}. Every
+  component of L_{s-1} is some c(X): each of its sets grows by a vertex
+  into L_s. If c(X) = c(Y), take dominating A in X and B in Y and a swap
+  path A = A_0, ..., A_m = B in L_{s-1}; then X, A_0 u A_1, ...,
+  A_{m-1} u A_m, Y lie in L_s, and consecutive ones share an (s-1)-set,
+  so X and Y are swap-connected. Conversely X and Y a swap apart share K
+  = X n Y; when K dominates, c(X) = c(K) = c(Y). So only a key K that does
+  not dominate, shared by two s-sets, can join two components of L_{s-1}.
+
+d0_direct reads layer Gamma with a plain union-find, since there a minimal
+set has no dominating subset and opens a node of its own. Above Gamma each
+set takes the node of a dominating subset and no set opens one, so the
+count starts at the components of L_{s-1} and falls by one per join of two
+nodes. The joins still to come only lower it, and it cannot fall below 1,
+so it is exact mid-layer as soon as it reaches 1: layer d0 - 1 is read
+only up to its first bridge, and no set of size d0 or more is listed.
 """
 
 from __future__ import annotations
@@ -68,7 +89,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import and_, or_
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .graph_core import (
     Graph,
@@ -180,15 +201,15 @@ def build_dk(g: Graph, k: int, budget: Optional[Budget] = None) -> ReconfigGraph
     )
 
 
-def _swap_components(layer: list[VertexSet]) -> int:
-    """Components of one layer of s-sets, X ~ Y when |X n Y| = s - 1.
+def _swap_components(layer: list[VertexSet]) -> tuple[int, list[int]]:
+    """Components of one layer of s-sets, X ~ Y when |X n Y| = s - 1, and the union-find.
 
     Two s-sets differ by one swap exactly when they share an (s-1)-subset,
     so the union-find is keyed on those: owner maps each (s-1)-subset seen
     to the first set that had it, and root[i] is set i's parent, shortened
     by path halving on every find. The set being read stays the root: each
     older tree met through a shared subset is hung below it. Order within
-    the layer does not matter.
+    the layer does not matter. Returns (components, root).
     """
     owner: dict[VertexSet, int] = {}
     root: list[int] = []
@@ -202,7 +223,49 @@ def _swap_components(layer: list[VertexSet]) -> int:
             while root[d] != d:
                 root[d] = d = root[root[d]]
             root[d] = i
-    return sum(r == i for i, r in enumerate(root))
+    return sum(r == i for i, r in enumerate(root)), root
+
+
+def _lifted_components(layer: Iterable[VertexSet], below: dict[VertexSet, int],
+                       root: list[int], components: int) -> tuple[int, dict[VertexSet, int]]:
+    """Swap components of a layer of s-sets, s > Gamma, lifted from the layer below.
+
+    below maps each set of the layer of (s-1)-sets to a node of the
+    union-find root, whose components are that layer's. Each s-set X takes
+    the node of a dominating (s-1)-subset, and the keys X - x that do not
+    dominate, missing from below, join X's node to the first set that had
+    them (owner), as in _swap_components. No set opens a node, so the count
+    only falls, and it is exact as soon as it reaches 1: the layer is read
+    no further then. Proof in the module docstring. Returns (components,
+    here), here mapping each s-set to its node when the layer was read whole.
+    """
+    owner: dict[VertexSet, int] = {}
+    here: dict[VertexSet, int] = {}
+    for mask in layer:
+        node = -1
+        lone = []  # the keys that do not dominate
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = below.get(mask ^ low, -1)
+            if d < 0:
+                lone.append(mask ^ low)
+            elif node < 0:
+                node = d
+        while root[node] != node:
+            root[node] = node = root[root[node]]
+        for key in lone:
+            d = owner.setdefault(key, node)
+            while root[d] != d:
+                root[d] = d = root[root[d]]
+            if d != node:
+                root[d] = node
+                components -= 1
+                if components == 1:
+                    return 1, here
+        here[mask] = node
+    return components, here
 
 
 def _packed(
@@ -411,11 +474,13 @@ def d0_direct(
     """Smallest j such that D_k(G) is connected for every k >= j.
 
     Returns 1 + the first size s >= Gamma whose layer of dominating s-sets
-    is swap-connected (_swap_components): by the module docstring, that is
-    the first k > Gamma at which D_k(G) is connected, connectivity is
-    monotone from Gamma on, and D_Gamma is disconnected. Each layer is
-    tested on its own, with a fresh union-find, and the layers stream from
-    the leaf walk on demand, so no set of size d0 or more is ever built.
+    is swap-connected: by the module docstring, that is the first k > Gamma
+    at which D_k(G) is connected, connectivity is monotone from Gamma on,
+    and D_Gamma is disconnected. Layer Gamma gets a plain union-find
+    (_swap_components); each layer above takes its components from the
+    layer below (_lifted_components) and is read only until they number 1.
+    The layers stream from the leaf walk on demand, and those below Gamma
+    are never drawn, so no set of size d0 or more is ever built.
 
     This is the independent oracle for d0, not the fast route: d0 equals
     the separation sep (proof in separation.py), so `domrec d0` and `hunt`
@@ -433,8 +498,18 @@ def d0_direct(
     budget = budget or Budget.resolve()
     fam = family if family is not None else enumerate_minimal_dominating(g, budget)
     _require_at_least_two(fam)
+    below: dict[VertexSet, int] = {}  # the layer below: each set's node in root
     for size, layer in _dominating_layers(g, g.n - 1, budget):
-        if size >= fam.Gamma and _swap_components(layer) == 1:
+        if size < fam.Gamma:
+            continue
+        if size > fam.Gamma:
+            components, below = _lifted_components(layer, below, root, components)
+        else:
+            sets = list(layer)
+            components, root = _swap_components(sets)
+            if components > 1:
+                below = dict(zip(sets, range(len(sets))))
+        if components == 1:
             return size + 1
     raise InputError("D_n(G) reported disconnected; graph state inconsistent")
 

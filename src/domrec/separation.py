@@ -55,7 +55,9 @@ direct|both` run it, `hunt` re-verifies every hit with it, and sep is
 still checked against it on every corpus graph. It reads one layer of
 D_k per k, never the minimal family's U_k: for k > Gamma, D_k is
 connected iff the dominating sets of size k - 1 are connected under
-single swaps (proof in reconfig.py).
+single swaps. Each layer above Gamma takes its swap components from the
+layer below, so layer d0 - 1 is read only up to the first bridge that
+joins it (proofs in reconfig.py).
 """
 
 from __future__ import annotations

@@ -19,13 +19,11 @@ from domrec import (
     InputError,
     ReconfigGraph,
     VertexSet,
-    dominating_sets_upto,
     mask_of,
     popcount,
     vertex_list,
 )
 from domrec.io_cli import export_graph6, parse_edge_list, parse_graph6
-from domrec.reconfig import _swap_components
 
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
@@ -438,8 +436,8 @@ def naive_layered_components(
     set takes its first neighbour's root as its label, and opens a new node
     only when it has no neighbour below, that is when it is a minimal
     dominating set. State is cumulative: after layer k the count is that
-    of D_k. This reads every layer up to k, where reconfig._swap_components
-    reads layer k - 1 alone.
+    of D_k. This reads every layer up to k, where the one-layer identity
+    (one_layer_mismatches) reads layer k - 1 alone.
     """
     label: dict[VertexSet, int] = {}
     root: list[int] = []
@@ -469,6 +467,30 @@ def naive_layered_components(
         yield k, components
 
 
+def naive_swap_components(layer: Iterable[frozenset[int]]) -> int:
+    """Components of one layer of s-sets, X ~ Y when |X n Y| = s - 1, by breadth-first search.
+
+    Every pair is tested on plain sets: no union-find and no keys on
+    subsets, so it shares no step with reconfig's swap components.
+    """
+    sets = list(layer)
+    seen = [False] * len(sets)
+    components = 0
+    for start in range(len(sets)):
+        if seen[start]:
+            continue
+        components += 1
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            x = sets[queue.popleft()]
+            for j, y in enumerate(sets):
+                if not seen[j] and len(x & y) == len(x) - 1:
+                    seen[j] = True
+                    queue.append(j)
+    return components
+
+
 def one_layer_mismatches(g: Graph) -> list[int]:
     """Each k from gamma + 1 to n where the one-layer identity fails.
 
@@ -476,16 +498,15 @@ def one_layer_mismatches(g: Graph) -> list[int]:
     the swap components of the dominating (k-1)-sets plus the minimal
     dominating k-sets. The left side comes from naive_dk, the minimal sets
     from naive_minimal_dominating_sets, and the right side's swap count
-    from reconfig._swap_components.
+    from naive_swap_components over the sets of naive_dk.
     """
     minimal = naive_minimal_dominating_sets(g)
-    sets = dominating_sets_upto(g, g.n)
-    layers = {size: list(layer) for size, layer in groupby(sets, popcount)}
+    layers = {size: list(layer) for size, layer in groupby(naive_dk(g, g.n)[0], len)}
     bad = []
     for k in range(min(map(len, minimal)) + 1, g.n + 1):
         verts, edges = naive_dk(g, k)
         minimal_k = sum(len(s) == k for s in minimal)
-        if _components(len(verts), edges) != _swap_components(layers[k - 1]) + minimal_k:
+        if _components(len(verts), edges) != naive_swap_components(layers[k - 1]) + minimal_k:
             bad.append(k)
     return bad
 

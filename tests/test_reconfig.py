@@ -30,6 +30,7 @@ from domrec import (
 )
 from domrec import domination, reconfig
 from domrec.domination import _dominating_set_counts
+from domrec.io_cli import parse_graph6
 from domrec.reconfig import _prim_tree, _swap_components
 from conftest import SHAPES, random_connected_graph, random_graph, small_graphs
 from naive import (
@@ -43,6 +44,7 @@ from naive import (
     naive_prim_tree,
     naive_reconfig_path,
     naive_shortest_path_length,
+    naive_swap_components,
     one_layer_mismatches,
 )
 
@@ -108,18 +110,56 @@ def test_d0_examples():
 def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
     # Layers stream on demand: gkr(4,3) has 106,067 dominating sets, and
     # the test of layer d0 - 1 = 6 settles d0 = 7, so no set above size 6
-    # is ever listed.
-    built = []
+    # is ever listed. Layer d0 - 1 is read only up to its first bridge:
+    # qkr(4,3)'s layer 6 holds 23,655 sets. Layers below Gamma are skipped.
+    drawn = {}
 
     def layers(*args):
         for size, layer in domination._dominating_layers(*args):
-            built.append(size)
-            yield size, layer
+            drawn[size] = 0
+
+            def counted(layer=layer, size=size):
+                for mask in layer:
+                    drawn[size] += 1
+                    yield mask
+
+            yield size, counted()
 
     monkeypatch.setattr(reconfig, "_dominating_layers", layers)
     g43, _ = generate_gkr(4, 3)
     assert d0_direct(g43) == 7
-    assert built == [4, 5, 6]
+    assert list(drawn) == [4, 5, 6]
+    drawn.clear()
+    q43, _ = generate_qkr(4, 3)
+    assert d0_direct(q43) == 7
+    assert list(drawn) == [3, 4, 5, 6] and drawn[3] == 0
+    assert drawn[4] == 1088 and drawn[5] == 6642 and drawn[6] < 1000
+
+
+# Graphs whose d0 is Gamma + 2, so that d0_direct lifts a layer above Gamma:
+# the one such graph of order 9, and the smallest gkr and qkr. Every
+# connected graph of order <= 8 has d0 = Gamma + 1.
+LIFTED = {"HJaGhVB": parse_graph6("HJaGhVB"), "gkr(3,2)": generate_gkr(3, 2)[0],
+          "qkr(3,2)": generate_qkr(3, 2)[0]}
+
+
+@pytest.mark.parametrize("name", LIFTED)
+def test_d0_direct_matches_naive_where_a_layer_above_gamma_decides(name):
+    g = LIFTED[name]
+    assert enumerate_minimal_dominating(g).Gamma == 3
+    assert d0_direct(g) == naive_d0(g) == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LIFTED)), st.randoms(use_true_random=False))
+def test_d0_direct_ignores_vertex_order_where_a_layer_above_gamma_decides(name, rnd):
+    # Renaming the vertices reorders every layer, so the bridge that joins
+    # layer Gamma + 1 is met at another point of the scan.
+    g = LIFTED[name]
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert d0_direct(h) == 5
 
 
 def test_d0_matches_naive_on_random_graphs():
@@ -304,14 +344,15 @@ def test_layered_connectivity_ignores_order_within_a_layer(g, rnd):
     sets = dominating_sets_upto(g, g.n)
     layers = [(k, list(layer)) for k, layer in groupby(sets, popcount)]
     layered = list(naive_layered_components(layers))
-    swaps = [_swap_components(layer) for _k, layer in layers]
+    swaps = [naive_swap_components(frozenset(vertex_list(m)) for m in layer)
+             for _k, layer in layers]
     shuffled = []
     for k, layer in layers:
         layer = layer[:]
         rnd.shuffle(layer)
         shuffled.append((k, layer))
     assert list(naive_layered_components(shuffled)) == layered
-    assert [_swap_components(layer) for _k, layer in shuffled] == swaps
+    assert [_swap_components(layer)[0] for _k, layer in shuffled] == swaps
     for k, comps in layered:
         verts, edges = naive_dk(g, k)
         assert comps == _components(len(verts), edges)

@@ -1,6 +1,6 @@
 """Source checks: line width, a runtime that imports only the standard library,
-one owner for the unchecked graph constructor, and the layout of the
-committed benchmark records."""
+one owner for the unchecked graph constructor, an oracle module that imports no
+private package name, and the layout of the committed benchmark records."""
 
 import ast
 import json
@@ -49,6 +49,19 @@ def test_only_graph_core_builds_a_graph_unchecked():
             if name == "_trusted":
                 users.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert users and all(u.startswith("src/domrec/graph_core.py:") for u in users), users
+
+
+def test_the_oracle_module_imports_no_private_name_from_the_package():
+    # tests/naive.py is the independent side of every differential test; a
+    # private helper of the package would make both sides share a step.
+    tree = ast.parse((ROOT / "tests" / "naive.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "domrec"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == [], private
 
 
 BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"))
