@@ -205,17 +205,19 @@ def _dominating_layers(g: Graph, cap: int,
                        budget: Optional[Budget]) -> Iterator[tuple[int, Iterator[VertexSet]]]:
     """Yield (size, layer) for each non-empty size <= cap, ascending; layers unsorted.
 
-    Each layer is a lazy iterator, one leaf's combinations after another, so
-    a caller draws only the sets it reads and skips a layer it does not.
+    Each layer is a lazy iterator, one leaf's combinations after another, each
+    made only when reached, so a caller draws only the sets it reads and skips
+    a layer it does not.
     """
     leaves = [(popcount(chosen), chosen, [1 << v for v in iter_vertices(free)])
               for chosen, free in _dominating_leaves(g, cap, budget)]
     for size in range(cap + 1):
-        parts = [map(chosen.__or__, map(sum, combinations(free_bits, size - count)))
-                 for count, chosen, free_bits in leaves
+        parts = [(chosen, free_bits, size - count) for count, chosen, free_bits in leaves
                  if count <= size <= count + len(free_bits)]
         if parts:
-            yield size, chain.from_iterable(parts)
+            yield size, chain.from_iterable(
+                map(chosen.__or__, map(sum, combinations(free_bits, extra)))
+                for chosen, free_bits, extra in parts)
 
 
 def dominating_sets_upto(g: Graph, max_size: int,
