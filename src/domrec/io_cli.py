@@ -25,11 +25,11 @@ import os
 import re
 import sys
 import time
+from contextlib import closing
 from dataclasses import asdict
 from functools import lru_cache, partial
 from itertools import compress, islice
-from multiprocessing import Pool
-from typing import Iterable, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .graph_core import (
     MAX_VERTICES,
@@ -76,6 +76,7 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
 EXIT_ASSERT = 5
+EXIT_WORKER = 6
 
 JOBS_ENV_VAR = "DOMREC_JOBS"
 # Stream lines handed to the worker pool at a time; bounds hunt's memory.
@@ -458,11 +459,7 @@ def cmd_hunt(args: argparse.Namespace, out: TextIO) -> int:
     lines = (line for line in map(str.strip, _stdin_lines()) if line)
     started = time.perf_counter()
     if args.jobs > 1:
-        # imap's task feeder drains its iterable eagerly, so it is handed
-        # one fixed-size window at a time; results stay in stream order.
-        windows = iter(lambda: list(islice(lines, HUNT_WINDOW)), [])
-        with Pool(processes=min(args.jobs, HUNT_MAX_JOBS)) as pool:
-            results = (r for w in windows for r in pool.imap(judge, w, chunksize=HUNT_CHUNK))
+        with closing(_pooled(min(args.jobs, HUNT_MAX_JOBS), judge, lines)) as results:
             status, judged = _drain_hunt(results, out)
     else:
         status, judged = _drain_hunt(map(judge, lines), out)
@@ -471,11 +468,39 @@ def cmd_hunt(args: argparse.Namespace, out: TextIO) -> int:
     return status
 
 
+def _pooled(jobs: int, judge: Callable[[str], tuple[str, object]],
+            lines: Iterable[str]) -> Iterator[tuple[str, object]]:
+    """judge's results over lines, in stream order, from a pool of jobs workers.
+
+    map submits its whole iterable at once, so it is handed one window of
+    lines at a time. When a worker dies, the pool is broken and the
+    window's results stop with ("worker-died", the window's line range).
+    Closing the generator cancels the tasks not started. The pool is
+    imported here, so that only a parallel run pays for it at start-up.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        first = 1
+        for window in iter(lambda: list(islice(lines, HUNT_WINDOW)), []):
+            try:
+                yield from pool.map(judge, window, chunksize=HUNT_CHUNK)
+            except BrokenProcessPool:
+                yield "worker-died", f"lines {first}-{first + len(window) - 1}"
+                return
+            first += len(window)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _drain_hunt(results: Iterable[tuple[str, object]], out: TextIO) -> tuple[int, int]:
     """Write the hits; returns (exit status, graphs judged).
 
     Results come in stream order, so their position is the line ordinal.
-    An error or a disagreement stops the drain, and nothing more is read.
+    An error, a disagreement or a dead worker stops the drain, and nothing
+    more is read; a dead worker's window counts only the results that came.
     """
     counts = {"hit": 0, "miss": 0, "skip-size": 0, "skip-edgeless": 0}
     ordinal = 0
@@ -491,6 +516,9 @@ def _drain_hunt(results: Iterable[tuple[str, object]], out: TextIO) -> tuple[int
         if kind == "disagree":
             print(f"hunt: graph {ordinal}: d0/sep disagreement", file=sys.stderr)
             return EXIT_ASSERT, ordinal
+        if kind == "worker-died":
+            print(f"hunt: a worker died judging {payload}", file=sys.stderr)
+            return EXIT_WORKER, ordinal - 1
         counts[kind] += 1
     print(
         "hunt: {hit} hits, {miss} below threshold, {s} skipped oversize,"

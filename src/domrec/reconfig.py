@@ -89,7 +89,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import and_, or_
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graph_core import (
     Graph,
@@ -313,7 +313,17 @@ def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
 
     Returns (weight, parent, child) edges in insertion order, parents
     before children, rooted at index 0. The sets must be distinct, as the
-    members of a minimal family are.
+    members of a minimal family are. The edges come from _prim_edges.
+    """
+    return list(_prim_edges(sets))
+
+
+def _prim_edges(
+    sets: tuple[VertexSet, ...], packing: Optional[tuple] = None
+) -> Iterator[tuple[int, int, int]]:
+    """Yields _prim_tree's edges one at a time, so a caller may stop early.
+
+    packing is _packed(sets) when the caller already holds it.
 
     Packed layout (_packed): each member not yet taken either owns a lane,
     order[i] for byte i, in index order, or waits (below). dist holds a
@@ -332,8 +342,8 @@ def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
     take is smaller than Y, no member taken later lowers it, and as a
     parent changes only on a strict decrease, Y only waits to be taken.
     While there are at least _LANE_FLOOR lanes, every lanes /
-    _RETIRE_EVERY steps the settled lanes are found in a few whole-int
-    operations. The smallest size left is read off the live lanes and
+    _RETIRE_EVERY steps (at least one) the settled lanes are found in a
+    few whole-int operations. The smallest size left is read off the live lanes and
     bounded below by near - 1, as a waiting distance is |Y| or |Y| + 1; a
     bound below it only retires fewer members. Once at least half of the
     lanes are taken or settled, each settled member moves to
@@ -361,8 +371,8 @@ def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
     """
     m = len(sets)
     if m < 2:
-        return []
-    ones, sizes, size, beyond = _packed(sets)
+        return
+    ones, sizes, size, beyond = packing or _packed(sets)
     low = min(sizes) + 1
     order = list(range(m))
     lanes = m
@@ -377,9 +387,9 @@ def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
     near = 0  # the smallest distance in waiting, 0 while it is empty
     weights = range(low, 127)  # the distances tried in the lanes, all below near
     check = 0 if m >= _LANE_FLOOR else m
-    tree: list[tuple[int, int, int]] = []
-    while len(tree) < m - 1:
-        if len(tree) == check:
+    taken = 0  # edges yielded
+    while taken < m - 1:
+        if taken == check:
             db = dist.to_bytes(lanes, "little")
             smallest = min(compress(sizes, db), default=127)
             if near:
@@ -410,8 +420,8 @@ def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
                     tuple(map(sets.__getitem__, order + list(slot))), lanes)
                 guard = ones << 7
                 size_plus_one = size + ones
-            check = len(tree) + lanes // _RETIRE_EVERY if lanes >= _LANE_FLOOR else m
-        for _ in range(min(check, m - 1) - len(tree)):
+            check = taken + max(lanes // _RETIRE_EVERY, 1) if lanes >= _LANE_FLOOR else m
+        for _ in range(min(check, m - 1) - taken):
             find = dist.to_bytes(lanes, "little").find
             for wt in weights:
                 nxt = find(wt)
@@ -427,12 +437,14 @@ def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
                         del waiting[wt]
                         near = min(waiting, default=0)
                         weights = range(low, near or 127)
-                    tree.append((wt, settled_parent.pop(member), member))
+                    taken += 1
+                    yield wt, settled_parent.pop(member), member
                     nxt = slot[member]
             if nxt < lanes:
                 dist -= wt << 8 * nxt
                 member = order[nxt]
-                tree.append((wt, parent[nxt], member))
+                taken += 1
+                yield wt, parent[nxt], member
             w_plus_one = beyond(nxt, size_plus_one)
             closer = ((dist | guard) - w_plus_one) & guard
             if closer:
@@ -442,7 +454,6 @@ def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
                 while j >= 0:
                     parent[j] = member
                     j = flags.find(128, j + 1)
-    return tree
 
 
 def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> ConnectivityProfile:

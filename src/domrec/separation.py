@@ -6,13 +6,18 @@ maximum of that over all 2-partitions. The brute-force route scans every
 partition; the bottleneck route reads the same number off a minimum
 spanning tree over pair weights w(X,Y) = |X u Y|: the max-min over cuts
 equals the heaviest MST edge, and removing that edge exhibits a witness
-partition. The tree is reconfig._prim_tree's, which holds one byte per
-set whose distance to the tree can still fall, and gets the weights from
-each newly added set to all of those in a few whole-int operations,
-never one pair at a time. A set Y drops its byte once its distance is
-|Y|, or |Y| + 1 while no set left to add is smaller: a set X at least
-as large is not inside Y, so |X u Y| >= |Y| + 1. The two routes are
-cross-validated in the tests rather than trusted on faith.
+partition. The tree is reconfig._prim_tree's, but the route does not
+build it. sep is the least t at which U_t (below) is connected, read off
+threshold searches from the largest weight down, and the witness comes
+from the components of U_{sep-1}: Prim runs only inside member 0's
+component, and only until it takes one member (proofs in
+sep_bottleneck). Each search (_component) packs one byte per set into a
+few big ints (reconfig._packed) and gets the weights from one set to all
+others in a few whole-int operations, never one pair at a time. It
+pushes from the sets it reaches and pulls the few left unseen, after
+Beamer, Asanovic and Patterson's direction-optimizing search (SC 2012).
+The two routes are cross-validated in the tests rather than trusted on
+faith.
 
 Why d0 = sep. Let F be the minimal family and U_k the graph on F with
 X ~ Y when |X u Y| <= k. Every cut of U_k has a cross edge exactly when
@@ -46,10 +51,13 @@ G to be connected. F has at least 2 sets whenever G has an edge uv
 dominating sets); only the edgeless graph, with the single set V, is
 excluded, and d0 is rejected there too.
 
-This is why `domrec d0` reads d0 off sep_bottleneck by default. `hunt`
-needs only the yes/no answer: a graph is a miss when U_k is connected at
-k = Gamma + E - 1, for the threshold E on d0 - Gamma, and sep_at_most
-asks exactly that, so sep_bottleneck runs only on hits, for their sep.
+This is why `domrec d0` reads d0 off sep_bottleneck by default, and why
+sep_bottleneck can find sep by asking whether U_t is connected: the
+answer is yes for every t >= sep and no below, so a scan down from the
+largest weight says no first at sep - 1. `hunt` needs only one yes/no
+answer: a graph is a miss when U_k is connected at k = Gamma + E - 1,
+for the threshold E on d0 - Gamma. sep_at_most asks exactly that, with
+the same search, so sep_bottleneck runs only on hits, for their sep.
 The direct D_k scan (reconfig.d0_direct) stays the oracle: `d0 --method
 direct|both` run it, `hunt` re-verifies every hit with it, and sep is
 still checked against it on every corpus graph. It reads one layer of
@@ -63,11 +71,14 @@ joins it (proofs in reconfig.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Optional
 
 from .graph_core import BudgetError, Graph, VertexSet, popcount
 from .domination import Budget, DomFamily, _require_at_least_two, enumerate_minimal_dominating
-from .reconfig import _packed, _prim_tree, d0_direct
+from .reconfig import _packed, _prim_edges, d0_direct
 
 BRUTE_FORCE_MAX_FAMILY = 15
 
@@ -136,64 +147,170 @@ def sep_brute_force(fam: DomFamily) -> SepReport:
 def sep_bottleneck(fam: DomFamily) -> SepReport:
     """Separation via the heaviest edge of a minimum spanning tree.
 
-    The tree is reconfig._prim_tree's, whose ties break toward the lowest
-    index, so the witness is deterministic. Its edges come in insertion
-    order, parents before children, so the subtree cut off below the
-    first heaviest edge is collected by one forward pass over the edges
-    after it.
+    The tree is reconfig._prim_tree's: rooted at member 0, it takes next
+    the lowest index at the smallest distance to the tree, and a parent
+    changes only on a strict decrease. The report is its first heaviest
+    edge (sep, p*, c*), as the pair (p*, c*), and the subtree below it, as
+    the partition. Neither needs the whole tree. Let C0 be member 0's
+    component of U_{sep-1}.
+
+    sep. The heaviest tree edge is the least t with U_t connected (module
+    docstring). Every weight is at most min(|union of F|, 2 Gamma), where
+    U_t is complete, so t is scanned down from there, one _component
+    search per t on one packing. The first t with U_t disconnected is
+    sep - 1, and its search returns C0.
+
+    The heaviest edge. While C0 is not all taken, a member of it is
+    within sep - 1 of the tree and every other member is at least sep
+    away. So Prim takes all of C0 first, through edges lighter than sep,
+    and the members outside C0 play no part in that order. The next edge
+    weighs sep, as U_sep is connected, so it is the first heaviest. Its
+    child c* is the lowest index at distance sep from C0. Its parent p* is
+    the first member of C0, in Prim's order, at weight sep from c*: the
+    distance of c* only falls, never below sep, and its parent last
+    changed when it reached sep. So reconfig._prim_edges, on the same
+    packing, runs only until it takes such a member, and not at all when
+    member 0 is one.
+
+    The side. After c*, Prim takes the rest of c*'s component of U_{sep-1}
+    in the same way, each member below one taken before it. Then, over and
+    over, every member left is at least sep away, Prim takes the lowest
+    index x at distance sep, and x's component follows below x. The parent
+    of x is the first member taken at weight sep from x, so it lies in the
+    earliest component taken that holds such a member. The subtree below
+    c* is therefore the union of the components whose chain of parent
+    components runs through c*'s, which takes component labels and tests
+    at weight sep, not Prim's order (_side_below). When c*'s component is
+    all of the members outside C0, as on every gkr/qkr, it is the side.
     """
     _require_at_least_two(fam)
     sets = fam.sets
     m = len(sets)
-    tree_edges = _prim_tree(sets)  # (weight, parent, child)
-    bottleneck = max(tree_edges, key=lambda e: e[0])
-    sep, p_star, c_star = bottleneck
-    side_c = {c_star}
-    for _, a, b in tree_edges[tree_edges.index(bottleneck) + 1:]:
-        if a in side_c:
-            side_c.add(b)
-    # The root, index 0, is never below a tree edge, so it is on p_star's side.
-    part_p = tuple(i for i in range(m) if i not in side_c)
+    packing = ones, sizes, size, beyond = _packed(sets)
+    everyone = ones << 7
+    t = min(popcount(reduce(or_, sets)), 2 * max(sizes))
+    c0 = everyone
+    while c0 == everyone:
+        t -= 1
+        c0 = _component(packing, t, 0, everyone ^ 0x80)
+    sep = t + 1
+    within = sep * ones | everyone
+    rest = everyone ^ c0
+    for c_star in _members(rest, m):
+        near = (within - beyond(c_star, size)) & c0
+        if near:
+            break
+    if near & 0x80:
+        p_star = 0
+    else:
+        p_star = next(child for _, _, child in _prim_edges(sets, packing)
+                      if near >> 8 * child & 0x80)
+    c1 = _component(packing, sep - 1, c_star, rest ^ 0x80 << 8 * c_star)
+    rest ^= c1
+    side = _side_below(packing, sep, c0, c1, rest) if rest else c1
     return SepReport(
         sep=sep,
-        witness_partition=(part_p, tuple(sorted(side_c))),
+        witness_partition=(tuple(_members(everyone ^ side, m)), tuple(_members(side, m))),
         witness_pair=(sets[p_star], sets[c_star]),
         method="bottleneck",
     )
 
 
+def _side_below(packing: tuple, sep: int, c0: int, c1: int, rest: int) -> int:
+    """The members below the first heaviest tree edge, as guard bits.
+
+    c0 and c1 are the first two components of U_{sep-1} that Prim takes,
+    and rest holds every other member (sep_bottleneck's docstring). The
+    components are taken in Prim's order: x, the lowest member left at
+    weight sep from one taken, then x's component. claimed[1] and
+    claimed[0] hold the members that a component on and off the side
+    reached first at weight sep, so x's side is that of its claim.
+    """
+    ones, sizes, size, beyond = packing
+    m = len(sizes)
+    within = sep * ones | ones << 7
+    claimed = [0, 0]  # members first at weight sep from a component off / on the side
+
+    def take(comp: int, on: int) -> None:
+        reach = 0
+        for z in _members(comp, m):
+            reach |= within - beyond(z, size)
+        claimed[on] |= reach & rest & ~(claimed[0] | claimed[1])
+
+    take(c0, 0)
+    take(c1, 1)
+    side = c1
+    while rest:
+        reached = (claimed[0] | claimed[1]) & rest
+        x = (reached & -reached).bit_length() // 8 - 1
+        on = claimed[1] >> 8 * x + 7 & 1
+        comp = _component(packing, sep - 1, x, rest ^ 0x80 << 8 * x)
+        rest ^= comp
+        if on:
+            side |= comp
+        take(comp, on)
+    return side
+
+
+def _members(flags: int, m: int) -> list[int]:
+    """The members whose guard bit 0x80 flags holds, in index order."""
+    return list(compress(range(m), flags.to_bytes(m, "little")))
+
+
+def _component(packing: tuple, t: int, start: int, unseen: int) -> int:
+    """Member start's component of U_t among start and unseen, as guard bits.
+
+    packing is reconfig._packed(sets); unseen holds the guard bit 0x80 of
+    every other member the search may reach. Push: a popped X marks its
+    new neighbours at once, as byte i of (t | 0x80..) - |X u Y_i| keeps its
+    guard bit exactly when |X u Y_i| <= t. No byte borrows, because t is
+    clamped into [0, 126] and every weight is at most 64, and a t outside
+    that range answers as its clamp does. Pull: once no more members are
+    unseen than pops have gone by without a find, each unseen Y joins when
+    (t | 0x80..) - |Y u Y_i| keeps the guard bit of a member seen. A pass
+    that adds nobody closes the component; pulls cost at most as much as
+    the idle pops before them. The search returns as soon as nothing is
+    unseen.
+    """
+    ones, sizes, size, beyond = packing
+    m = len(sizes)
+    within = min(max(t, 0), 126) * ones | ones << 7
+    seen = pending = 0x80 << 8 * start
+    left = unseen.bit_count()
+    idle = 0
+    while unseen and pending:
+        if left <= idle:
+            for y in _members(unseen, m):
+                if (within - beyond(y, size)) & seen:
+                    seen |= 0x80 << 8 * y
+            near = seen & unseen
+            if not near:
+                return seen
+        else:
+            low = pending & -pending
+            pending ^= low
+            near = (within - beyond(low.bit_length() // 8 - 1, size)) & unseen
+        if near:
+            unseen ^= near
+            seen |= near
+            pending |= near
+            left -= near.bit_count()
+            idle = 0
+        else:
+            idle += 1
+    return seen
+
+
 def sep_at_most(fam: DomFamily, k: int) -> bool:
     """Whether sep <= k, that is whether U_k is connected (module docstring).
 
-    Breadth-first search from member 0 of U_k, on the packed layout that
-    reconfig._prim_tree uses (reconfig._packed): unseen holds the guard
-    bit 0x80 of every member not reached yet. For a popped X, byte i of
-    (k | 0x80..) - |X u Y_i| keeps its guard bit exactly when
-    |X u Y_i| <= k; no byte borrows, because k is clamped into [0, 126]
-    and every weight is at most 64, and a k outside that range answers as
-    its clamp does. Masked by unseen, that marks X's new neighbours in a
-    few whole-int operations. The search returns as soon as nothing is
-    unseen, so a connected U_k is often settled after a few pops.
+    Searches member 0's component of U_k (_component) on the packed
+    layout of reconfig._packed, and stops as soon as it holds every member.
     """
     _require_at_least_two(fam)
-    m = len(fam.sets)
-    ones, _, size, beyond = _packed(fam.sets)
-    guard = ones << 7
-    within = min(max(k, 0), 126) * ones | guard
-    unseen = guard ^ 0x80
-    reached = [0]
-    for x in reached:  # grows while it is read: a FIFO queue
-        near = (within - beyond(x, size)) & unseen
-        if near:
-            unseen ^= near
-            if not unseen:
-                return True
-            flags = near.to_bytes(m, "little")
-            j = flags.find(128)
-            while j >= 0:
-                reached.append(j)
-                j = flags.find(128, j + 1)
-    return False
+    packing = _packed(fam.sets)
+    everyone = packing[0] << 7
+    return _component(packing, k, 0, everyone ^ 0x80) == everyone
 
 
 def check_sep_equals_d0(

@@ -235,6 +235,40 @@ def naive_prim_tree(sets: tuple[int, ...]) -> list[tuple[int, int, int]]:
     return tree
 
 
+def naive_sep_report(
+    sets: tuple[int, ...]
+) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]]:
+    """(sep, witness partition, witness pair) read off naive_prim_tree.
+
+    The first heaviest edge in insertion order gives sep and the pair
+    (parent set, child set); the partition is (every other index, the
+    indices of the subtree below that edge), each ascending.
+    """
+    tree = naive_prim_tree(sets)
+    sep = max(w for w, _, _ in tree)
+    at = next(i for i, (w, _, _) in enumerate(tree) if w == sep)
+    _, parent, child = tree[at]
+    below = {child}
+    for _, a, b in tree[at + 1:]:
+        if a in below:
+            below.add(b)
+    rest = tuple(i for i in range(len(sets)) if i not in below)
+    return sep, (rest, tuple(sorted(below))), (sets[parent], sets[child])
+
+
+def naive_threshold_component(sets: tuple[int, ...], t: int, start: int = 0) -> set[int]:
+    """Indices joined to start by steps X ~ Y with |X u Y| <= t, by a plain BFS."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in range(len(sets)):
+            if y not in seen and popcount(sets[x] | sets[y]) <= t:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
 def naive_dk(g: Graph, k: int) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
     """D_k by definition: symmetric-difference-one adjacency.
 

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import contextlib
 import gc
 import io
@@ -32,6 +33,7 @@ from domrec.io_cli import (
     EXIT_BUDGET,
     EXIT_PARSE,
     EXIT_USAGE,
+    EXIT_WORKER,
     JOBS_ENV_VAR,
     ParseError,
     export_dot,
@@ -821,20 +823,17 @@ def test_cli_hunt_starts_at_most_64_workers(monkeypatch, capsys, planted_stream,
     started = []
 
     class InProcessPool:
-        def __init__(self, processes):
-            started.append(processes)
+        def __init__(self, max_workers):
+            started.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def shutdown(self, cancel_futures):
+            pass
 
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, iterable, chunksize):
+        def map(self, func, iterable, chunksize):
             assert chunksize == io_cli.HUNT_CHUNK
             return map(func, iterable)
 
-    monkeypatch.setattr(io_cli, "Pool", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     if env is not None:
         monkeypatch.setenv(JOBS_ENV_VAR, env)
     monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
@@ -842,6 +841,37 @@ def test_cli_hunt_starts_at_most_64_workers(monkeypatch, capsys, planted_stream,
     assert started == [min(int(flags[1]) if flags else int(env), 64)]
     assert io_cli.HUNT_MAX_JOBS == 64
     assert capsys.readouterr().out == serial[1] != ""
+
+
+# A driver whose worker dies on one line, standing in for an OOM kill: the
+# forked workers inherit the patched _hunt_worker.
+DYING_WORKER = """
+import multiprocessing, os, sys
+multiprocessing.set_start_method("fork")
+from domrec import io_cli
+real = io_cli._hunt_worker
+def dying(line, *args, **kwargs):
+    if line == sys.argv[1]:
+        os._exit(137)
+    return real(line, *args, **kwargs)
+io_cli._hunt_worker = dying
+io_cli.HUNT_WINDOW = 4
+sys.exit(io_cli.main(["hunt", "--jobs", "2", "--min-excess", "1"]))
+"""
+
+
+def test_cli_hunt_names_the_window_of_a_dead_worker():
+    # The pool is broken, not waited on forever: the hits before the window
+    # are written, the window is named and hunt exits 6.
+    lines = [export_graph6(g) for g in (star(2), star(3), path_graph(4), cycle_graph(4),
+                                        star(4), path_graph(5), cycle_graph(5))]
+    proc = subprocess.run([sys.executable, "-c", DYING_WORKER, lines[5]],
+                          input="\n".join(lines) + "\n", capture_output=True, text=True,
+                          env=CLI_ENV, timeout=60)
+    assert proc.returncode == EXIT_WORKER == 6
+    assert [json.loads(row)["id"] for row in proc.stdout.splitlines()] == [1, 2, 3, 4]
+    assert "hunt: a worker died judging lines 5-7" in proc.stderr
+    assert "hunt: 4 graphs" in proc.stderr
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])

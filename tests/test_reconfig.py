@@ -1,4 +1,5 @@
 import random
+import signal
 from itertools import combinations, groupby
 
 import pytest
@@ -493,6 +494,33 @@ def test_prim_tree_retires_exactly_on_synthetic_families(sets):
         patch.setattr(reconfig, "_LANE_FLOOR", 2)
         patch.setattr(reconfig, "_RETIRE_EVERY", 2)
         assert _prim_tree(sets) == naive_prim_tree(sets)
+
+
+def test_prim_tree_advances_when_the_cadence_exceeds_the_floor():
+    # Each checkpoint must take at least one step: with lanes // _RETIRE_EVERY
+    # steps alone, _LANE_FLOOR <= lanes < _RETIRE_EVERY would take none, forever.
+    # The alarm turns such a hang into a failure.
+    rng = random.Random(4)
+    families = [(0b011, 0b110, 0b101), (1, 2), (0b0001, 0b0011, 0b0111, 0b1111)]
+    families += [enumerate_minimal_dominating(g).sets
+                 for g in (star(3), cycle_graph(5), generate_gkr(3, 1)[0])]
+    families += [tuple(dict.fromkeys(rng.getrandbits(12) for _ in range(m)))
+                 for m in (5, 9, 17, 40)]
+
+    def hang(signum, frame):
+        raise TimeoutError("_prim_tree took no step at a checkpoint")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reconfig, "_LANE_FLOOR", 2)
+            patch.setattr(reconfig, "_RETIRE_EVERY", 4)
+            for sets in families:
+                assert _prim_tree(sets) == naive_prim_tree(sets)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def nested_family_above_the_floor() -> tuple[int, ...]:

@@ -2,9 +2,12 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from domrec import (
+    Budget,
     BudgetError,
+    DomFamily,
     Graph,
     InputError,
     check_sep_equals_d0,
@@ -22,9 +25,12 @@ from domrec import (
     star,
     vertex_list,
 )
-from conftest import bipartite_graphs, chordal_graphs, edged_graphs, random_connected_graph
+from domrec import separation
+from domrec.reconfig import _packed
+from conftest import (bipartite_graphs, chordal_graphs, edged_graphs, random_connected_graph,
+                      small_graphs)
 from naive import partition_separation
-from naive import naive_d0, naive_sep
+from naive import naive_d0, naive_sep, naive_sep_report, naive_threshold_component
 
 
 def test_sep_star():
@@ -277,3 +283,95 @@ def test_sep_at_most_guard_admits_no_weight_above_k():
     assert sep_bottleneck(fam).sep == 4
     assert not sep_at_most(fam, 3)
     assert sep_at_most(fam, 4)
+
+
+# sep_bottleneck's witness, against the tree it is read off ---------------------
+
+
+def report_tuple(rep):
+    return rep.sep, rep.witness_partition, rep.witness_pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=8))
+@example(Graph.from_edges(4, [(0, 1), (2, 3)]))  # U_{sep-1}: 4 components, on both sides
+@example(Graph.from_edges(5, [(0, 3), (1, 2), (2, 4)]))  # 3 components, one off the side
+@example(generate_gkr(3, 1)[0])  # p* is not member 0
+@example(generate_gkr(4, 2)[0])
+@example(generate_gkr(3, 2)[0])  # member 0 alone is member 0's component
+def test_sep_bottleneck_matches_the_tree_oracle(g):
+    fam = enumerate_minimal_dominating(g)
+    if len(fam.sets) >= 2:
+        assert report_tuple(sep_bottleneck(fam)) == naive_sep_report(fam.sets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 64) - 1) | st.integers(0, 63), min_size=2, max_size=40,
+                unique=True))
+def test_sep_bottleneck_matches_the_tree_oracle_on_synthetic_families(sets):
+    # Any distinct sets: nested ones, the empty set and 64-vertex unions.
+    sizes = [popcount(s) for s in sets]
+    fam = DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
+    assert report_tuple(sep_bottleneck(fam)) == naive_sep_report(fam.sets)
+
+
+GRID = [(make, k, r) for make in (generate_gkr, generate_qkr)
+        for k in range(3, 6) for r in range(1, k)]
+
+
+@pytest.mark.parametrize("make, k, r", GRID, ids=lambda v: getattr(v, "__name__", v))
+def test_sep_bottleneck_matches_the_tree_oracle_on_the_grid(make, k, r):
+    fam = enumerate_minimal_dominating(make(k, r)[0], Budget.resolve(40))
+    assert report_tuple(sep_bottleneck(fam)) == naive_sep_report(fam.sets)
+
+
+@pytest.mark.parametrize("make, k, r", GRID, ids=lambda v: getattr(v, "__name__", v))
+def test_sep_bottleneck_draws_at_most_one_prim_edge_on_the_grid(monkeypatch, make, k, r):
+    # Prim runs only until it takes p*, which sits at position 0 or 1 here;
+    # a fallback to the full tree would draw m - 1 edges.
+    drawn = []
+    real = separation._prim_edges
+
+    def counting(*args):
+        for edge in real(*args):
+            drawn.append(edge)
+            yield edge
+
+    monkeypatch.setattr(separation, "_prim_edges", counting)
+    fam = enumerate_minimal_dominating(make(k, r)[0], Budget.resolve(40))
+    assert sep_bottleneck(fam).sep == k + r
+    assert len(drawn) <= 1
+
+
+# The threshold search, against a plain BFS over pair weights ------------------
+
+
+def assert_threshold_search_matches(fam, n):
+    # Every t up to min(n, 2 Gamma), where U_t is complete; from member 0 and
+    # from every member when the family is small.
+    sets = fam.sets
+    m = len(sets)
+    packing = _packed(sets)
+    everyone = packing[0] << 7
+    for t in range(min(n, 2 * fam.Gamma) + 1):
+        for start in range(m if m <= 12 else 1):
+            want = naive_threshold_component(sets, t, start)
+            got = separation._component(packing, t, start, everyone ^ 0x80 << 8 * start)
+            assert [i for i in range(m) if got >> 8 * i & 0x80] == sorted(want), (t, start)
+        assert sep_at_most(fam, t) == (len(want) == m), t
+
+
+@settings(max_examples=150, deadline=None)
+@given(edged_graphs())
+@example(Graph.from_edges(4, [(0, 1), (2, 3)]))
+@example(Graph.from_edges(5, [(0, 3), (1, 2), (2, 4)]))
+def test_threshold_search_matches_a_plain_bfs(g):
+    assert_threshold_search_matches(enumerate_minimal_dominating(g), g.n)
+
+
+@pytest.mark.parametrize("make, k, r", [(make, k, r) for make in (generate_gkr, generate_qkr)
+                                         for k in (3, 4) for r in range(1, k)],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_threshold_search_matches_a_plain_bfs_on_the_grid(make, k, r):
+    g = make(k, r)[0]
+    assert_threshold_search_matches(enumerate_minimal_dominating(g), g.n)
