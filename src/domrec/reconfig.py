@@ -341,12 +341,12 @@ def _prim_edges(
     distance of Y equals |Y|, or equals |Y| + 1 while no member left to
     take is smaller than Y, no member taken later lowers it, and as a
     parent changes only on a strict decrease, Y only waits to be taken.
-    While there are at least _LANE_FLOOR lanes, every lanes /
-    _RETIRE_EVERY steps (at least one) the settled lanes are found in a
-    few whole-int operations. The smallest size left is read off the live lanes and
-    bounded below by near - 1, as a waiting distance is |Y| or |Y| + 1; a
-    bound below it only retires fewer members. Once at least half of the
-    lanes are taken or settled, each settled member moves to
+    While there are at least _LANE_FLOOR lanes, every
+    max(lanes / _RETIRE_EVERY, 1) steps the settled lanes are found in a
+    few whole-int operations. The smallest size left is read off the live
+    lanes and bounded below by near - 1, as a waiting distance is |Y| or
+    |Y| + 1; a bound below it only retires fewer members. Once at least
+    half of the lanes are taken or settled, each settled member moves to
     waiting[its distance], and _packed packs the lanes left again, with
     the waiting members after them, so that beyond still serves them.
 

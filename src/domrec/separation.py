@@ -7,8 +7,8 @@ partition; the bottleneck route reads the same number off a minimum
 spanning tree over pair weights w(X,Y) = |X u Y|: the max-min over cuts
 equals the heaviest MST edge, and removing that edge exhibits a witness
 partition. The tree is reconfig._prim_tree's, but the route does not
-build it. sep is the least t at which U_t (below) is connected, read off
-threshold searches from the largest weight down, and the witness comes
+build it. sep is the least t at which U_t (below) is connected, tried
+upward from a lower bound with threshold searches, and the witness comes
 from the components of U_{sep-1}: Prim runs only inside member 0's
 component, and only until it takes one member (proofs in
 sep_bottleneck). Each search (_component) packs one byte per set into a
@@ -53,8 +53,8 @@ excluded, and d0 is rejected there too.
 
 This is why `domrec d0` reads d0 off sep_bottleneck by default, and why
 sep_bottleneck can find sep by asking whether U_t is connected: the
-answer is yes for every t >= sep and no below, so a scan down from the
-largest weight says no first at sep - 1. `hunt` needs only one yes/no
+answer is yes for every t >= sep and no below, so trying t upward from a
+lower bound, the first yes is at sep. `hunt` needs only one yes/no
 answer: a graph is a miss when U_k is connected at k = Gamma + E - 1,
 for the threshold E on d0 - Gamma. sep_at_most asks exactly that, with
 the same search, so sep_bottleneck runs only on hits, for their sep.
@@ -71,9 +71,7 @@ joins it (proofs in reconfig.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress
-from operator import or_
 from typing import Optional
 
 from .graph_core import BudgetError, Graph, VertexSet, popcount
@@ -81,6 +79,8 @@ from .domination import Budget, DomFamily, _require_at_least_two, enumerate_mini
 from .reconfig import _packed, _prim_edges, d0_direct
 
 BRUTE_FORCE_MAX_FAMILY = 15
+# sep_bottleneck keeps the rows |Y_x u Y_i| it has made up to this many bytes.
+_ROW_CACHE_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -155,10 +155,11 @@ def sep_bottleneck(fam: DomFamily) -> SepReport:
     component of U_{sep-1}.
 
     sep. The heaviest tree edge is the least t with U_t connected (module
-    docstring). Every weight is at most min(|union of F|, 2 Gamma), where
-    U_t is complete, so t is scanned down from there, one _component
-    search per t on one packing. The first t with U_t disconnected is
-    sep - 1, and its search returns C0.
+    docstring). The cut that puts the largest set X alone on one side has
+    its least cross weight at most sep, so trying t from there upward
+    (_cut), the first t with U_t connected is sep. Each try makes one
+    _component search at t - 1, which returns C0 at t = sep, and the steps
+    below, which reach every member exactly when U_t is connected.
 
     The heaviest edge. While C0 is not all taken, a member of it is
     within sep - 1 of the tree and every other member is at least sep
@@ -180,76 +181,101 @@ def sep_bottleneck(fam: DomFamily) -> SepReport:
     earliest component taken that holds such a member. The subtree below
     c* is therefore the union of the components whose chain of parent
     components runs through c*'s, which takes component labels and tests
-    at weight sep, not Prim's order (_side_below). When c*'s component is
-    all of the members outside C0, as on every gkr/qkr, it is the side.
+    at weight sep, not Prim's order. When c*'s component is all of the
+    members outside C0, as on every gkr/qkr, it is the side.
+
+    A row |Y_x u Y_i| does not depend on t, so each is made once and kept
+    while the rows kept hold at most _ROW_CACHE_BYTES; row keys them by x,
+    as every caller passes start = size.
     """
     _require_at_least_two(fam)
     sets = fam.sets
     m = len(sets)
-    packing = ones, sizes, size, beyond = _packed(sets)
-    everyone = ones << 7
-    t = min(popcount(reduce(or_, sets)), 2 * max(sizes))
-    c0 = everyone
-    while c0 == everyone:
-        t -= 1
-        c0 = _component(packing, t, 0, everyone ^ 0x80)
-    sep = t + 1
-    within = sep * ones | everyone
-    rest = everyone ^ c0
-    for c_star in _members(rest, m):
-        near = (within - beyond(c_star, size)) & c0
-        if near:
-            break
+    ones, sizes, size, beyond = packing = _packed(sets)
+    rows: dict[int, int] = {}
+
+    def row(x: int, start: int) -> int:
+        got = rows.get(x)
+        if got is None:
+            got = beyond(x, start)
+            if len(rows) * m < _ROW_CACHE_BYTES:
+                rows[x] = got
+        return got
+
+    big = sizes.index(max(sizes))
+    from_big = row(big, size).to_bytes(m, "little")
+    sep = min(from_big[:big] + from_big[big + 1:])
+    while not (cut := _cut((ones, sizes, size, row), sep)):
+        sep += 1
+    c0, c_star, side = cut
+    near = ((sep * ones | ones << 7) - row(c_star, size)) & c0
     if near & 0x80:
         p_star = 0
     else:
         p_star = next(child for _, _, child in _prim_edges(sets, packing)
                       if near >> 8 * child & 0x80)
-    c1 = _component(packing, sep - 1, c_star, rest ^ 0x80 << 8 * c_star)
-    rest ^= c1
-    side = _side_below(packing, sep, c0, c1, rest) if rest else c1
     return SepReport(
         sep=sep,
-        witness_partition=(tuple(_members(everyone ^ side, m)), tuple(_members(side, m))),
+        witness_partition=(tuple(_members((ones << 7) ^ side, m)), tuple(_members(side, m))),
         witness_pair=(sets[p_star], sets[c_star]),
         method="bottleneck",
     )
 
 
-def _side_below(packing: tuple, sep: int, c0: int, c1: int, rest: int) -> int:
-    """The members below the first heaviest tree edge, as guard bits.
+def _cut(packing: tuple, sep: int) -> Optional[tuple[int, int, int]]:
+    """(C0, c*, the side below c*) for this sep, or None when U_sep is disconnected.
 
-    c0 and c1 are the first two components of U_{sep-1} that Prim takes,
-    and rest holds every other member (sep_bottleneck's docstring). The
-    components are taken in Prim's order: x, the lowest member left at
-    weight sep from one taken, then x's component. claimed[1] and
-    claimed[0] hold the members that a component on and off the side
-    reached first at weight sep, so x's side is that of its claim.
+    sep must be at most the separation, so that U_{sep-1} is disconnected.
+    The steps are those of sep_bottleneck's docstring. Each member found
+    at weight sep from those taken before it joins them, so the steps reach
+    every member exactly when U_sep is connected. C0 and c*'s component are
+    taken first; when members are left, claims holds those at weight sep
+    from a component taken, and ours those of them that a component on the
+    side reached first.
     """
     ones, sizes, size, beyond = packing
     m = len(sizes)
-    within = sep * ones | ones << 7
-    claimed = [0, 0]  # members first at weight sep from a component off / on the side
+    everyone = ones << 7
+    within = sep * ones | everyone
+    c0 = _component(packing, sep - 1, 0, everyone ^ 0x80)
+    rest = everyone ^ c0
+    c_star = next((y for y in _members(rest, m) if (within - beyond(y, size)) & c0), -1)
+    if c_star < 0:
+        return None
+    rest ^= 0x80 << 8 * c_star
+    side = _component(packing, sep - 1, c_star, rest)
+    rest &= ~side
+    if not rest:
+        return c0, c_star, side
 
-    def take(comp: int, on: int) -> None:
-        reach = 0
+    def reach(comp: int) -> int:
+        near = 0
         for z in _members(comp, m):
-            reach |= within - beyond(z, size)
-        claimed[on] |= reach & rest & ~(claimed[0] | claimed[1])
+            near |= within - beyond(z, size)
+        return near
 
-    take(c0, 0)
-    take(c1, 1)
-    side = c1
+    claims = reach(c0) & rest
+    ours = reach(side) & rest & ~claims
+    claims |= ours
     while rest:
-        reached = (claimed[0] | claimed[1]) & rest
-        x = (reached & -reached).bit_length() // 8 - 1
-        on = claimed[1] >> 8 * x + 7 & 1
-        comp = _component(packing, sep - 1, x, rest ^ 0x80 << 8 * x)
-        rest ^= comp
-        if on:
+        reached = claims & rest
+        if not reached:
+            return None
+        low = reached & -reached
+        x = low.bit_length() // 8 - 1
+        rest ^= low
+        near = within - beyond(x, size)
+        comp = low
+        if (near - ones) & rest:
+            comp = _component(packing, sep - 1, x, rest)
+            rest &= ~comp
+            near = reach(comp)
+        fresh = near & rest & ~claims
+        claims |= fresh
+        if ours & low:
             side |= comp
-        take(comp, on)
-    return side
+            ours |= fresh
+    return c0, c_star, side
 
 
 def _members(flags: int, m: int) -> list[int]:
