@@ -159,7 +159,7 @@ def sep_bottleneck(fam: DomFamily) -> SepReport:
     its least cross weight at most sep, so trying t from there upward
     (_cut), the first t with U_t connected is sep. Each try makes one
     _component search at t - 1, which returns C0 at t = sep, and the steps
-    below, which reach every member exactly when U_t is connected.
+    below, which take every member exactly when U_t is connected.
 
     The heaviest edge. While C0 is not all taken, a member of it is
     within sep - 1 of the tree and every other member is at least sep
@@ -226,12 +226,12 @@ def _cut(packing: tuple, sep: int) -> Optional[tuple[int, int, int]]:
     """(C0, c*, the side below c*) for this sep, or None when U_sep is disconnected.
 
     sep must be at most the separation, so that U_{sep-1} is disconnected.
-    The steps are those of sep_bottleneck's docstring. Each member found
-    at weight sep from those taken before it joins them, so the steps reach
-    every member exactly when U_sep is connected. C0 and c*'s component are
-    taken first; when members are left, claims holds those at weight sep
-    from a component taken, and ours those of them that a component on the
-    side reached first.
+    The steps are those of sep_bottleneck's docstring. C0 and c*'s
+    component are taken first, and when they hold every member, U_sep is
+    connected. Otherwise one search at sep decides that first, and then the
+    components left are taken in Prim's order: claims holds the members at
+    weight sep from a component taken, and ours those of them that a
+    component on the side reached first.
     """
     ones, sizes, size, beyond = packing
     m = len(sizes)
@@ -247,6 +247,8 @@ def _cut(packing: tuple, sep: int) -> Optional[tuple[int, int, int]]:
     rest &= ~side
     if not rest:
         return c0, c_star, side
+    if _component(packing, sep, 0, everyone ^ 0x80) != everyone:
+        return None
 
     def reach(comp: int) -> int:
         near = 0
@@ -259,8 +261,6 @@ def _cut(packing: tuple, sep: int) -> Optional[tuple[int, int, int]]:
     claims |= ours
     while rest:
         reached = claims & rest
-        if not reached:
-            return None
         low = reached & -reached
         x = low.bit_length() // 8 - 1
         rest ^= low

@@ -308,6 +308,12 @@ def test_sep_bottleneck_matches_the_tree_oracle(g):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, (1 << 64) - 1) | st.integers(0, 63), min_size=2, max_size=40,
                 unique=True))
+# The cut of the largest set bounds sep from below, and t is tried upward from
+# there. Here the bound is sep - 1, so the first try fails: no member is at
+# weight t from member 0's component of U_{t-1} (first), or the components of
+# U_{t-1} do not all join (second).
+@example([17, 14, 15])
+@example([9, 13, 7])
 def test_sep_bottleneck_matches_the_tree_oracle_on_synthetic_families(sets):
     # Any distinct sets: nested ones, the empty set and 64-vertex unions.
     sizes = [popcount(s) for s in sets]
