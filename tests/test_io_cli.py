@@ -357,6 +357,9 @@ def _golden_cases():
             case(f"verify-{stem}", ["verify", construction, "--k", "4", "--r", str(r)], "")
             # sep pins the witness partition read off the spanning tree.
             case(f"sep-{stem}", ["sep", "-"], export_graph6(make(4, r)[0]) + "\n")
+        # 751 and 842 sets: the structure checks span several hundred lanes.
+        case(f"verify-{construction}-5-3",
+             ["verify", construction, "--k", "5", "--r", "3", "--budget", "30"], "")
     case("sep-oracle-star5", ["sep", "-", "--oracle"], export_graph6(star(5)) + "\n")
     for stem, g in (("star4", star(4)), ("c7", cycle_graph(7)),
                     ("c4xc4", cartesian_product(cycle_graph(4), cycle_graph(4))),
