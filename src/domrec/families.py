@@ -11,14 +11,29 @@ byte-stable:
     u_j -> j                      (1 <= j <= k)
     v_{i,j} -> k + (i-1)*k + j    (1 <= i <= r, 1 <= j <= k)
     w_i -> k*(r+1) + i            (qkr only, 1 <= i <= r)
+
+The structure checks read the minimal family in byte lanes, not set by
+set. A block of up to _VERIFY_CHUNK members is transposed once
+(reconfig._columns): member i owns byte i of a little-endian int, and the
+column of vertex v holds 1 in lane i when member i contains v. Summing the
+columns of a leaf clique counts, in every lane at once, the clique's
+vertices that each member holds; summing all columns gives the sizes.
+Every count is at most graph_core.MAX_VERTICES = 64 < 0x80, so with the
+guard bit 0x80 set in every lane, (count | 0x80..) - j * 0x01.. keeps the
+guard exactly in the lanes whose count is at least j (j <= 65), and no
+borrow crosses a lane. A check flags its bad lanes with the guard bit; its
+detail names the first bad set in the family's order, which is the lowest
+flagged lane of the first block with one. The extra memory is about
+n * _VERIFY_CHUNK bytes, however large the family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import product
-from typing import Callable, Iterable, Optional
+from functools import reduce
+from itertools import compress, product
+from operator import and_, or_
+from typing import Optional
 
 from .graph_core import (
     MAX_VERTICES,
@@ -27,13 +42,15 @@ from .graph_core import (
     UnsupportedGraphError,
     VertexSet,
     bit,
-    canonical_key,
     is_dominating,
-    mask_of,
-    popcount,
     vertex_list,
 )
 from .domination import Budget, DomFamily, enumerate_minimal_dominating
+from .reconfig import _BINARY_DIGITS, _columns
+
+# Members per block of byte lanes in the structure checks; a block's columns
+# take about n * _VERIFY_CHUNK bytes, whatever the family's size.
+_VERIFY_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -75,14 +92,14 @@ class GkrLayout:
 
     @property
     def hub_mask(self) -> VertexSet:  # U
-        return mask_of(range(1, self.k + 1))
+        return sum(map(bit, range(1, self.k + 1)))
 
     @property
     def hub_apex_mask(self) -> VertexSet:  # U0 = U + u0
         return self.hub_mask | 1
 
     def leaf_mask(self, i: int) -> VertexSet:  # V_i
-        return mask_of(self.v(i, j) for j in range(1, self.k + 1))
+        return sum(bit(self.v(i, j)) for j in range(1, self.k + 1))
 
 
 @dataclass(frozen=True)
@@ -98,7 +115,7 @@ class QkrLayout(GkrLayout):
 
     @property
     def w_mask(self) -> VertexSet:
-        return mask_of(self.w(i) for i in range(1, self.r + 1))
+        return sum(bit(self.w(i)) for i in range(1, self.r + 1))
 
     def leaf_plus_w_mask(self, i: int) -> VertexSet:  # W_i = V_i + w_i
         return self.leaf_mask(i) | bit(self.w(i))
@@ -155,38 +172,30 @@ def generate_qkr(k: int, r: int) -> tuple[Graph, QkrLayout]:
     return g, layout
 
 
+def _canonical(sets: list[VertexSet]) -> list[VertexSet]:
+    """sets in canonical order (by size, then as ints), sorted in place."""
+    sets.sort()
+    sets.sort(key=int.bit_count)
+    return sets
+
+
 def family_x(layout: GkrLayout) -> list[VertexSet]:
     """One vertex from the hub-plus-apex clique, one from each leaf clique."""
-    hub_choices = [layout.u0] + [layout.u(j) for j in range(1, layout.k + 1)]
+    k = layout.k
+    hub_choices = [bit(layout.u0)] + [bit(layout.u(j)) for j in range(1, k + 1)]
     leaf_choices = [
-        [layout.v(i, j) for j in range(1, layout.k + 1)]
-        for i in range(1, layout.r + 1)
+        [bit(layout.v(i, j)) for j in range(1, k + 1)] for i in range(1, layout.r + 1)
     ]
-    out = [
-        mask_of((h, *vs))
-        for h in hub_choices
-        for vs in product(*leaf_choices)
-    ]
-    out.sort()
-    out.sort(key=int.bit_count)
-    return out
+    return _canonical(list(map(sum, product(hub_choices, *leaf_choices))))
 
 
 def family_w(layout: QkrLayout) -> list[VertexSet]:
     """One vertex per augmented leaf clique, at least one saturating vertex."""
     choices = [
-        [layout.w(i)] + [layout.v(i, j) for j in range(1, layout.k + 1)]
+        [bit(layout.w(i))] + [bit(layout.v(i, j)) for j in range(1, layout.k + 1)]
         for i in range(1, layout.r + 1)
     ]
-    w_all = layout.w_mask
-    out = []
-    for vs in product(*choices):
-        m = mask_of(vs)
-        if m & w_all:
-            out.append(m)
-    out.sort()
-    out.sort(key=int.bit_count)
-    return out
+    return _canonical(list(filter(layout.w_mask.__and__, map(sum, product(*choices)))))
 
 
 @dataclass(frozen=True)
@@ -211,14 +220,58 @@ class StructureReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _first_violation(
-    layout: GkrLayout, sets: Iterable[VertexSet], bad: Callable[[VertexSet], object]
-) -> tuple[bool, str]:
-    """(True, "") when no set is bad, else (False, the first bad set in the paper's names)."""
-    viol = next((d for d in sets if bad(d)), None)
-    if viol is None:
-        return True, ""
-    return False, "{" + ",".join(map(layout.label, vertex_list(viol))) + "}"
+def _lane_checks(
+    layout: GkrLayout, sets: tuple[VertexSet, ...], parts: list[VertexSet],
+    sizes: tuple[int, ...],
+) -> tuple[list[tuple[bool, str]], list[list[VertexSet]]]:
+    """The per-set checks on the whole family, one block of byte lanes at a time.
+
+    parts are the leaf cliques V_i (gkr) or the augmented leaves W_i (qkr).
+    Returns (passed, detail) for four checks: no set holds two vertices of
+    a part; no set holds u0 and a hub vertex; no set but U misses a part;
+    no set holds a saturator and a vertex of U0. The detail names the first
+    bad set. Also returns the members of each size in sizes, in family order.
+    """
+    k = layout.k
+    hub = vertex_list(layout.hub_mask)
+    saturators = vertex_list(layout.w_mask) if isinstance(layout, QkrLayout) else []
+    part_vertices = [vertex_list(p) for p in parts]
+    top = 1 << max(max(sets, default=0).bit_length(), layout.order)
+    first: list[Optional[VertexSet]] = [None] * 4
+    members: list[list[VertexSet]] = [[] for _ in sizes]
+    for start in range(0, len(sets), _VERIFY_CHUNK):
+        block = sets[start:start + _VERIFY_CHUNK]
+        ones = int.from_bytes(b"\1" * len(block), "little")
+        guard = ones << 7
+
+        def at_least(counts: int, j: int) -> int:
+            return ((counts | guard) - j * ones) & guard
+
+        def equal(counts: int, j: int) -> int:
+            return at_least(counts, j) ^ at_least(counts, j + 1)
+
+        col = _columns(block, top, _BINARY_DIGITS, len(block))[1][::-1]
+        counts = [sum(map(col.__getitem__, p)) for p in part_vertices]
+        size = sum(col)
+        in_hub = reduce(or_, map(col.__getitem__, hub))
+        is_hub = equal(size, k) & equal(sum(map(col.__getitem__, hub)), k)
+        flags = (
+            reduce(or_, [at_least(c, 2) for c in counts]),
+            (col[0] & in_hub) << 7,
+            (guard ^ reduce(and_, [at_least(c, 1) for c in counts])) & ~is_hub,
+            (reduce(or_, map(col.__getitem__, saturators), 0) & (col[0] | in_hub)) << 7,
+        )
+        for i, flag in enumerate(flags):
+            if first[i] is None and flag:
+                first[i] = block[((flag & -flag).bit_length() - 1) >> 3]
+        for out, s in zip(members, sizes):
+            out += compress(block, equal(size, s).to_bytes(len(block), "little"))
+    verdicts = [
+        (True, "") if bad is None
+        else (False, "{" + ",".join(map(layout.label, vertex_list(bad))) + "}")
+        for bad in first
+    ]
+    return verdicts, members
 
 
 def _forced_leaf_hits(
@@ -261,12 +314,11 @@ def verify_gkr_structure(
     """Mechanically check the structure of the minimal dominating sets of gkr."""
     g, layout = generate_gkr(k, r)
     fam = enumerate_minimal_dominating(g, budget)
-    first = partial(_first_violation, layout, fam.sets)
     hub, hub_apex = layout.hub_mask, layout.hub_apex_mask
     leaves = [layout.leaf_mask(i) for i in range(1, r + 1)]
-    expected = sorted(family_x(layout) + [hub], key=canonical_key)
+    (twice, apex, missed, _), (top,) = _lane_checks(layout, fam.sets, leaves, (fam.Gamma,))
+    expected = _canonical(family_x(layout) + [hub])
     if r < k - 1:
-        top = [d for d in fam.sets if popcount(d) == fam.Gamma]
         top_row = ("hub-is-unique-maximum-set", (top == [hub], f"{len(top)} maximum sets"))
     else:
         top_row = ("well-dominated-at-maximal-leaf-count",
@@ -278,12 +330,9 @@ def verify_gkr_structure(
          (not is_dominating(g, g.full_mask & ~hub_apex), "")),
         ("missing-hub-vertex-forces-leaf-hits",
          _forced_leaf_hits(g, layout, leaves, "violations at (leaf,hub) pairs {}")),
-        ("minimal-hits-each-leaf-clique-at-most-once",
-         first(lambda d: any(popcount(d & lv) > 1 for lv in leaves))),
-        ("apex-member-is-alone-in-hub-clique",
-         first(lambda d: d & 1 and d & hub_apex != 1)),
-        ("leaf-clique-missed-only-by-hub-set",
-         first(lambda d: d != hub and any(d & lv == 0 for lv in leaves))),
+        ("minimal-hits-each-leaf-clique-at-most-once", twice),
+        ("apex-member-is-alone-in-hub-clique", apex),
+        ("leaf-clique-missed-only-by-hub-set", missed),
         ("minimal-family-is-construction-family-plus-hub",
          (list(fam.sets) == expected,
           f"enumerated {len(fam.sets)} sets, expected {len(expected)}")),
@@ -300,19 +349,18 @@ def verify_qkr_structure(
     """Same style of checks for the saturated construction."""
     g, layout = generate_qkr(k, r)
     fam = enumerate_minimal_dominating(g, budget)
-    first = partial(_first_violation, layout, fam.sets)
     hub, hub_apex, w_all = layout.hub_mask, layout.hub_apex_mask, layout.w_mask
     wleaves = [layout.leaf_plus_w_mask(i) for i in range(1, r + 1)]
+    # fam.sets is in canonical order, so are its members of one size.
+    (twice, apex, missed, saturated), (min_sets, top) = _lane_checks(
+        layout, fam.sets, wleaves, (fam.gamma, fam.Gamma))
     xs = family_x(layout)
     ws = family_w(layout)
-    expected = sorted(xs + ws + [hub], key=canonical_key)
-    # fam.sets is in canonical order, so are its members of one size.
-    min_sets = [d for d in fam.sets if popcount(d) == fam.gamma]
-    top = [d for d in fam.sets if popcount(d) == fam.Gamma]
+    expected = _canonical(xs + ws + [hub])
     if r < k - 1:
         top_row = ("hub-is-unique-maximum-set", (top == [hub], f"{len(top)} maximum sets"))
     else:
-        expected_top = sorted(xs + [hub], key=canonical_key)
+        expected_top = _canonical(xs + [hub])
         top_row = ("maximum-sets-are-construction-family-plus-hub",
                    (top == expected_top, f"{len(top)} maximum sets, expected {len(expected_top)}"))
     # V_i + w_i + u_j = W_i + u_j: both forcing rows test the same sets.
@@ -322,14 +370,10 @@ def verify_qkr_structure(
          (not is_dominating(g, g.full_mask & ~(hub_apex | w_all)), "")),
         ("missing-hub-vertex-forces-augmented-leaf-hits", forced),
         ("missing-hub-and-saturator-forces-leaf-hits", forced),
-        ("minimal-hits-each-augmented-leaf-at-most-once",
-         first(lambda d: any(popcount(d & wl) > 1 for wl in wleaves))),
-        ("apex-member-is-alone-in-hub-clique",
-         first(lambda d: d & 1 and d & hub_apex != 1)),
-        ("augmented-leaf-missed-only-by-hub-set",
-         first(lambda d: d != hub and any(d & wl == 0 for wl in wleaves))),
-        ("saturator-member-excludes-hub-clique",
-         first(lambda d: d & w_all and d & hub_apex)),
+        ("minimal-hits-each-augmented-leaf-at-most-once", twice),
+        ("apex-member-is-alone-in-hub-clique", apex),
+        ("augmented-leaf-missed-only-by-hub-set", missed),
+        ("saturator-member-excludes-hub-clique", saturated),
         ("minimal-family-is-both-families-plus-hub",
          (list(fam.sets) == expected,
           f"enumerated {len(fam.sets)} sets, expected {len(expected)}")),

@@ -8,7 +8,7 @@ at the end are test-only checks and conversions on the package's objects.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -17,6 +17,7 @@ from domrec import (
     Graph,
     GkrLayout,
     InputError,
+    QkrLayout,
     ReconfigGraph,
     VertexSet,
     mask_of,
@@ -593,3 +594,74 @@ def irredundance_witness(layout: GkrLayout) -> VertexSet:
     members = [layout.u(j) for j in range(1, layout.k)]
     members.extend(layout.v(i, layout.k) for i in range(1, layout.r))
     return mask_of(members)
+
+
+def naive_structure_rows(layout: GkrLayout, sets: list[VertexSet]) -> list[tuple[str, bool, str]]:
+    """The (name, passed, detail) rows of verify_gkr_structure or
+    verify_qkr_structure that read the minimal family, in report order.
+
+    Each per-set row scans the sets one at a time, as frozensets, and names
+    the first bad one. The expected families are built from the layout and
+    sorted by (size, mask). gamma and Gamma are the least and largest set
+    sizes. The rows that read only the graph (the forcing rows) are left out.
+    """
+    k, r = layout.k, layout.r
+    qkr = isinstance(layout, QkrLayout)
+    members = [frozenset(vertex_list(d)) for d in sets]
+    hub = frozenset(range(1, k + 1))
+    hub_apex = hub | {0}
+    leaves = [[layout.v(i, j) for j in range(1, k + 1)] for i in range(1, r + 1)]
+    saturators = frozenset(layout.w(i) for i in range(1, r + 1)) if qkr else frozenset()
+    # The leaf cliques V_i, or W_i = V_i + w_i for qkr.
+    parts = [frozenset(leaf) | ({layout.w(i)} if qkr else set())
+             for i, leaf in enumerate(leaves, 1)]
+
+    def first(bad: Callable[[frozenset[int]], object]) -> tuple[bool, str]:
+        viol = next((d for d in members if bad(d)), None)
+        if viol is None:
+            return True, ""
+        return False, "{" + ",".join(layout.label(v) for v in sorted(viol)) + "}"
+
+    def ordered(fam: list[frozenset[int]]) -> list[frozenset[int]]:
+        return sorted(fam, key=lambda d: (len(d), sum(1 << v for v in d)))
+
+    sizes = [len(d) for d in members]
+    gamma, Gamma = min(sizes), max(sizes)
+    xs = [frozenset(vs) for vs in product([0, *hub], *leaves)]
+    w_choices = [[layout.w(i), *leaf] for i, leaf in enumerate(leaves, 1)] if qkr else []
+    ws = [frozenset(vs) for vs in product(*w_choices) if saturators & set(vs)]
+    expected = ordered(xs + ws + [hub])
+    top = [d for d in members if len(d) == Gamma]
+    part = "augmented-leaf" if qkr else "leaf-clique"
+    rows = [
+        (f"minimal-hits-each-{part}-at-most-once",
+         *first(lambda d: any(len(d & p) > 1 for p in parts))),
+        ("apex-member-is-alone-in-hub-clique", *first(lambda d: 0 in d and len(d & hub_apex) > 1)),
+        (f"{part}-missed-only-by-hub-set",
+         *first(lambda d: d != hub and any(not d & p for p in parts))),
+    ]
+    if qkr:
+        rows.append(("saturator-member-excludes-hub-clique",
+                     *first(lambda d: d & saturators and d & hub_apex)))
+    rows += [
+        ("minimal-family-is-both-families-plus-hub" if qkr
+         else "minimal-family-is-construction-family-plus-hub",
+         members == expected, f"enumerated {len(sets)} sets, expected {len(expected)}"),
+        ("gamma-is-leaf-count", gamma == r, f"gamma={gamma}") if qkr
+        else ("gamma-is-leaf-count-plus-one", gamma == r + 1, f"gamma={gamma}"),
+        ("Gamma-is-clique-size", Gamma == k, f"Gamma={Gamma}"),
+    ]
+    if qkr:
+        min_sets = [d for d in members if len(d) == gamma]
+        rows.append(("minimum-sets-are-saturator-family", min_sets == ordered(ws),
+                     f"{len(min_sets)} minimum sets, expected {len(ws)}"))
+    if r < k - 1:
+        rows.append(("hub-is-unique-maximum-set", top == [hub], f"{len(top)} maximum sets"))
+    elif qkr:
+        expected_top = ordered(xs + [hub])
+        rows.append(("maximum-sets-are-construction-family-plus-hub", top == expected_top,
+                     f"{len(top)} maximum sets, expected {len(expected_top)}"))
+    else:
+        rows.append(("well-dominated-at-maximal-leaf-count", gamma == Gamma,
+                     f"gamma={gamma}, Gamma={Gamma}"))
+    return rows

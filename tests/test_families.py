@@ -1,6 +1,11 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from domrec import (
+    DomFamily,
     InputError,
     complete_graph,
     cycle_graph,
@@ -21,7 +26,8 @@ from domrec import (
     verify_gkr_structure,
     verify_qkr_structure,
 )
-from naive import degree, edge_count, irredundance_witness
+from domrec import families
+from naive import degree, edge_count, irredundance_witness, naive_structure_rows
 
 GRID = [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
 
@@ -102,6 +108,68 @@ def test_structure_checks_pass_on_grid():
         qrep = verify_qkr_structure(k, r)
         assert qrep.ok, qrep.failures()
         assert qrep.family_size == (k + 1) * k**r + (k + 1) ** r - k**r + 1
+
+
+_ENUMERATED: dict[tuple[str, int, int], tuple[int, ...]] = {}
+_VERIFY = {"gkr": (generate_gkr, verify_gkr_structure), "qkr": (generate_qkr, verify_qkr_structure)}
+
+
+@st.composite
+def tampered_cases(draw):
+    """(construction, k, r, edits, shuffle seed or None, block size or None)."""
+    kind = draw(st.sampled_from(sorted(_VERIFY)))
+    k, r = draw(st.sampled_from([(3, 1), (3, 2), (4, 2), (4, 3)]))
+    edit = st.tuples(st.sampled_from(["drop", "add", "copy", "flip"]),
+                     st.integers(0, 400), st.integers(0, 2**64 - 1))
+    edits = tuple(draw(st.lists(edit, max_size=4)))
+    shuffle = draw(st.none() | st.integers(0, 2**32))
+    return kind, k, r, edits, shuffle, draw(st.sampled_from([None, 8, 256]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tampered_cases())
+# Set 300 of gkr(4,3) holds v1,4; adding v1,1 makes it the only bad set, in a
+# lane past 255.
+@example(("gkr", 4, 3, (("flip", 300, 5),), None, None))
+# Set 381 of qkr(4,3) is its last: with blocks of 8 lanes the only bad set
+# sits in the last block, which has 6.
+@example(("qkr", 4, 3, (("flip", 381, 5),), None, 8))
+# The hub set twice, shuffled: "only by the hub set" clears both lanes.
+@example(("gkr", 4, 2, (("copy", 0, 80), ("flip", 3, 0)), 1, None))
+def test_verify_rows_match_the_set_by_set_oracle(case):
+    kind, k, r, edits, shuffle, block = case
+    make, verify = _VERIFY[kind]
+    g, layout = make(k, r)
+    if case[:3] not in _ENUMERATED:
+        _ENUMERATED[case[:3]] = enumerate_minimal_dominating(g).sets
+    sets = list(_ENUMERATED[case[:3]])
+    n = layout.order
+    for op, at, value in edits:
+        if op == "drop" and len(sets) > 1:
+            del sets[at % len(sets)]
+        elif op == "add":
+            sets.insert(at % (len(sets) + 1), value % (1 << n))
+        elif op == "copy":
+            sets.insert(at % (len(sets) + 1), sets[value % len(sets)])
+        elif op == "flip":
+            sets[at % len(sets)] ^= 1 << value % n
+    if shuffle is not None:
+        random.Random(shuffle).shuffle(sets)
+    sizes = [s.bit_count() for s in sets]
+    fam = DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "enumerate_minimal_dominating", lambda g, budget=None: fam)
+        if block is not None:
+            mp.setattr(families, "_VERIFY_CHUNK", block)
+        report = verify(k, r)
+    rows = naive_structure_rows(layout, sets)
+    names = {row[0] for row in rows}
+    assert [(c.name, c.passed, c.detail) for c in report.checks if c.name in names] == rows
+    # The rest read only the graph: two rows for gkr, three for qkr.
+    graph_rows = [c for c in report.checks if c.name not in names]
+    assert len(graph_rows) == {"gkr": 2, "qkr": 3}[kind]
+    assert all(c.passed for c in graph_rows)
+    assert report.ok == all(row[1] for row in rows)
 
 
 def test_gkr_gamma_branches():

@@ -1,15 +1,19 @@
 """Smoke runs of the scripts under scripts/, each at a size that takes about a second.
 
 All three call d0_direct and sep_bottleneck through the public API, so a
-signature or behaviour change there that breaks them shows here.
+signature or behaviour change there that breaks them shows here. The
+reproduction script also runs the structure checks on every row.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from domrec import CheckResult, StructureReport, generate_gkr, verify_gkr_structure
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,3 +30,19 @@ def test_script_runs(script, args):
     assert proc.returncode == 0, proc.stderr
     assert "MISMATCH" not in proc.stdout
     assert proc.stdout
+
+
+def test_reproduction_rows_carry_the_verify_result(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_constructions", ROOT / "scripts" / "reproduce_constructions.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    g, _ = generate_gkr(3, 1)
+    assert script.row("gkr(3,1)", g, 4, lambda: verify_gkr_structure(3, 1))
+    assert "verify=ok [ok," in capsys.readouterr().out
+    # d0 = sep = 4 still, but one failed check makes the row a mismatch.
+    failed = StructureReport("gkr", 3, 1, 13, 2, 3, False, (
+        CheckResult("Gamma-is-clique-size", False, "Gamma=4"),
+        CheckResult("gamma-is-leaf-count-plus-one", True, "gamma=2")))
+    assert not script.row("gkr(3,1)", g, 4, lambda: failed)
+    assert "verify=Gamma-is-clique-size [MISMATCH," in capsys.readouterr().out
