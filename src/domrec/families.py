@@ -23,8 +23,8 @@ guard bit 0x80 set in every lane, (count | 0x80..) - j * 0x01.. keeps the
 guard exactly in the lanes whose count is at least j (j <= 65), and no
 borrow crosses a lane. A check flags its bad lanes with the guard bit; its
 detail names the first bad set in the family's order, which is the lowest
-flagged lane of the first block with one. The extra memory is about
-n * _VERIFY_CHUNK bytes, however large the family.
+flagged lane of the first block with one. The extra memory is a few
+times n * _VERIFY_CHUNK bytes, however large the family.
 """
 
 from __future__ import annotations
