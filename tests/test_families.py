@@ -1,4 +1,5 @@
 import random
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,8 +111,12 @@ def test_structure_checks_pass_on_grid():
         assert qrep.family_size == (k + 1) * k**r + (k + 1) ** r - k**r + 1
 
 
-_ENUMERATED: dict[tuple[str, int, int], tuple[int, ...]] = {}
 _VERIFY = {"gkr": (generate_gkr, verify_gkr_structure), "qkr": (generate_qkr, verify_qkr_structure)}
+
+
+@cache
+def _enumerated(kind: str, k: int, r: int) -> tuple[int, ...]:
+    return enumerate_minimal_dominating(_VERIFY[kind][0](k, r)[0]).sets
 
 
 @st.composite
@@ -139,10 +144,8 @@ def tampered_cases(draw):
 def test_verify_rows_match_the_set_by_set_oracle(case):
     kind, k, r, edits, shuffle, block = case
     make, verify = _VERIFY[kind]
-    g, layout = make(k, r)
-    if case[:3] not in _ENUMERATED:
-        _ENUMERATED[case[:3]] = enumerate_minimal_dominating(g).sets
-    sets = list(_ENUMERATED[case[:3]])
+    layout = make(k, r)[1]
+    sets = list(_enumerated(kind, k, r))
     n = layout.order
     for op, at, value in edits:
         if op == "drop" and len(sets) > 1:
