@@ -7,13 +7,21 @@ and shows that d0 = k + r on every row (gamma differs by one between the
 two constructions). It also runs the construction's structure checks
 (`domrec verify`) and prints verify=ok or the names of the checks that
 failed; a failed check counts as a MISMATCH.
+
+Exit status: 0 when every row is ok, 1 on a MISMATCH. A row refused by the
+enumeration budget (DOMREC_BUDGET, at most n = 24 by default) ends the run
+with exit 4, and an input error with exit 3, as `domrec` does; the rows
+already printed stay, and stderr names the refused row.
 """
 
 import argparse
+import sys
 import time
 from functools import partial
 
 from domrec import (
+    BudgetError,
+    DomrecError,
     d0_direct,
     enumerate_minimal_dominating,
     generate_gkr,
@@ -44,12 +52,18 @@ def main() -> int:
                         help="largest clique size to include (default 4)")
     args = parser.parse_args()
     ok = True
+    constructions = (("gkr", generate_gkr, verify_gkr_structure),
+                     ("qkr", generate_qkr, verify_qkr_structure))
     for k in range(3, args.k_max + 1):
         for r in range(1, k):
-            g, _ = generate_gkr(k, r)
-            q, _ = generate_qkr(k, r)
-            ok &= row(f"gkr({k},{r})", g, k + r, partial(verify_gkr_structure, k, r))
-            ok &= row(f"qkr({k},{r})", q, k + r, partial(verify_qkr_structure, k, r))
+            for kind, generate, verify in constructions:
+                name = f"{kind}({k},{r})"
+                try:
+                    ok &= row(name, generate(k, r)[0], k + r, partial(verify, k, r))
+                except DomrecError as exc:
+                    sys.stdout.flush()
+                    print(f"{name}: {exc}", file=sys.stderr)
+                    return 4 if isinstance(exc, BudgetError) else 3
     return 0 if ok else 1
 
 

@@ -12,28 +12,22 @@ byte-stable:
     v_{i,j} -> k + (i-1)*k + j    (1 <= i <= r, 1 <= j <= k)
     w_i -> k*(r+1) + i            (qkr only, 1 <= i <= r)
 
-The structure checks read the minimal family in byte lanes, not set by
-set. A block of up to _VERIFY_CHUNK members is transposed once
-(reconfig._columns): member i owns byte i of a little-endian int, and the
-column of vertex v holds 1 in lane i when member i contains v. Summing the
-columns of a leaf clique counts, in every lane at once, the clique's
-vertices that each member holds; summing all columns gives the sizes.
-Every count is at most graph_core.MAX_VERTICES = 64 < 0x80, so with the
-guard bit 0x80 set in every lane, (count | 0x80..) - j * 0x01.. keeps the
-guard exactly in the lanes whose count is at least j (j <= 65), and no
-borrow crosses a lane. A check flags its bad lanes with the guard bit; its
-detail names the first bad set in the family's order, which is the lowest
-flagged lane of the first block with one. The extra memory is a few
-times n * _VERIFY_CHUNK bytes, however large the family.
+verify compares the enumerated minimal family with the expected one,
+family_x (+ family_w for qkr) + U. No expected set fails a per-set check.
+A member of family_x holds one vertex of U0 and one of each leaf clique,
+a member of family_w one vertex of each augmented leaf W_i and at least
+one saturator, and U only hub vertices. So none holds two vertices of a
+part, u0 with a hub vertex, or a saturator with a vertex of U0, and only
+U misses a part. The first bad set in family order is therefore the first
+bad one outside the expected family, and the checks read only those sets:
+none when the two families are equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress, product
-from operator import and_, or_
-from typing import Optional
+from itertools import compress, filterfalse, product
+from typing import Callable, Optional
 
 from .graph_core import (
     MAX_VERTICES,
@@ -46,11 +40,6 @@ from .graph_core import (
     vertex_list,
 )
 from .domination import Budget, DomFamily, enumerate_minimal_dominating
-from .reconfig import _BINARY_DIGITS, _columns
-
-# Members per block of byte lanes in the structure checks; a block's columns
-# take about n * _VERIFY_CHUNK bytes, whatever the family's size.
-_VERIFY_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -220,58 +209,41 @@ class StructureReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _lane_checks(
-    layout: GkrLayout, sets: tuple[VertexSet, ...], parts: list[VertexSet],
-    sizes: tuple[int, ...],
-) -> tuple[list[tuple[bool, str]], list[list[VertexSet]]]:
-    """The per-set checks on the whole family, one block of byte lanes at a time.
+def _per_set_checks(
+    layout: GkrLayout, sets: tuple[VertexSet, ...], expected: list[VertexSet],
+    parts: list[VertexSet],
+) -> tuple[bool, list[tuple[bool, str]]]:
+    """Whether sets equal expected, and the per-set checks on sets.
 
     parts are the leaf cliques V_i (gkr) or the augmented leaves W_i (qkr).
     Returns (passed, detail) for four checks: no set holds two vertices of
     a part; no set holds u0 and a hub vertex; no set but U misses a part;
     no set holds a saturator and a vertex of U0. The detail names the first
-    bad set. Also returns the members of each size in sizes, in family order.
+    bad set. Only the sets outside expected are read (module docstring);
+    U is expected, so none of them is U.
     """
-    k = layout.k
-    hub = vertex_list(layout.hub_mask)
-    saturators = vertex_list(layout.w_mask) if isinstance(layout, QkrLayout) else []
-    part_vertices = [vertex_list(p) for p in parts]
-    top = 1 << max(max(sets, default=0).bit_length(), layout.order)
-    first: list[Optional[VertexSet]] = [None] * 4
-    members: list[list[VertexSet]] = [[] for _ in sizes]
-    for start in range(0, len(sets), _VERIFY_CHUNK):
-        block = sets[start:start + _VERIFY_CHUNK]
-        ones = int.from_bytes(b"\1" * len(block), "little")
-        guard = ones << 7
+    same = list(sets) == expected
+    outside = [] if same else list(filterfalse(set(expected).__contains__, sets))
+    hub_apex = layout.hub_apex_mask
+    saturators = layout.w_mask if isinstance(layout, QkrLayout) else 0
 
-        def at_least(counts: int, j: int) -> int:
-            return ((counts | guard) - j * ones) & guard
+    def first(bad: Callable[[VertexSet], object]) -> tuple[bool, str]:
+        viol = next(filter(bad, outside), None)
+        if viol is None:
+            return True, ""
+        return False, "{" + ",".join(map(layout.label, vertex_list(viol))) + "}"
 
-        def equal(counts: int, j: int) -> int:
-            return at_least(counts, j) ^ at_least(counts, j + 1)
-
-        col = _columns(block, top, _BINARY_DIGITS, len(block))[1][::-1]
-        counts = [sum(map(col.__getitem__, p)) for p in part_vertices]
-        size = sum(col)
-        in_hub = reduce(or_, map(col.__getitem__, hub))
-        is_hub = equal(size, k) & equal(sum(map(col.__getitem__, hub)), k)
-        flags = (
-            reduce(or_, [at_least(c, 2) for c in counts]),
-            (col[0] & in_hub) << 7,
-            (guard ^ reduce(and_, [at_least(c, 1) for c in counts])) & ~is_hub,
-            (reduce(or_, map(col.__getitem__, saturators), 0) & (col[0] | in_hub)) << 7,
-        )
-        for i, flag in enumerate(flags):
-            if first[i] is None and flag:
-                first[i] = block[((flag & -flag).bit_length() - 1) >> 3]
-        for out, s in zip(members, sizes):
-            out += compress(block, equal(size, s).to_bytes(len(block), "little"))
-    verdicts = [
-        (True, "") if bad is None
-        else (False, "{" + ",".join(map(layout.label, vertex_list(bad))) + "}")
-        for bad in first
+    return same, [
+        first(lambda d: any((d & p).bit_count() > 1 for p in parts)),
+        first(lambda d: d & 1 and d & hub_apex != 1),
+        first(lambda d: not all(map(d.__and__, parts))),
+        first(lambda d: d & saturators and d & hub_apex),
     ]
-    return verdicts, members
+
+
+def _of_size(sets: tuple[VertexSet, ...], size: int) -> list[VertexSet]:
+    """The members of sets with `size` vertices, in family order."""
+    return list(compress(sets, map(size.__eq__, map(int.bit_count, sets))))
 
 
 def _forced_leaf_hits(
@@ -316,9 +288,10 @@ def verify_gkr_structure(
     fam = enumerate_minimal_dominating(g, budget)
     hub, hub_apex = layout.hub_mask, layout.hub_apex_mask
     leaves = [layout.leaf_mask(i) for i in range(1, r + 1)]
-    (twice, apex, missed, _), (top,) = _lane_checks(layout, fam.sets, leaves, (fam.Gamma,))
     expected = _canonical(family_x(layout) + [hub])
+    same, (twice, apex, missed, _) = _per_set_checks(layout, fam.sets, expected, leaves)
     if r < k - 1:
+        top = _of_size(fam.sets, fam.Gamma)
         top_row = ("hub-is-unique-maximum-set", (top == [hub], f"{len(top)} maximum sets"))
     else:
         top_row = ("well-dominated-at-maximal-leaf-count",
@@ -334,8 +307,7 @@ def verify_gkr_structure(
         ("apex-member-is-alone-in-hub-clique", apex),
         ("leaf-clique-missed-only-by-hub-set", missed),
         ("minimal-family-is-construction-family-plus-hub",
-         (list(fam.sets) == expected,
-          f"enumerated {len(fam.sets)} sets, expected {len(expected)}")),
+         (same, f"enumerated {len(fam.sets)} sets, expected {len(expected)}")),
         ("gamma-is-leaf-count-plus-one", (fam.gamma == r + 1, f"gamma={fam.gamma}")),
         ("Gamma-is-clique-size", (fam.Gamma == k, f"Gamma={fam.Gamma}")),
         top_row,
@@ -351,12 +323,11 @@ def verify_qkr_structure(
     fam = enumerate_minimal_dominating(g, budget)
     hub, hub_apex, w_all = layout.hub_mask, layout.hub_apex_mask, layout.w_mask
     wleaves = [layout.leaf_plus_w_mask(i) for i in range(1, r + 1)]
-    # fam.sets is in canonical order, so are its members of one size.
-    (twice, apex, missed, saturated), (min_sets, top) = _lane_checks(
-        layout, fam.sets, wleaves, (fam.gamma, fam.Gamma))
-    xs = family_x(layout)
-    ws = family_w(layout)
+    xs, ws = family_x(layout), family_w(layout)
     expected = _canonical(xs + ws + [hub])
+    same, (twice, apex, missed, saturated) = _per_set_checks(layout, fam.sets, expected, wleaves)
+    # fam.sets is in canonical order, so are its members of one size.
+    min_sets, top = _of_size(fam.sets, fam.gamma), _of_size(fam.sets, fam.Gamma)
     if r < k - 1:
         top_row = ("hub-is-unique-maximum-set", (top == [hub], f"{len(top)} maximum sets"))
     else:
@@ -375,8 +346,7 @@ def verify_qkr_structure(
         ("augmented-leaf-missed-only-by-hub-set", missed),
         ("saturator-member-excludes-hub-clique", saturated),
         ("minimal-family-is-both-families-plus-hub",
-         (list(fam.sets) == expected,
-          f"enumerated {len(fam.sets)} sets, expected {len(expected)}")),
+         (same, f"enumerated {len(fam.sets)} sets, expected {len(expected)}")),
         ("gamma-is-leaf-count", (fam.gamma == r, f"gamma={fam.gamma}")),
         ("Gamma-is-clique-size", (fam.Gamma == k, f"Gamma={fam.Gamma}")),
         ("minimum-sets-are-saturator-family",

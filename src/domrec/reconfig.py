@@ -268,22 +268,6 @@ def _lifted_components(layer: Iterable[VertexSet], below: dict[VertexSet, int],
     return components, here
 
 
-def _columns(
-    sets: Iterable[VertexSet], top: int, table: bytes, lanes: int
-) -> tuple[bytes, list[int]]:
-    """The bin() text of every set, and its first `lanes` rows as byte columns.
-
-    top is a power of two above every set. bin(top | s) is "0b1" and then
-    one digit per vertex below top, highest first, at the same offsets for
-    every s. Column j is the digit of vertex top.bit_length() - 2 - j: it
-    holds table[that digit of the i-th set] as byte i of a little-endian int.
-    """
-    width = top.bit_length() + 2
-    text = "".join(map(bin, map(top.__or__, sets))).encode()
-    cells = text[:lanes * width].translate(table)
-    return text, [int.from_bytes(cells[j::width], "little") for j in range(3, width)]
-
-
 def _packed(
     sets: tuple[VertexSet, ...], lanes: Optional[int] = None
 ) -> tuple[int, bytes, int, Callable[[int, int], int]]:
@@ -308,9 +292,13 @@ def _packed(
     """
     m = len(sets) if lanes is None else lanes
     ones = int.from_bytes(b"\1" * m, "little")
+    # bin(top | s) is "0b1" and then one digit per vertex, at the same offsets for every s.
     top = 1 << max(sets).bit_length()
     width = top.bit_length() + 2
-    text, lacks = _columns(sets, top, _LACKING_DIGITS, m)
+    text = "".join(map(bin, map(top.__or__, sets))).encode()
+    holes = text[:m * width].translate(_LACKING_DIGITS)
+    lacks = [int.from_bytes(holes[j::width], "little") for j in range(3, width)]
+    del holes  # before digits, so three text-sized buffers at most are alive at once
     digits = text.translate(_BINARY_DIGITS)
     size = (width - 3) * ones - sum(lacks)
 

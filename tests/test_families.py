@@ -121,28 +121,29 @@ def _enumerated(kind: str, k: int, r: int) -> tuple[int, ...]:
 
 @st.composite
 def tampered_cases(draw):
-    """(construction, k, r, edits, shuffle seed or None, block size or None)."""
+    """(construction, k, r, edits, shuffle seed or None)."""
     kind = draw(st.sampled_from(sorted(_VERIFY)))
     k, r = draw(st.sampled_from([(3, 1), (3, 2), (4, 2), (4, 3)]))
     edit = st.tuples(st.sampled_from(["drop", "add", "copy", "flip"]),
                      st.integers(0, 400), st.integers(0, 2**64 - 1))
     edits = tuple(draw(st.lists(edit, max_size=4)))
-    shuffle = draw(st.none() | st.integers(0, 2**32))
-    return kind, k, r, edits, shuffle, draw(st.sampled_from([None, 8, 256]))
+    return kind, k, r, edits, draw(st.none() | st.integers(0, 2**32))
 
 
 @settings(max_examples=150, deadline=None)
 @given(tampered_cases())
-# Set 300 of gkr(4,3) holds v1,4; adding v1,1 makes it the only bad set, in a
-# lane past 255.
-@example(("gkr", 4, 3, (("flip", 300, 5),), None, None))
-# Set 381 of qkr(4,3) is its last: with blocks of 8 lanes the only bad set
-# sits in the last block, which has 6.
-@example(("qkr", 4, 3, (("flip", 381, 5),), None, 8))
-# The hub set twice, shuffled: "only by the hub set" clears both lanes.
-@example(("gkr", 4, 2, (("copy", 0, 80), ("flip", 3, 0)), 1, None))
+# Set 300 of gkr(4,3) holds v1,4; adding v1,1 makes it the only bad set.
+@example(("gkr", 4, 3, (("flip", 300, 5),), None))
+# Set 381 of qkr(4,3) is its last: the only bad set is the family's last.
+@example(("qkr", 4, 3, (("flip", 381, 5),), None))
+# The hub set twice, shuffled: "only by the hub set" passes both copies.
+@example(("gkr", 4, 2, (("copy", 0, 80), ("flip", 3, 0)), 1))
+# Set 0 of gkr(4,3) is the hub set U; a second copy sits before the only bad
+# set (now 301). It is an expected set, so it is not flagged, though the
+# family no longer equals the expected one.
+@example(("gkr", 4, 3, (("flip", 300, 5), ("copy", 0, 0)), None))
 def test_verify_rows_match_the_set_by_set_oracle(case):
-    kind, k, r, edits, shuffle, block = case
+    kind, k, r, edits, shuffle = case
     make, verify = _VERIFY[kind]
     layout = make(k, r)[1]
     sets = list(_enumerated(kind, k, r))
@@ -162,8 +163,6 @@ def test_verify_rows_match_the_set_by_set_oracle(case):
     fam = DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(families, "enumerate_minimal_dominating", lambda g, budget=None: fam)
-        if block is not None:
-            mp.setattr(families, "_VERIFY_CHUNK", block)
         report = verify(k, r)
     rows = naive_structure_rows(layout, sets)
     names = {row[0] for row in rows}
@@ -173,6 +172,32 @@ def test_verify_rows_match_the_set_by_set_oracle(case):
     assert len(graph_rows) == {"gkr": 2, "qkr": 3}[kind]
     assert all(c.passed for c in graph_rows)
     assert report.ok == all(row[1] for row in rows)
+
+
+# The oracle's rows that read one set at a time.
+_PER_SET_ROWS = {
+    "minimal-hits-each-leaf-clique-at-most-once", "minimal-hits-each-augmented-leaf-at-most-once",
+    "apex-member-is-alone-in-hub-clique", "leaf-clique-missed-only-by-hub-set",
+    "augmented-leaf-missed-only-by-hub-set", "saturator-member-excludes-hub-clique",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VERIFY))
+def test_no_expected_set_fails_a_per_set_check(kind):
+    # verify scans only the enumerated sets outside the expected family, and
+    # names the first bad one; that is the first bad set of the whole family
+    # only because no expected set can be bad.
+    make = _VERIFY[kind][0]
+    for k in range(3, 7):
+        for r in range(1, k):
+            layout = make(k, r)[1]
+            expected = family_x(layout) + [layout.hub_mask]
+            if kind == "qkr":
+                expected += family_w(layout)
+            rows = [row for row in naive_structure_rows(layout, expected)
+                    if row[0] in _PER_SET_ROWS]
+            assert len(rows) == {"gkr": 3, "qkr": 4}[kind]
+            assert all(passed for _, passed, _ in rows), (k, r, rows)
 
 
 def test_gkr_gamma_branches():

@@ -46,3 +46,15 @@ def test_reproduction_rows_carry_the_verify_result(capsys):
         CheckResult("gamma-is-leaf-count-plus-one", True, "gamma=2")))
     assert not script.row("gkr(3,1)", g, 4, lambda: failed)
     assert "verify=Gamma-is-clique-size [MISMATCH," in capsys.readouterr().out
+
+
+def test_reproduction_stops_at_the_budget_with_exit_4():
+    # gkr(4,3) has n = 17: the rows before it print, then one stderr line.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "DOMREC_BUDGET": "16"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_constructions.py"), "--k-max", "4"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("gkr(4,3): ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("qkr(4,2) ")

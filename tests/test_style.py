@@ -1,6 +1,7 @@
 """Source checks: line width, a runtime that imports only the standard library,
-one owner for the unchecked graph constructor, an oracle module that imports no
-private package name, and the layout of the committed benchmark records."""
+one owner for the unchecked graph constructor, constructions that import no
+reconfiguration or separation code, an oracle module that imports no private
+package name, and the layout of the committed benchmark records."""
 
 import ast
 import json
@@ -49,6 +50,23 @@ def test_only_graph_core_builds_a_graph_unchecked():
             if name == "_trusted":
                 users.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert users and all(u.startswith("src/domrec/graph_core.py:") for u in users), users
+
+
+def test_the_constructions_import_neither_reconfig_nor_separation():
+    # families.py builds gkr/qkr and checks their minimal families from
+    # graph_core and domination alone; d0 and sep sit on top of it.
+    tree = ast.parse((ROOT / "src" / "domrec" / "families.py").read_text(encoding="utf-8"))
+    above = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        above += [f"{name}:{node.lineno}" for name in names
+                  if name.rpartition(".")[2] in {"reconfig", "separation"}]
+    assert above == [], above
 
 
 def test_the_oracle_module_imports_no_private_name_from_the_package():
