@@ -8,10 +8,15 @@ two constructions). It also runs the construction's structure checks
 (`domrec verify`) and prints verify=ok or the names of the checks that
 failed; a failed check counts as a MISMATCH.
 
-Exit status: 0 when every row is ok, 1 on a MISMATCH. A row refused by the
-enumeration budget (DOMREC_BUDGET, at most n = 24 by default) ends the run
-with exit 4, and an input error with exit 3, as `domrec` does; the rows
-already printed stay, and stderr names the refused row.
+Each family is enumerated once per row; d0, sep and the structure checks
+all read it.
+
+Exit status: 0 when every row is ok, 1 on a MISMATCH. A malformed
+DOMREC_BUDGET exits 2 before the first row, with one stderr line naming
+the variable. A row refused by the enumeration budget (DOMREC_BUDGET, at
+most n = 24 by default) ends the run with exit 4, and an input error with
+exit 3, as `domrec` does; the rows already printed stay, and stderr names
+the refused row.
 """
 
 import argparse
@@ -20,6 +25,7 @@ import time
 from functools import partial
 
 from domrec import (
+    Budget,
     BudgetError,
     DomrecError,
     d0_direct,
@@ -32,12 +38,13 @@ from domrec import (
 )
 
 
-def row(name, g, expect_d0, verify):
+def row(name, g, expect_d0, verify, budget=None):
+    """Print one row; verify takes the family as `family=`."""
     t0 = time.perf_counter()
-    fam = enumerate_minimal_dominating(g)
-    d0 = d0_direct(g, family=fam)
+    fam = enumerate_minimal_dominating(g, budget)
+    d0 = d0_direct(g, budget, family=fam)
     sep = sep_bottleneck(fam).sep
-    failed = [c.name for c in verify().failures()]
+    failed = [c.name for c in verify(family=fam).failures()]
     dt = time.perf_counter() - t0
     flag = "ok" if d0 == sep == expect_d0 and not failed else "MISMATCH"
     print(f"{name:10s} n={g.n:3d} |D|={len(fam.sets):4d} "
@@ -51,6 +58,11 @@ def main() -> int:
     parser.add_argument("--k-max", type=int, default=4,
                         help="largest clique size to include (default 4)")
     args = parser.parse_args()
+    try:
+        budget = Budget.resolve()
+    except BudgetError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     ok = True
     constructions = (("gkr", generate_gkr, verify_gkr_structure),
                      ("qkr", generate_qkr, verify_qkr_structure))
@@ -59,7 +71,7 @@ def main() -> int:
             for kind, generate, verify in constructions:
                 name = f"{kind}({k},{r})"
                 try:
-                    ok &= row(name, generate(k, r)[0], k + r, partial(verify, k, r))
+                    ok &= row(name, generate(k, r)[0], k + r, partial(verify, k, r), budget)
                 except DomrecError as exc:
                     sys.stdout.flush()
                     print(f"{name}: {exc}", file=sys.stderr)

@@ -2,11 +2,51 @@
 
 Everything is exact: budgets refuse inputs that would take too long.
 
-Two walks list dominating sets. Each node branches on an undominated
-vertex u: every unbanned v in N[u] is tried in ascending order, and is
-banned for the later siblings once its branch returns. Both proofs below
-use only that u is not yet dominated, never which vertex it is, so each
-walk chooses u by what it costs:
+Minimal dominating sets of a graph with n <= _TABLE_MAX_N vertices come
+from truth tables over its 2^n vertex subsets: a table is an int whose
+bit S is set iff S has the property. With x_v the table of "v in S",
+
+    Dom = AND over w of (OR over v in N[w] of x_v),
+    Min = Dom & ~OR over v of ((Dom & ~x_v) << 2^v).
+
+The first says that S dominates iff it meets every closed neighbourhood.
+In the second, bit S of (Dom & ~x_v) << 2^v is set iff v is in S and
+S - v dominates. Single deletions suffice: domination is closed upwards,
+so if a proper subset T of S dominates, so does S - v for any v in S - T.
+The OR over N[w] is looked up in two tables per n, one for the vertices
+below n // 2 and one for the rest, so Dom costs two lookups per vertex.
+The set bits of Min come out in ascending mask order. The tables are
+built once per n and cached; at n = 13 they hold 0.23 MB.
+
+The table route makes about 4n operations on 2^n-bit ints whatever the
+family, and the walk below spends about 1 us a node, so the walk wins on
+graphs with few minimal sets. Per graph, walk against tables, in us: medians of 15
+alternating passes on one CPU of a 2-vCPU Xeon with Python 3.11, over 40
+random graphs in each G(n, .35) row:
+
+    graph          n   sets   walk   tables
+    G(n, .35)     11     36    134     29
+    G(n, .35)     12     53    194     44
+    G(n, .35)     13     78    287     75
+    G(n, .35)     14    112    420    123
+    G(n, .35)     16    216    849    388
+    path(13)      13     70    275     70
+    cycle(13)     13     78    319     76
+    gkr(4,2)      13     81    153     68
+    star(12)      13      2     34     60
+    K13           13     13     16     49
+    K14           14     14     16     75
+    qkr(4,2)      15     90    203    185
+
+_TABLE_MAX_N is 13: the tables of n = 14, 15 and 16 would hold 0.60, 1.75
+and 4.62 MB for the life of the process, and the loss on graphs with few
+sets grows with 2^n (star(14), n = 15: 39 against 179 us).
+
+Larger graphs use the minimal walk. Two walks list dominating sets. Each
+node branches on an undominated vertex u: every unbanned v in N[u] is
+tried in ascending order, and is banned for the later siblings once its
+branch returns. Both proofs below use only that u is not yet dominated,
+never which vertex it is, so each walk chooses u by what it costs:
 
   * The minimal walk takes the lowest undominated vertex. The leaf walk's
     rule below cuts its nodes on the seed-71 hunt stream from 49,583 to
@@ -52,8 +92,10 @@ family: its members with no edge inside are the maximal independent sets.
 from __future__ import annotations
 
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations
 from math import comb
 from typing import Iterator, Optional
@@ -63,6 +105,9 @@ from .graph_core import BudgetError, Graph, InputError, VertexSet, iter_vertices
 DEFAULT_MAX_N = 24
 DEFAULT_IR_MAX_N = 20
 BUDGET_ENV_VAR = "DOMREC_BUDGET"
+# Largest n whose minimal family comes from truth tables (module docstring).
+_TABLE_MAX_N = 13
+_SET_BIT = re.compile("1")
 
 
 @dataclass(frozen=True)
@@ -123,10 +168,46 @@ class InvariantReport:
     well_dominated: bool
 
 
-def enumerate_minimal_dominating(g: Graph, budget: Optional[Budget] = None) -> DomFamily:
-    """All minimal dominating sets of g, in canonical order, with gamma and Gamma."""
-    budget = budget or Budget.resolve()
-    budget.check(g, "minimal dominating set enumeration")
+@cache
+def _subset_tables(n: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]:
+    """Truth tables over the subsets of n vertices: bit S of a table is S's entry.
+
+    Returns (full, without, h, low, high). full has all 2^n bits set, and
+    without[v] those of the sets without v. low[m] has bit S set iff S meets
+    the mask m of vertices below h, high[m] iff S meets m << h.
+    """
+    full = (1 << (1 << n)) - 1
+    # x_v repeats 2^v clear bits, then 2^v set ones; full // (2^(2^(v+1)) - 1)
+    # has one set bit per period.
+    x = [full // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+         for v in range(n)]
+    h = n // 2
+
+    def meets(tables: list[int]) -> tuple[int, ...]:
+        out = [0]
+        for t in tables:
+            out += [m | t for m in out]
+        return tuple(out)
+
+    return full, tuple(full ^ t for t in x), h, meets(x[:h]), meets(x[h:])
+
+
+def _minimal_from_tables(g: Graph) -> list[VertexSet]:
+    """The minimal dominating sets of g in ascending mask order, from truth tables."""
+    full, without, h, low, high = _subset_tables(g.n)
+    below = (1 << h) - 1
+    dom = full
+    for c in g.closed:
+        dom &= low[c & below] | high[c >> h]
+    shrinks = 0  # bit S set iff S - v dominates for some v in S
+    for v, rest in enumerate(without):
+        shrinks |= (dom & rest) << (1 << v)
+    # format writes the highest bit first; reversed, character S is bit S.
+    return list(map(re.Match.start, _SET_BIT.finditer(format(dom & ~shrinks, "b")[::-1])))
+
+
+def _minimal_walk(g: Graph) -> list[VertexSet]:
+    """The minimal dominating sets of g in ascending mask order, from the walk."""
     closed, full = g.closed, g.full_mask
     out: list[VertexSet] = []
 
@@ -156,8 +237,16 @@ def enumerate_minimal_dominating(g: Graph, budget: Optional[Budget] = None) -> D
 
     rec(0, 0, [], 0)
     del rec  # a self-recursive closure is a cycle; break it so its lists free now
-    # Two stable sorts give the canonical (size, mask) order without key tuples.
     out.sort()
+    return out
+
+
+def enumerate_minimal_dominating(g: Graph, budget: Optional[Budget] = None) -> DomFamily:
+    """All minimal dominating sets of g, in canonical order, with gamma and Gamma."""
+    budget = budget or Budget.resolve()
+    budget.check(g, "minimal dominating set enumeration")
+    out = _minimal_from_tables(g) if g.n <= _TABLE_MAX_N else _minimal_walk(g)
+    # Ascending masks, stably sorted by size, are in canonical (size, mask) order.
     out.sort(key=int.bit_count)
     return DomFamily(sets=tuple(out), gamma=popcount(out[0]), Gamma=popcount(out[-1]))
 

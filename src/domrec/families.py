@@ -161,30 +161,43 @@ def generate_qkr(k: int, r: int) -> tuple[Graph, QkrLayout]:
     return g, layout
 
 
-def _canonical(sets: list[VertexSet]) -> list[VertexSet]:
-    """sets in canonical order (by size, then as ints), sorted in place."""
-    sets.sort()
-    sets.sort(key=int.bit_count)
-    return sets
-
-
 def family_x(layout: GkrLayout) -> list[VertexSet]:
-    """One vertex from the hub-plus-apex clique, one from each leaf clique."""
+    """One vertex from the hub-plus-apex clique, one from each leaf clique.
+
+    Every member has r + 1 vertices, and the parts hold ascending runs of
+    ids, U0 the lowest. product varies its last factor fastest, so taking
+    the highest leaf clique first lists the members in ascending, canonical
+    order with no sort.
+    """
     k = layout.k
     hub_choices = [bit(layout.u0)] + [bit(layout.u(j)) for j in range(1, k + 1)]
     leaf_choices = [
-        [bit(layout.v(i, j)) for j in range(1, k + 1)] for i in range(1, layout.r + 1)
+        [bit(layout.v(i, j)) for j in range(1, k + 1)] for i in range(layout.r, 0, -1)
     ]
-    return _canonical(list(map(sum, product(hub_choices, *leaf_choices))))
+    return list(map(sum, product(*leaf_choices, hub_choices)))
 
 
 def family_w(layout: QkrLayout) -> list[VertexSet]:
-    """One vertex per augmented leaf clique, at least one saturating vertex."""
+    """One vertex per augmented leaf clique, at least one saturating vertex.
+
+    Every member has r vertices, so one plain sort gives canonical order.
+    """
     choices = [
         [bit(layout.w(i))] + [bit(layout.v(i, j)) for j in range(1, layout.k + 1)]
         for i in range(1, layout.r + 1)
     ]
-    return _canonical(list(filter(layout.w_mask.__and__, map(sum, product(*choices)))))
+    return sorted(filter(layout.w_mask.__and__, map(sum, product(*choices))))
+
+
+def _plus_hub(layout: GkrLayout, xs: list[VertexSet]) -> list[VertexSet]:
+    """xs = family_x(layout) with U put in, in canonical order.
+
+    U has k >= r + 1 vertices, all with ids up to k, and every member of
+    family_x has r + 1, one in a leaf clique above k: U comes first when
+    k = r + 1 and last otherwise.
+    """
+    xs.insert(0 if layout.k == layout.r + 1 else len(xs), layout.hub_mask)
+    return xs
 
 
 @dataclass(frozen=True)
@@ -281,14 +294,19 @@ def _structure_report(
 
 
 def verify_gkr_structure(
-    k: int, r: int, budget: Optional[Budget] = None
+    k: int, r: int, budget: Optional[Budget] = None, *,
+    family: Optional[DomFamily] = None,
 ) -> StructureReport:
-    """Mechanically check the structure of the minimal dominating sets of gkr."""
+    """Mechanically check the structure of the minimal dominating sets of gkr.
+
+    family is gkr(k, r)'s minimal family when the caller already holds it,
+    and is enumerated when omitted.
+    """
     g, layout = generate_gkr(k, r)
-    fam = enumerate_minimal_dominating(g, budget)
+    fam = family if family is not None else enumerate_minimal_dominating(g, budget)
     hub, hub_apex = layout.hub_mask, layout.hub_apex_mask
     leaves = [layout.leaf_mask(i) for i in range(1, r + 1)]
-    expected = _canonical(family_x(layout) + [hub])
+    expected = _plus_hub(layout, family_x(layout))
     same, (twice, apex, missed, _) = _per_set_checks(layout, fam.sets, expected, leaves)
     if r < k - 1:
         top = _of_size(fam.sets, fam.Gamma)
@@ -316,24 +334,25 @@ def verify_gkr_structure(
 
 
 def verify_qkr_structure(
-    k: int, r: int, budget: Optional[Budget] = None
+    k: int, r: int, budget: Optional[Budget] = None, *,
+    family: Optional[DomFamily] = None,
 ) -> StructureReport:
-    """Same style of checks for the saturated construction."""
+    """Same style of checks for the saturated construction; family as for gkr."""
     g, layout = generate_qkr(k, r)
-    fam = enumerate_minimal_dominating(g, budget)
+    fam = family if family is not None else enumerate_minimal_dominating(g, budget)
     hub, hub_apex, w_all = layout.hub_mask, layout.hub_apex_mask, layout.w_mask
     wleaves = [layout.leaf_plus_w_mask(i) for i in range(1, r + 1)]
-    xs, ws = family_x(layout), family_w(layout)
-    expected = _canonical(xs + ws + [hub])
+    # family_w's r-sets come before the larger ones.
+    ws, top_family = family_w(layout), _plus_hub(layout, family_x(layout))
+    expected = ws + top_family
     same, (twice, apex, missed, saturated) = _per_set_checks(layout, fam.sets, expected, wleaves)
     # fam.sets is in canonical order, so are its members of one size.
     min_sets, top = _of_size(fam.sets, fam.gamma), _of_size(fam.sets, fam.Gamma)
     if r < k - 1:
         top_row = ("hub-is-unique-maximum-set", (top == [hub], f"{len(top)} maximum sets"))
     else:
-        expected_top = _canonical(xs + [hub])
         top_row = ("maximum-sets-are-construction-family-plus-hub",
-                   (top == expected_top, f"{len(top)} maximum sets, expected {len(expected_top)}"))
+                   (top == top_family, f"{len(top)} maximum sets, expected {len(top_family)}"))
     # V_i + w_i + u_j = W_i + u_j: both forcing rows test the same sets.
     forced = _forced_leaf_hits(g, layout, wleaves, "violations at {}")
     rows = [

@@ -1,6 +1,7 @@
 import gc
 import random
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from domrec import (
     Budget,
     BudgetError,
+    DomFamily,
     Graph,
     cartesian_product,
     complete_graph,
@@ -28,6 +30,7 @@ from domrec import (
     star,
     vertex_list,
 )
+from domrec import domination
 from domrec.domination import _dominating_leaves, _dominating_set_counts
 from conftest import SHAPES, random_graph, small_graphs
 from naive import (
@@ -111,6 +114,48 @@ def test_minimal_sets_equal_id_order_dfs_beyond_full_scan():
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             g = random_graph(rng, n, p)
             assert list(enumerate_minimal_dominating(g).sets) == naive_minimal_dfs(g), (n, p)
+
+
+def enumerate_by(route_max_n, g):
+    with patch.object(domination, "_TABLE_MAX_N", route_max_n):
+        return enumerate_minimal_dominating(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=13))
+@example(Graph.from_edges(1, []))
+@example(Graph.from_edges(13, []))
+@example(Graph.from_edges(13, [(0, 1), (5, 12)]))  # eleven isolated vertices
+@example(SHAPES[1])
+@example(star(12))
+@example(complete_graph(13))
+def test_table_and_walk_routes_return_the_same_family(g):
+    # _TABLE_MAX_N = 0 sends every graph down the walk, 64 every one to the tables.
+    assert enumerate_by(64, g) == enumerate_by(0, g)
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_minimal_sets_equal_id_order_dfs_either_side_of_the_table_limit(n):
+    # n = 13 is the largest order enumerated from truth tables, 14 the smallest walked.
+    assert domination._TABLE_MAX_N == 13
+    rng = random.Random(1300 + n)
+    graphs = [random_graph(rng, n, p) for p in (0.1, 0.2, 0.35, 0.5, 0.7, 0.9)]
+    graphs += [path_graph(n), cycle_graph(n), star(n - 1), complete_graph(n),
+               Graph.from_edges(n, []), Graph.from_edges(n, [(0, n - 1)])]
+    for g in graphs:
+        dfs = naive_minimal_dfs(g)
+        expected = DomFamily(tuple(dfs), popcount(dfs[0]), popcount(dfs[-1]))
+        assert enumerate_minimal_dominating(g) == expected, g.edges()
+
+
+def test_budget_refuses_before_any_table_is_built():
+    g = path_graph(12)
+    with patch.object(domination, "_subset_tables", wraps=domination._subset_tables) as tables:
+        with pytest.raises(BudgetError, match="max_n=11"):
+            enumerate_minimal_dominating(g, Budget(max_n=11))
+        assert not tables.called
+        enumerate_minimal_dominating(g, Budget(max_n=12))
+        tables.assert_called_once_with(12)
 
 
 @pytest.mark.parametrize("k,r", [(k, r) for k in (3, 4) for r in range(1, k)])

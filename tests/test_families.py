@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from domrec import (
     DomFamily,
     InputError,
+    canonical_key,
     complete_graph,
     cycle_graph,
     d0_direct,
@@ -198,6 +199,21 @@ def test_no_expected_set_fails_a_per_set_check(kind):
                     if row[0] in _PER_SET_ROWS]
             assert len(rows) == {"gkr": 3, "qkr": 4}[kind]
             assert all(passed for _, passed, _ in rows), (k, r, rows)
+
+
+@pytest.mark.parametrize("kind", sorted(_VERIFY))
+def test_expected_families_come_out_in_canonical_order(kind):
+    # verify compares the enumerated family with the expected one as lists
+    # and sorts neither: family_x is built in order, family_w is sorted once,
+    # and U goes first or last by k - r.
+    make = _VERIFY[kind][0]
+    for k in range(3, 7):
+        for r in range(1, k):
+            layout = make(k, r)[1]
+            expected = families._plus_hub(layout, family_x(layout))
+            if kind == "qkr":
+                expected = family_w(layout) + expected
+            assert expected == sorted(set(expected), key=canonical_key), (k, r)
 
 
 def test_gkr_gamma_branches():

@@ -9,11 +9,12 @@ import importlib.util
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from domrec import CheckResult, StructureReport, generate_gkr, verify_gkr_structure
+from domrec import CheckResult, StructureReport, families, generate_gkr, verify_gkr_structure
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,19 +33,29 @@ def test_script_runs(script, args):
     assert proc.stdout
 
 
-def test_reproduction_rows_carry_the_verify_result(capsys):
+def test_reproduction_rows_carry_the_verify_result(capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "reproduce_constructions", ROOT / "scripts" / "reproduce_constructions.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     g, _ = generate_gkr(3, 1)
-    assert script.row("gkr(3,1)", g, 4, lambda: verify_gkr_structure(3, 1))
+    enumerate_family, enumerated = script.enumerate_minimal_dominating, []
+
+    def counted(*args):
+        enumerated.append(enumerate_family(*args))
+        return enumerated[-1]
+
+    # The row enumerates the family once, and verify reads that family.
+    monkeypatch.setattr(script, "enumerate_minimal_dominating", counted)
+    monkeypatch.setattr(families, "enumerate_minimal_dominating", counted)
+    assert script.row("gkr(3,1)", g, 4, partial(verify_gkr_structure, 3, 1))
+    assert len(enumerated) == 1
     assert "verify=ok [ok," in capsys.readouterr().out
     # d0 = sep = 4 still, but one failed check makes the row a mismatch.
     failed = StructureReport("gkr", 3, 1, 13, 2, 3, False, (
         CheckResult("Gamma-is-clique-size", False, "Gamma=4"),
         CheckResult("gamma-is-leaf-count-plus-one", True, "gamma=2")))
-    assert not script.row("gkr(3,1)", g, 4, lambda: failed)
+    assert not script.row("gkr(3,1)", g, 4, lambda family: failed)
     assert "verify=Gamma-is-clique-size [MISMATCH," in capsys.readouterr().out
 
 
@@ -58,3 +69,15 @@ def test_reproduction_stops_at_the_budget_with_exit_4():
     assert proc.stderr.startswith("gkr(4,3): ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("qkr(4,2) ")
+
+
+@pytest.mark.parametrize("value", ["junk", "0"])
+def test_reproduction_refuses_a_malformed_budget_before_the_first_row(value):
+    # As domrec does: exit 2 and one stderr line naming the variable, no row blamed.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "DOMREC_BUDGET": value}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_constructions.py"), "--k-max", "3"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"DOMREC_BUDGET must be an integer >= 1, got '{value}'\n"
