@@ -3,12 +3,18 @@
 
 Exploratory: for random connected graphs, report diam(D_{d0}) and
 diam(D_n) next to the 2*(n - gamma) upper bound for D_n.
+
+A malformed DOMREC_BUDGET exits 2 before the first row, with one stderr
+line naming the variable.
 """
 
 import argparse
 import random
+import sys
 
 from domrec import (
+    Budget,
+    BudgetError,
     Graph,
     build_dk,
     d0_direct,
@@ -34,14 +40,19 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=8)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    try:
+        budget = Budget.resolve()
+    except BudgetError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     print("n gamma Gamma d0 diam(D_d0) diam(D_n) bound")
     for _ in range(args.count):
         g = random_connected(rng, rng.randint(args.n_min, args.n_max))
-        fam = enumerate_minimal_dominating(g)
-        d0 = d0_direct(g, family=fam)
-        diam_d0 = dk_diameter(build_dk(g, d0))
-        diam_top = dk_diameter(build_dk(g, g.n))
+        fam = enumerate_minimal_dominating(g, budget)
+        d0 = d0_direct(g, budget, family=fam)
+        diam_d0 = dk_diameter(build_dk(g, d0, budget))
+        diam_top = dk_diameter(build_dk(g, g.n, budget))
         bound = 2 * (g.n - fam.gamma)
         print(f"{g.n} {fam.gamma} {fam.Gamma} {d0} {diam_d0} {diam_top} {bound}")
         assert diam_top is not None and diam_top <= bound

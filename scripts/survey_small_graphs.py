@@ -6,6 +6,9 @@ brute-force canonicalisation, which is practical up to n = 6. If you have
 nauty installed, prefer streaming instead:
 
     geng -c 7 | domrec hunt --min-excess 2
+
+A malformed DOMREC_BUDGET exits 2 before the first order, with one stderr
+line naming the variable.
 """
 
 import argparse
@@ -13,6 +16,8 @@ import sys
 from itertools import combinations, permutations
 
 from domrec import (
+    Budget,
+    BudgetError,
     Graph,
     d0_direct,
     enumerate_minimal_dominating,
@@ -54,14 +59,19 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=5,
                         help="largest order to enumerate (default 5; 6 is slow)")
     args = parser.parse_args()
+    try:
+        budget = Budget.resolve()
+    except BudgetError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     histogram = {}
     extremal = []
     for n in range(2, args.max_n + 1):
         count = 0
         for g in connected_graphs_up_to_iso(n):
             count += 1
-            fam = enumerate_minimal_dominating(g)
-            excess = d0_direct(g, family=fam) - fam.Gamma
+            fam = enumerate_minimal_dominating(g, budget)
+            excess = d0_direct(g, budget, family=fam) - fam.Gamma
             histogram[excess] = histogram.get(excess, 0) + 1
             if excess >= 2:
                 extremal.append((n, export_graph6(g), excess))

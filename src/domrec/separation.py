@@ -56,8 +56,9 @@ sep_bottleneck can find sep by asking whether U_t is connected: the
 answer is yes for every t >= sep and no below, so trying t upward from a
 lower bound, the first yes is at sep. `hunt` needs only one yes/no
 answer: a graph is a miss when U_k is connected at k = Gamma + E - 1,
-for the threshold E on d0 - Gamma. sep_at_most asks exactly that, with
-the same search, so sep_bottleneck runs only on hits, for their sep.
+for the threshold E on d0 - Gamma. sep_at_most asks exactly that, so
+sep_bottleneck runs only on hits, for their sep.
+
 The direct D_k scan (reconfig.d0_direct) stays the oracle: `d0 --method
 direct|both` run it, `hunt` re-verifies every hit with it, and sep is
 still checked against it on every corpus graph. It reads one layer of
@@ -66,6 +67,33 @@ connected iff the dominating sets of size k - 1 are connected under
 single swaps. Each layer above Gamma takes its swap components from the
 layer below, so layer d0 - 1 is read only up to the first bridge that
 joins it (proofs in reconfig.py).
+
+sep_at_most picks its search by the family size m alone. A family of at
+most _SCAN_MAX_SETS = 64 sets is searched from member 0 in plain Python:
+each popped X tests |X u Y| <= k against every set Y still unseen. That
+is the definition of U_k's edges, and a "no" comes only when no set
+popped has an edge to a set unseen, so the answer is exact. It costs
+O(m^2) pair tests on a "no". A larger family is searched by _component,
+whose packing (reconfig._packed) alone takes about three times as long
+as a whole scan of an 18-set family, the median on `hunt` streams. The
+ratio of scan time to packed time (packing and _component) per family,
+median (max), over 400 random graphs G(n, p) with n in 9..17 and p in
+0.15..0.6, asked at k = sep ("yes") and k = sep - 1 ("no"), on a 2-vCPU
+Xeon with Python 3.11 (BENCH_scan.json):
+
+    m          yes          no
+    2..16      0.12 (0.31)  0.21 (0.35)
+    17..32     0.15 (0.41)  0.36 (0.68)
+    33..64     0.22 (0.64)  0.59 (1.54)
+    65..128    0.27 (0.88)  0.99 (2.77)
+    129..256   0.35 (2.40)  1.47 (4.47)
+    257..512   0.60 (1.23)  2.08 (5.49)
+
+A "no" up to 64 sets still gains in the median, and from 65 on it does
+not: the scan's pair tests grow as m^2. On four seeded `hunt` streams of
+1,000 random graphs with 7..11 vertices, at most 3 families in a stream
+have more than 64 sets. The gkr/qkr(3,2) families (37 and 44 sets) are
+scanned, and the gkr/qkr(4,2) ones (81 and 90 sets) are searched in lanes.
 """
 
 from __future__ import annotations
@@ -81,6 +109,8 @@ from .reconfig import _packed, _prim_edges, d0_direct
 BRUTE_FORCE_MAX_FAMILY = 15
 # sep_bottleneck keeps the rows |Y_x u Y_i| it has made up to this many bytes.
 _ROW_CACHE_BYTES = 1 << 24
+# sep_at_most scans a family of at most this many sets pair by pair (module docstring).
+_SCAN_MAX_SETS = 64
 
 
 @dataclass(frozen=True)
@@ -330,11 +360,31 @@ def _component(packing: tuple, t: int, start: int, unseen: int) -> int:
 def sep_at_most(fam: DomFamily, k: int) -> bool:
     """Whether sep <= k, that is whether U_k is connected (module docstring).
 
-    Searches member 0's component of U_k (_component) on the packed
-    layout of reconfig._packed, and stops as soon as it holds every member.
+    Searches member 0's component of U_k and stops as soon as it holds
+    every member: pair by pair in plain Python for a family of at most
+    _SCAN_MAX_SETS sets, and by _component on the packed layout of
+    reconfig._packed for a larger one. The scan splits the unseen sets by
+    |X u Y| <= k, the edge of U_k itself, at every X it pops, so it is
+    exact; why the route turns at 64 sets is in the module docstring.
     """
     _require_at_least_two(fam)
-    packing = _packed(fam.sets)
+    sets = fam.sets
+    if len(sets) <= _SCAN_MAX_SETS:
+        unseen = sets[1:]
+        todo = [sets[0]]
+        while todo:
+            x = todo.pop()
+            far = []
+            for y in unseen:
+                if (x | y).bit_count() <= k:
+                    todo.append(y)
+                else:
+                    far.append(y)
+            if not far:
+                return True
+            unseen = far
+        return False
+    packing = _packed(sets)
     everyone = packing[0] << 7
     return _component(packing, k, 0, everyone ^ 0x80) == everyone
 

@@ -1,8 +1,9 @@
 """Smoke runs of the scripts under scripts/, each at a size that takes about a second.
 
-All three call d0_direct and sep_bottleneck through the public API, so a
-signature or behaviour change there that breaks them shows here. The
-reproduction script also runs the structure checks on every row.
+All three call d0_direct through the public API, so a signature or
+behaviour change there that breaks them shows here; each refuses a
+malformed DOMREC_BUDGET before its first row. The reproduction script also
+runs sep_bottleneck and the structure checks on every row.
 """
 
 import importlib.util
@@ -19,11 +20,14 @@ from domrec import CheckResult, StructureReport, families, generate_gkr, verify_
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script, args", [
+SCRIPT_RUNS = [
     ("reproduce_constructions.py", ["--k-max", "4"]),  # the whole k <= 4 grid
     ("survey_small_graphs.py", ["--max-n", "4"]),
     ("diameter_survey.py", ["--count", "3", "--n-max", "6"]),
-])
+]
+
+
+@pytest.mark.parametrize("script, args", SCRIPT_RUNS)
 def test_script_runs(script, args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
@@ -72,12 +76,12 @@ def test_reproduction_stops_at_the_budget_with_exit_4():
 
 
 @pytest.mark.parametrize("value", ["junk", "0"])
-def test_reproduction_refuses_a_malformed_budget_before_the_first_row(value):
+@pytest.mark.parametrize("script, args", SCRIPT_RUNS, ids=[run[0] for run in SCRIPT_RUNS])
+def test_scripts_refuse_a_malformed_budget_before_the_first_row(script, args, value):
     # As domrec does: exit 2 and one stderr line naming the variable, no row blamed.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "DOMREC_BUDGET": value}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "reproduce_constructions.py"), "--k-max", "3"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"DOMREC_BUDGET must be an integer >= 1, got '{value}'\n"

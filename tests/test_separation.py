@@ -1,4 +1,5 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -246,23 +247,60 @@ def test_sep_at_most_matches_sep_and_the_definition(g):
         assert sep_at_most(fam, k) == (sep <= k)
 
 
+def synthetic_family(sets):
+    sizes = [popcount(s) for s in sets]
+    return DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
+
+
 def test_sep_at_most_on_synthetic_families():
     # Arbitrary distinct sets over up to 64 vertices, the empty set
-    # included, at every k around the field range.
-    from domrec import DomFamily
-
+    # included, at every k around the field range. m falls below the scan
+    # cutoff, at it, just above it and well above it.
+    cutoff = separation._SCAN_MAX_SETS
     rng = random.Random(1464)
+    answers = {"scan": set(), "packed": set()}
     for _ in range(200):
-        width = rng.choice([4, 8, 16, 63, 64])
-        m = rng.randint(2, 12)
+        m = rng.choice([rng.randint(2, 12), cutoff, cutoff + 1, rng.randint(cutoff + 2, 4 * cutoff)])
+        width = rng.choice([w for w in (4, 8, 16, 63, 64) if 1 << w >= 2 * m])
         sets = {0} if rng.random() < 0.2 else set()
         while len(sets) < m:
             sets.add(rng.getrandbits(width))
-        sizes = [popcount(s) for s in sets]
-        fam = DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
+        fam = synthetic_family(sets)
         sep = sep_bottleneck(fam).sep
         for k in [*range(-2, 67), 126, 127, 128, 255, 256, 300, 1000]:
-            assert sep_at_most(fam, k) == (sep <= k)
+            got = sep_at_most(fam, k)
+            assert got == (sep <= k)
+            answers["scan" if m <= cutoff else "packed"].add(got)
+    # Both routes gave both answers.
+    assert answers == {"scan": {False, True}, "packed": {False, True}}
+
+
+def sep_at_most_by(cutoff, fam, k):
+    with patch.object(separation, "_SCAN_MAX_SETS", cutoff):
+        return sep_at_most(fam, k)
+
+
+@st.composite
+def synthetic_families(draw):
+    """Distinct sets over 8, 16 or 64 vertices, from 2 up to well past the scan cutoff."""
+    width = draw(st.sampled_from([8, 16, 64]))
+    m = draw(st.integers(2, 150))
+    sets = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=m, max_size=m, unique=True))
+    return synthetic_family(sets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edged_graphs().map(enumerate_minimal_dominating) | synthetic_families())
+@example(synthetic_family(range(64)))  # the 64 subsets of 6 vertices: m at the cutoff
+@example(synthetic_family(range(65)))  # and one past it
+@example(synthetic_family([*range(1, 40), *(s << 32 for s in range(1, 40))]))  # two clusters
+def test_scan_and_packed_routes_agree_with_sep(fam):
+    # _SCAN_MAX_SETS = 0 sends every family to the packed search, 10**9 every
+    # one to the scan; both must answer sep <= k at every k, "no" included.
+    sep = sep_bottleneck(fam).sep
+    for k in [*range(-1, 2 * fam.Gamma + 2), 64, 200]:
+        assert sep_at_most_by(0, fam, k) == (sep <= k), k
+        assert sep_at_most_by(10**9, fam, k) == (sep <= k), k
 
 
 @pytest.mark.parametrize("k", [3, 4])
