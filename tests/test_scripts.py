@@ -75,9 +75,7 @@ def test_reproduction_stops_at_the_budget_with_exit_4():
     assert proc.stdout.splitlines()[-1].startswith("qkr(4,2) ")
 
 
-@pytest.mark.parametrize("value", ["junk", "0"])
-@pytest.mark.parametrize("script, args", SCRIPT_RUNS, ids=[run[0] for run in SCRIPT_RUNS])
-def test_scripts_refuse_a_malformed_budget_before_the_first_row(script, args, value):
+def _refuses_malformed_budget(script, args, value):
     # As domrec does: exit 2 and one stderr line naming the variable, no row blamed.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "DOMREC_BUDGET": value}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
@@ -85,3 +83,14 @@ def test_scripts_refuse_a_malformed_budget_before_the_first_row(script, args, va
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"DOMREC_BUDGET must be an integer >= 1, got '{value}'\n"
+
+
+@pytest.mark.parametrize("value", ["junk", "0"])
+def test_reproduction_refuses_a_malformed_budget_before_the_first_row(value):
+    _refuses_malformed_budget(*SCRIPT_RUNS[0], value)
+
+
+@pytest.mark.parametrize("value", ["junk", "0"])
+@pytest.mark.parametrize("script, args", SCRIPT_RUNS[1:], ids=[run[0] for run in SCRIPT_RUNS[1:]])
+def test_scripts_refuse_a_malformed_budget_before_the_first_row(script, args, value):
+    _refuses_malformed_budget(script, args, value)
