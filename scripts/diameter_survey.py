@@ -5,7 +5,9 @@ Exploratory: for random connected graphs, report diam(D_{d0}) and
 diam(D_n) next to the 2*(n - gamma) upper bound for D_n.
 
 A malformed DOMREC_BUDGET exits 2 before the first row, with one stderr
-line naming the variable.
+line naming the variable. A graph refused by the enumeration budget ends
+the run with exit 4, as `domrec` does; the rows already printed stay, and
+one stderr line names the refused graph.
 """
 
 import argparse
@@ -47,12 +49,17 @@ def main() -> int:
         return 2
     rng = random.Random(args.seed)
     print("n gamma Gamma d0 diam(D_d0) diam(D_n) bound")
-    for _ in range(args.count):
+    for row in range(1, args.count + 1):
         g = random_connected(rng, rng.randint(args.n_min, args.n_max))
-        fam = enumerate_minimal_dominating(g, budget)
-        d0 = d0_direct(g, budget, family=fam)
-        diam_d0 = dk_diameter(build_dk(g, d0, budget))
-        diam_top = dk_diameter(build_dk(g, g.n, budget))
+        try:
+            fam = enumerate_minimal_dominating(g, budget)
+            d0 = d0_direct(g, budget, family=fam)
+            diam_d0 = dk_diameter(build_dk(g, d0, budget))
+            diam_top = dk_diameter(build_dk(g, g.n, budget))
+        except BudgetError as exc:
+            sys.stdout.flush()
+            print(f"graph {row} (n={g.n}): {exc}", file=sys.stderr)
+            return 4
         bound = 2 * (g.n - fam.gamma)
         print(f"{g.n} {fam.gamma} {fam.Gamma} {d0} {diam_d0} {diam_top} {bound}")
         assert diam_top is not None and diam_top <= bound

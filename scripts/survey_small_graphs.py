@@ -8,7 +8,8 @@ nauty installed, prefer streaming instead:
     geng -c 7 | domrec hunt --min-excess 2
 
 A malformed DOMREC_BUDGET exits 2 before the first order, with one stderr
-line naming the variable.
+line naming the variable. A graph refused by the enumeration budget ends
+the run with exit 4, as `domrec` does, with one stderr line naming it.
 """
 
 import argparse
@@ -70,8 +71,12 @@ def main() -> int:
         count = 0
         for g in connected_graphs_up_to_iso(n):
             count += 1
-            fam = enumerate_minimal_dominating(g, budget)
-            excess = d0_direct(g, budget, family=fam) - fam.Gamma
+            try:
+                fam = enumerate_minimal_dominating(g, budget)
+                excess = d0_direct(g, budget, family=fam) - fam.Gamma
+            except BudgetError as exc:
+                print(f"n={n} {export_graph6(g)}: {exc}", file=sys.stderr)
+                return 4
             histogram[excess] = histogram.get(excess, 0) + 1
             if excess >= 2:
                 extremal.append((n, export_graph6(g), excess))

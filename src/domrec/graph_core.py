@@ -80,12 +80,7 @@ class Graph:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or not all(isinstance(row, int) for row in self.adj):
             raise UnsupportedGraphError("the vertex count and every adjacency row must be an int")
-        if self.n <= 0:
-            raise UnsupportedGraphError("graph must have at least one vertex")
-        if self.n > MAX_VERTICES:
-            raise UnsupportedGraphError(
-                f"graph has {self.n} vertices; supported maximum is {MAX_VERTICES}"
-            )
+        _check_order(self.n)
         if len(self.adj) != self.n:
             raise UnsupportedGraphError("adjacency length does not match n")
         full = (1 << self.n) - 1
@@ -120,26 +115,44 @@ class Graph:
         return g
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list, rejecting loops and multi-edges.
+    def from_edges(n: int, edges: Iterable[tuple[int, int]] = (), *, pairs: int = 0) -> "Graph":
+        """Build a graph from an edge list and a pair bit set, rejecting
+        loops and multi-edges.
+
+        pairs holds one bit per vertex pair in graph6's order: bit
+        j(j-1)/2 + i, for i < j, is the pair (i, j). So the j bits from
+        j(j-1)/2 on are column j, the low part of row j, and each set bit i
+        of column j also puts j in row i: only set bits cost a step, and
+        none can be a loop, a repeat or out of range. A set bit past the
+        last pair is refused. The edges are then added one by one.
 
         The checks here imply every __post_init__ check (n in range, ids
         below n, no loop, symmetric rows), so the graph skips them. A bad
         input is named only once the code below raises, so the try costs
         nothing while nothing is raised. A ValueError is an edge of
-        another length. A TypeError is a non-int n or id, or else, with n
-        and the last edge read (u, v) all ints, edges or one of its items
-        not being iterable.
+        another length. A TypeError is a non-int pairs, n or id, or else,
+        with n and the last edge read (u, v) all ints, edges or one of its
+        items not being iterable.
         """
         u = v = 0
         try:
-            if n <= 0:
-                raise UnsupportedGraphError("graph must have at least one vertex")
-            if n > MAX_VERTICES:
+            _check_order(n)
+            if pairs >> n * (n - 1) // 2:
                 raise UnsupportedGraphError(
-                    f"graph has {n} vertices; supported maximum is {MAX_VERTICES}"
+                    f"pair bits beyond the {n * (n - 1) // 2} pairs of n={n}"
                 )
             adj = [0] * n
+            j = 0
+            while pairs:
+                j += 1
+                col = pairs & ~(-1 << j)
+                pairs >>= j
+                adj[j] = col
+                vertex_j = 1 << j
+                while col:
+                    low = col & -col
+                    adj[low.bit_length() - 1] |= vertex_j
+                    col ^= low
             for u, v in edges:
                 if not (0 <= u < n and 0 <= v < n):
                     raise UnsupportedGraphError(f"edge ({u},{v}) out of range for n={n}")
@@ -152,6 +165,10 @@ class Graph:
         except ValueError:
             raise UnsupportedGraphError("every edge must be a pair of vertex ids") from None
         except TypeError:
+            if not isinstance(pairs, int):
+                raise UnsupportedGraphError(
+                    f"pairs must be an int, got {type(pairs).__name__}"
+                ) from None
             if not all(isinstance(x, int) for x in (n, u, v)):
                 raise UnsupportedGraphError(
                     "the vertex count and every edge endpoint must be an int"
@@ -162,6 +179,14 @@ class Graph:
                 ) from None
             raise UnsupportedGraphError("every edge must be a pair of vertex ids") from None
         return Graph._trusted(n, tuple(adj))
+
+
+def _check_order(n: int) -> None:
+    """Refuse a vertex count outside 1..MAX_VERTICES; every way to build a Graph asks."""
+    if n <= 0:
+        raise UnsupportedGraphError("graph must have at least one vertex")
+    if n > MAX_VERTICES:
+        raise UnsupportedGraphError(f"graph has {n} vertices; supported maximum is {MAX_VERTICES}")
 
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:

@@ -3,13 +3,17 @@
 Formats:
   * graph6 - byte-exact to the published encoding (6-bit groups offset 63,
     upper-triangle column-major adjacency bits, short or 3-byte length
-    header). One graph per line; streams compose with external generators.
+    header). One graph per line, ended by "\n" alone; a stripped line holds
+    only '?'..'~'. Streams compose with external generators. The body is
+    read as one int with pair p at bit p, and Graph.from_edges turns its
+    columns into adjacency rows.
   * edge list - one `u v` pair per line, 0-based ids, `#` comments,
     vertex count inferred as max id + 1.
 
 All stdout is deterministic across reruns; timings and progress go to
 stderr only. Exit codes: 0 ok, 2 usage, 3 parse/input, 4 budget,
-5 assertion failure (cross-check disagreement or structure violation).
+5 assertion failure (cross-check disagreement or structure violation),
+6 a `hunt --jobs` worker died.
 A reader that closes stdout early (`domrec hunt | head -1`) ends the
 command quietly with exit 0, as a broken pipe ends other filters.
 An early stop of `hunt` (exit 3, 4 or 5) stops reading stdin; its stderr
@@ -28,7 +32,7 @@ import time
 from contextlib import closing
 from dataclasses import asdict
 from functools import lru_cache, partial
-from itertools import compress, islice
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .graph_core import (
@@ -55,7 +59,6 @@ from .families import (
     verify_qkr_structure,
 )
 from .reconfig import (
-    _BINARY_DIGITS,
     ReconfigGraph,
     build_dk,
     connectivity_profile,
@@ -87,9 +90,10 @@ HUNT_CHUNK = 8
 HUNT_MAX_JOBS = -(-HUNT_WINDOW // HUNT_CHUNK)
 
 _GRAPH6_HEADER = ">>graph6<<"
-# The graph6 bit order for MAX_VERTICES vertices: pairs (i, j), i < j, column
-# by column. The pairs of an n-vertex graph are its first n(n-1)/2.
-_GRAPH6_PAIRS = tuple((i, j) for j in range(1, MAX_VERTICES) for i in range(j))
+# A graph6 data byte holds six pair bits, the first pair in its high bit.
+# Reversed, so that a line's body, read last byte first, spells its pairs
+# in binary with pair p at bit p.
+_SIX_BITS_REVERSED = {chr(63 + b): format(b, "06b")[::-1] for b in range(64)}
 # Vertex ids, in edge lists and in --from/--to, are ASCII decimal; int() alone
 # would also take other scripts' digits, '+', spaces and underscores. A
 # leading '-' matches so the error can name it.
@@ -111,18 +115,17 @@ def parse_graph6(line: str) -> Graph:
     line = line.rstrip("\r\n")
     if not line:
         raise ParseError("empty graph6 line")
-    data = [ord(c) - 63 for c in line]
-    if any(not 0 <= b <= 63 for b in data):
+    if min(line) < "?" or max(line) > "~":
         raise ParseError(f"graph6 line contains bytes outside '?'..'~': {line!r}")
-    if data[0] < 63:
-        n = data[0]
+    if line[0] != "~":
+        n = ord(line[0]) - 63
         pos = 1
     else:
-        if len(data) >= 2 and data[1] == 63:
+        if line[1:2] == "~":
             raise ParseError("graph6 8-byte length header exceeds supported sizes")
-        if len(data) < 4:
+        if len(line) < 4:
             raise ParseError("truncated graph6 length header")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = (ord(line[1]) - 63 << 12) | (ord(line[2]) - 63 << 6) | (ord(line[3]) - 63)
         pos = 4
     if n == 0:
         raise UnsupportedGraphError("graph6 encodes an empty graph")
@@ -132,15 +135,15 @@ def parse_graph6(line: str) -> Graph:
         )
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(data) - pos != nbytes:
+    if len(line) - pos != nbytes:
         raise ParseError(
             f"graph6 line for n={n} must carry {nbytes} data bytes,"
-            f" found {len(data) - pos}"
+            f" found {len(line) - pos}"
         )
-    bits = "".join([format(b, "06b") for b in data[pos:]]).encode().translate(_BINARY_DIGITS)
-    if any(bits[nbits:]):
+    pairs = int("".join(map(_SIX_BITS_REVERSED.__getitem__, reversed(line[pos:]))) or "0", 2)
+    if pairs >> nbits:
         raise ParseError("graph6 padding bits are not zero")
-    return Graph.from_edges(n, compress(_GRAPH6_PAIRS, bits))
+    return Graph.from_edges(n, pairs=pairs)
 
 
 def export_graph6(g: Graph) -> str:
@@ -201,9 +204,21 @@ def _stdin_lines() -> Iterable[str]:
 def _read_text(source: str) -> str:
     if source == "-":
         return "".join(_stdin_lines())
-    # As on stdin, a non-ASCII byte becomes a lone surrogate that the parsers reject.
-    with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
+    # As on stdin, a non-ASCII byte becomes a lone surrogate that the parsers
+    # reject, and line ends are left as they are.
+    with open(source, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         return fh.read()
+
+
+def _graph6_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The graph6 lines among lines: each stripped, the blank ones dropped.
+
+    Text is split on "\n" alone before it comes here, as stdin's bytes are,
+    so every command reads the same lines; str.splitlines would also end a
+    line at "\r", "\x0b", "\x0c" and "\x1c".."\x1e", which the parser
+    refuses inside one.
+    """
+    return (line for line in map(str.strip, lines) if line)
 
 
 def _looks_like_edge_list(text: str) -> bool:
@@ -222,7 +237,7 @@ def read_graphs(source: str, fmt: str = "auto") -> list[Graph]:
         fmt = "edgelist" if _looks_like_edge_list(text) else "graph6"
     if fmt == "edgelist":
         return [parse_edge_list(text)]
-    out = [parse_graph6(line) for line in map(str.strip, text.splitlines()) if line]
+    out = [parse_graph6(line) for line in _graph6_lines(text.split("\n"))]
     if not out:
         raise ParseError(f"no graphs found in {source!r}")
     return out
@@ -390,7 +405,7 @@ def cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
         g = generate_gkr(args.k, args.r)[0] if family == "gkr" else generate_qkr(args.k, args.r)[0]
     elif family == "cartesian":
         # Factors are piped in: exactly two graph6 lines on stdin.
-        lines = [ln.strip() for ln in _read_text("-").splitlines() if ln.strip()]
+        lines = list(_graph6_lines(_read_text("-").split("\n")))
         if len(lines) != 2:
             raise InputError("gen cartesian reads exactly two graph6 lines from stdin")
         g = cartesian_product(parse_graph6(lines[0]), parse_graph6(lines[1]))
@@ -437,7 +452,7 @@ def _hunt_worker(line: str, max_n: int, min_excess: int, budget: Budget) -> tupl
         return "parse-error", str(exc)
     if g.n > max_n:
         return "skip-size", None
-    if all(row == 0 for row in g.adj):
+    if not any(g.adj):
         return "skip-edgeless", None
     try:
         fam = enumerate_minimal_dominating(g, budget)
@@ -456,7 +471,7 @@ def cmd_hunt(args: argparse.Namespace, out: TextIO) -> int:
     budget = Budget.resolve(args.budget)
     max_n = args.max_n if args.max_n is not None else budget.max_n
     judge = partial(_hunt_worker, max_n=max_n, min_excess=args.min_excess, budget=budget)
-    lines = (line for line in map(str.strip, _stdin_lines()) if line)
+    lines = _graph6_lines(_stdin_lines())
     started = time.perf_counter()
     if args.jobs > 1:
         with closing(_pooled(min(args.jobs, HUNT_MAX_JOBS), judge, lines)) as results:

@@ -551,10 +551,28 @@ def export_edge_list(g: Graph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def naive_parse_graph6(line: str) -> Graph:
+    """Decode a graph6 line that parse_graph6 accepts, one bit at a time.
+
+    The body is spelled out as a string of bits, six to a byte, high bit
+    first; the k-th bit is the k-th pair (i, j), i < j, column by column,
+    and the set pairs go to Graph.from_edges as an edge list.
+    """
+    codes = [ord(c) - 63 for c in line.strip()]
+    if codes[0] < 63:
+        n, body = codes[0], codes[1:]
+    else:
+        n, body = codes[1] << 12 | codes[2] << 6 | codes[3], codes[4:]
+    bits = "".join(format(b, "06b") for b in body)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph.from_edges(n, [pair for pair, b in zip(pairs, bits) if b == "1"])
+
+
 def parser_round_trips(g: Graph) -> list[tuple[str, Graph, Graph]]:
     """(route, g rebuilt through Graph.from_edges, the same graph built checked).
 
     The checked side is Graph(n, adj), which runs every __post_init__ check.
+    The graph6 route hands from_edges pair bits, the others an edge list.
     The edge-list parser infers n from the largest id, so vertices above
     the last edge drop out; its checked side keeps the same prefix.
     """

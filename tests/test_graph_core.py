@@ -124,6 +124,40 @@ def test_cartesian_product_builds_what_the_checked_constructor_builds(g, h):
     assert prod == Graph(prod.n, prod.adj)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_from_edges_builds_the_pair_bits_that_are_set(data):
+    # Bit p of pairs is the p-th pair in graph6's order; an edge list may
+    # add the pairs left clear.
+    n = data.draw(st.integers(min_value=1, max_value=64), label="n")
+    pairs = data.draw(st.integers(min_value=0, max_value=(1 << n * (n - 1) // 2) - 1))
+    order = [(i, j) for j in range(1, n) for i in range(j)]
+    edges = [pair for p, pair in enumerate(order) if pairs >> p & 1]
+    g = Graph.from_edges(n, pairs=pairs)
+    assert g == Graph.from_edges(n, edges) == Graph(n, g.adj)
+    rest = [pair[::-1] for p, pair in enumerate(order) if not pairs >> p & 1]
+    assert Graph.from_edges(n, rest, pairs=pairs).adj == tuple(
+        (1 << n) - 1 ^ 1 << v for v in range(n))
+
+
+@pytest.mark.parametrize("n, edges, pairs, message", [
+    (0, (), 1, "graph must have at least one vertex"),
+    (65, (), 1, "graph has 65 vertices; supported maximum is 64"),
+    (1, (), 1, "pair bits beyond the 0 pairs of n=1"),
+    (3, (), 0b1000, "pair bits beyond the 3 pairs of n=3"),
+    (3, (), -1, "pair bits beyond the 3 pairs of n=3"),
+    (3, [(1, 2)], 0b100, "multi-edge (1, 2)"),
+    (3.0, (), 1, "the vertex count and every edge endpoint must be an int"),
+    (3, (), 1.0, "pairs must be an int, got float"),
+    (3, (), "1", "pairs must be an int, got str"),
+], ids=["no-vertex", "too-wide", "bit-past-no-pair", "bit-past-last-pair", "negative",
+        "edge-repeats-a-pair", "float-n", "float-pairs", "str-pairs"])
+def test_from_edges_refuses_bad_pair_bits(n, edges, pairs, message):
+    with pytest.raises(UnsupportedGraphError) as err:
+        Graph.from_edges(n, edges, pairs=pairs)
+    assert str(err.value) == message
+
+
 def test_families_build_what_the_checked_constructor_builds():
     graphs = [make(n) for n in range(1, 11) for make in (complete_graph, star, path_graph)]
     graphs += [cycle_graph(n) for n in range(3, 11)]

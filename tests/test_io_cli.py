@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domrec import (
@@ -31,6 +31,7 @@ from domrec import domination, families, io_cli, reconfig, separation
 from domrec.io_cli import (
     EXIT_ASSERT,
     EXIT_BUDGET,
+    EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
     EXIT_WORKER,
@@ -52,6 +53,7 @@ from naive import (
     export_edge_list,
     naive_d0,
     naive_minimal_dominating_sets,
+    naive_parse_graph6,
 )
 
 CLI = [sys.executable, "-m", "domrec"]
@@ -128,17 +130,39 @@ def test_graph6_roundtrip_bulk():
         assert export_graph6(back) == line
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=16), st.randoms())
-def test_graph6_roundtrip_property(n, rnd):
-    g = random_graph(rnd, n, 0.5)
-    assert parse_graph6(export_graph6(g)).adj == g.adj
-
-
 def test_gkr_roundtrips_through_graph6():
     g, _ = generate_gkr(4, 3)
     back = parse_graph6(export_graph6(g))
     assert back.adj == g.adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32),
+       st.floats(min_value=0, max_value=1))
+@example(63, 0, 0.5)
+@example(64, 1, 0.5)
+@example(64, 2, 1.0)
+@example(64, 3, 0.0)
+def test_graph6_roundtrip_property(n, seed, p):
+    # n = 63 and 64 take the 4-byte header; the oracle reads each pair bit
+    # on its own and builds through Graph.from_edges.
+    g = random_graph(random.Random(seed), n, p)
+    line = export_graph6(g)
+    back = parse_graph6(line)
+    assert back == g == naive_parse_graph6(line)
+    assert export_graph6(back) == line
+
+
+@pytest.mark.parametrize("line", [
+    ">_", "\x01_", "\x7f_", "\udcff_",  # 1-byte header
+    "~>?@" + "?" * 11, "~?>@" + "?" * 11, "~??\x7f",  # 4-byte header
+    "A\x7f", "A>", "D?\udcff", "~??~" + "?" * 325 + ">",  # body
+], ids=["header-62", "header-1", "header-127", "header-surrogate", "long-header-2nd",
+        "long-header-3rd", "long-header-4th", "body-127", "body-62", "body-surrogate",
+        "body-last-of-n63"])
+def test_parse_graph6_refuses_a_byte_outside_the_range_in_any_position(line):
+    with pytest.raises(ParseError, match=r"outside '\?'\.\.'~'"):
+        parse_graph6(line)
 
 
 def test_edge_list_roundtrip():
@@ -946,6 +970,31 @@ def test_cli_main_leaves_no_cyclic_garbage(capsys):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# str.splitlines ends a line at each of these; a graph6 line ends only at "\n".
+@pytest.mark.parametrize("byte", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"],
+                         ids=["cr", "vt", "ff", "fs", "gs", "rs"])
+@pytest.mark.parametrize("args", [["d0", "-"], ["invariants", "-"], ["gen", "cartesian"],
+                                  ["hunt"]], ids=["d0", "invariants", "gen-cartesian", "hunt"])
+def test_cli_graph6_lines_end_only_at_a_newline(args, byte):
+    proc = subprocess.run(CLI + args, input=f"A_{byte}A_\nA_\n".encode(), capture_output=True,
+                          env=CLI_ENV)
+    assert proc.returncode == EXIT_PARSE, proc.stdout
+    assert b"outside '?'..'~'" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("data, code", [(b"A_\rA_\n", EXIT_PARSE), (b"A_\r\nA_\r\n", EXIT_OK)],
+                         ids=["cr-inside", "crlf"])
+def test_cli_graph6_file_lines_end_only_at_a_newline(tmp_path, data, code):
+    # A file is read with its line ends as they are, as stdin is.
+    f = tmp_path / "graphs.g6"
+    f.write_bytes(data)
+    proc = subprocess.run(CLI + ["d0", str(f)], capture_output=True, env=CLI_ENV)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == (b"" if code else b'{"d0":2}\n' * 2)
+    stdin = subprocess.run(CLI + ["d0", "-"], input=data, capture_output=True, env=CLI_ENV)
+    assert (stdin.returncode, stdin.stdout) == (proc.returncode, proc.stdout)
 
 
 @pytest.mark.parametrize("args", [["sep", "-"], ["hunt"], ["gen", "cartesian"]],

@@ -2,8 +2,9 @@
 
 All three call d0_direct through the public API, so a signature or
 behaviour change there that breaks them shows here; each refuses a
-malformed DOMREC_BUDGET before its first row. The reproduction script also
-runs sep_bottleneck and the structure checks on every row.
+malformed DOMREC_BUDGET before its first row, and stops with exit 4 at the
+first graph the budget refuses. The reproduction script also runs
+sep_bottleneck and the structure checks on every row.
 """
 
 import importlib.util
@@ -94,3 +95,22 @@ def test_reproduction_refuses_a_malformed_budget_before_the_first_row(value):
 @pytest.mark.parametrize("script, args", SCRIPT_RUNS[1:], ids=[run[0] for run in SCRIPT_RUNS[1:]])
 def test_scripts_refuse_a_malformed_budget_before_the_first_row(script, args, value):
     _refuses_malformed_budget(script, args, value)
+
+
+# Budget 5 refuses diameter_survey's second graph (n = 8) and budget 3
+# survey_small_graphs' first graph of order 4: the rows before it stay.
+@pytest.mark.parametrize("script, args, budget, stdout_lines, refused", [
+    ("diameter_survey.py", ["--count", "3", "--n-max", "8"], "5", 2, "graph 2 (n=8): "),
+    ("survey_small_graphs.py", ["--max-n", "4"], "3", 0, "n=4 "),
+], ids=["diameter_survey.py", "survey_small_graphs.py"])
+def test_survey_scripts_stop_at_the_budget_with_exit_4(script, args, budget, stdout_lines,
+                                                       refused):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "DOMREC_BUDGET": budget}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stdout.splitlines()) == stdout_lines
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith(refused) and "exceeds enumeration budget" in last, last
+    assert proc.stderr.count("exceeds") == 1
