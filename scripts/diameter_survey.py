@@ -19,10 +19,10 @@ from domrec import (
     BudgetError,
     Graph,
     build_dk,
-    d0_direct,
     dk_diameter,
     enumerate_minimal_dominating,
     is_connected,
+    sep_value,
 )
 
 
@@ -53,7 +53,7 @@ def main() -> int:
         g = random_connected(rng, rng.randint(args.n_min, args.n_max))
         try:
             fam = enumerate_minimal_dominating(g, budget)
-            d0 = d0_direct(g, budget, family=fam)
+            d0 = sep_value(fam)  # d0 = sep (domrec.separation)
             diam_d0 = dk_diameter(build_dk(g, d0, budget))
             diam_top = dk_diameter(build_dk(g, g.n, budget))
         except BudgetError as exc:

@@ -32,7 +32,7 @@ from domrec import (
     enumerate_minimal_dominating,
     generate_gkr,
     generate_qkr,
-    sep_bottleneck,
+    sep_value,
     verify_gkr_structure,
     verify_qkr_structure,
 )
@@ -43,7 +43,7 @@ def row(name, g, expect_d0, verify, budget=None):
     t0 = time.perf_counter()
     fam = enumerate_minimal_dominating(g, budget)
     d0 = d0_direct(g, budget, family=fam)
-    sep = sep_bottleneck(fam).sep
+    sep = sep_value(fam)
     failed = [c.name for c in verify(family=fam).failures()]
     dt = time.perf_counter() - t0
     flag = "ok" if d0 == sep == expect_d0 and not failed else "MISMATCH"

@@ -20,9 +20,9 @@ from domrec import (
     Budget,
     BudgetError,
     Graph,
-    d0_direct,
     enumerate_minimal_dominating,
     is_connected,
+    sep_value,
 )
 from domrec.io_cli import export_graph6
 
@@ -73,7 +73,7 @@ def main() -> int:
             count += 1
             try:
                 fam = enumerate_minimal_dominating(g, budget)
-                excess = d0_direct(g, budget, family=fam) - fam.Gamma
+                excess = sep_value(fam) - fam.Gamma  # d0 = sep (domrec.separation)
             except BudgetError as exc:
                 print(f"n={n} {export_graph6(g)}: {exc}", file=sys.stderr)
                 return 4

@@ -3,7 +3,8 @@
 Core objects: bitmask vertex sets on an immutable Graph, exact enumeration
 of (minimal) dominating sets, the k-dominating graph D_k(G) with its
 connectivity threshold d_0(G), and the separation of the minimal family,
-computed both by definition and via a bottleneck spanning tree.
+computed both by definition and via a bottleneck spanning tree, and its
+value alone (sep_value) by threshold questions.
 """
 
 from .graph_core import (
@@ -54,6 +55,7 @@ from .separation import (
     sep_at_most,
     sep_bottleneck,
     sep_brute_force,
+    sep_value,
 )
 from .families import (
     CheckResult,

@@ -72,6 +72,7 @@ from .separation import (
     sep_at_most,
     sep_bottleneck,
     sep_brute_force,
+    sep_value,
 )
 
 EXIT_OK = 0
@@ -165,10 +166,14 @@ def export_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse `u v` lines (0-based, `#` comments). n is max id + 1."""
+    """Parse `u v` lines (0-based, `#` comments). n is max id + 1.
+
+    A line ends at "\n" alone, as a graph6 line does (_graph6_lines), so a
+    "\r" or "\x1c" inside one is refused with it, not read as a line end.
+    """
     edges = []
     max_id = -1
-    for ln, raw in enumerate(text.splitlines(), 1):
+    for ln, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -222,7 +227,7 @@ def _graph6_lines(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _looks_like_edge_list(text: str) -> bool:
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -334,7 +339,7 @@ def cmd_d0(args: argparse.Namespace, out: TextIO) -> int:
                 status = EXIT_ASSERT
         else:
             # d0 = sep on every graph with an edge (proof in separation.py).
-            sep = sep_bottleneck(enumerate_minimal_dominating(g, budget)).sep
+            sep = sep_value(enumerate_minimal_dominating(g, budget))
             _emit(out, export_json({"sep" if args.method else "d0": sep}))
     return status
 
@@ -442,9 +447,9 @@ def _hunt_worker(line: str, max_n: int, min_excess: int, budget: Budget) -> tupl
     The payload is a hit's fields, an error's text, or None. A graph is a
     miss when sep <= Gamma + min_excess - 1, asked of sep_at_most as a
     yes/no question (d0 = sep, see separation.py). Only a hit gets its sep
-    from sep_bottleneck, for the payload; the direct D_k scan then
-    re-verifies it as an independent oracle, and a mismatch is reported as
-    "disagree".
+    from sep_value, which asks the same question upward from a bound, for
+    the payload; the direct D_k scan then re-verifies it as an independent
+    oracle, and a mismatch is reported as "disagree".
     """
     try:
         g = parse_graph6(line)
@@ -458,7 +463,7 @@ def _hunt_worker(line: str, max_n: int, min_excess: int, budget: Budget) -> tupl
         fam = enumerate_minimal_dominating(g, budget)
         if sep_at_most(fam, fam.Gamma + min_excess - 1):
             return "miss", None
-        sep = sep_bottleneck(fam).sep
+        sep = sep_value(fam)
         d0 = d0_direct(g, budget, family=fam)
     except BudgetError as exc:
         return "budget-error", str(exc)

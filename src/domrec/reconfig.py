@@ -496,7 +496,7 @@ def d0_direct(
 
     This is the independent oracle for d0, not the fast route: d0 equals
     the separation sep (proof in separation.py), so `domrec d0` and `hunt`
-    read it off sep_bottleneck. This scan runs for `d0 --method direct`
+    read it off sep_value. This scan runs for `d0 --method direct`
     and `both`, and to re-verify every `hunt` hit. It takes only Gamma
     and the edgeless rule from the minimal family, never the family's
     U_k. A Gamma that came out too small would let it test a layer below

@@ -8,9 +8,9 @@ spanning tree over pair weights w(X,Y) = |X u Y|: the max-min over cuts
 equals the heaviest MST edge, and removing that edge exhibits a witness
 partition. The tree is reconfig._prim_tree's, but the route does not
 build it. sep is the least t at which U_t (below) is connected, tried
-upward from a lower bound with threshold searches, and the witness comes
-from the components of U_{sep-1}: Prim runs only inside member 0's
-component, and only until it takes one member (proofs in
+upward from a lower bound with threshold searches (sep_value), and the
+witness comes from the components of U_{sep-1}: Prim runs only inside
+member 0's component, and only until it takes one member (proofs in
 sep_bottleneck). Each search (_component) packs one byte per set into a
 few big ints (reconfig._packed) and gets the weights from one set to all
 others in a few whole-int operations, never one pair at a time. It
@@ -51,13 +51,15 @@ G to be connected. F has at least 2 sets whenever G has an edge uv
 dominating sets); only the edgeless graph, with the single set V, is
 excluded, and d0 is rejected there too.
 
-This is why `domrec d0` reads d0 off sep_bottleneck by default, and why
-sep_bottleneck can find sep by asking whether U_t is connected: the
-answer is yes for every t >= sep and no below, so trying t upward from a
-lower bound, the first yes is at sep. `hunt` needs only one yes/no
-answer: a graph is a miss when U_k is connected at k = Gamma + E - 1,
-for the threshold E on d0 - Gamma. sep_at_most asks exactly that, so
-sep_bottleneck runs only on hits, for their sep.
+This is why `domrec d0` reads d0 off sep_value by default, and why
+sep_value can find sep by asking whether U_t is connected: the answer is
+yes for every t >= sep and no below, so trying t upward from a lower
+bound, the first yes is at sep. `hunt` needs only one yes/no answer: a
+graph is a miss when U_k is connected at k = Gamma + E - 1, for the
+threshold E on d0 - Gamma. sep_at_most asks exactly that, so sep_value
+runs only on hits, for their sep. Every caller that needs only the
+number calls sep_value; sep_bottleneck, which finds the same number on
+its own packing and then the witness, runs for `domrec sep` alone.
 
 The direct D_k scan (reconfig.d0_direct) stays the oracle: `d0 --method
 direct|both` run it, `hunt` re-verifies every hit with it, and sep is
@@ -68,7 +70,8 @@ single swaps. Each layer above Gamma takes its swap components from the
 layer below, so layer d0 - 1 is read only up to the first bridge that
 joins it (proofs in reconfig.py).
 
-sep_at_most picks its search by the family size m alone. A family of at
+sep_at_most and sep_value pick their search by the family size m alone,
+and pack a large family once, however many t they try. A family of at
 most _SCAN_MAX_SETS = 64 sets is searched from member 0 in plain Python:
 each popped X tests |X u Y| <= k against every set Y still unseen. That
 is the definition of U_k's edges, and a "no" comes only when no set
@@ -107,8 +110,6 @@ from .domination import Budget, DomFamily, _require_at_least_two, enumerate_mini
 from .reconfig import _packed, _prim_edges, d0_direct
 
 BRUTE_FORCE_MAX_FAMILY = 15
-# sep_bottleneck keeps the rows |Y_x u Y_i| it has made up to this many bytes.
-_ROW_CACHE_BYTES = 1 << 24
 # sep_at_most scans a family of at most this many sets pair by pair (module docstring).
 _SCAN_MAX_SETS = 64
 
@@ -185,11 +186,9 @@ def sep_bottleneck(fam: DomFamily) -> SepReport:
     component of U_{sep-1}.
 
     sep. The heaviest tree edge is the least t with U_t connected (module
-    docstring). The cut that puts the largest set X alone on one side has
-    its least cross weight at most sep, so trying t from there upward
-    (_cut), the first t with U_t connected is sep. Each try makes one
-    _component search at t - 1, which returns C0 at t = sep, and the steps
-    below, which take every member exactly when U_t is connected.
+    docstring), which is sep_value's number. _sep finds it on the packing
+    made here, so the family is packed once, and _cut then takes the
+    steps below once, at t = sep.
 
     The heaviest edge. While C0 is not all taken, a member of it is
     within sep - 1 of the tree and every other member is at least sep
@@ -213,32 +212,14 @@ def sep_bottleneck(fam: DomFamily) -> SepReport:
     components runs through c*'s, which takes component labels and tests
     at weight sep, not Prim's order. When c*'s component is all of the
     members outside C0, as on every gkr/qkr, it is the side.
-
-    A row |Y_x u Y_i| does not depend on t, so each is made once and kept
-    while the rows kept hold at most _ROW_CACHE_BYTES; row keys them by x,
-    as every caller passes start = size.
     """
     _require_at_least_two(fam)
     sets = fam.sets
     m = len(sets)
-    ones, sizes, size, beyond = packing = _packed(sets)
-    rows: dict[int, int] = {}
-
-    def row(x: int, start: int) -> int:
-        got = rows.get(x)
-        if got is None:
-            got = beyond(x, start)
-            if len(rows) * m < _ROW_CACHE_BYTES:
-                rows[x] = got
-        return got
-
-    big = sizes.index(max(sizes))
-    from_big = row(big, size).to_bytes(m, "little")
-    sep = min(from_big[:big] + from_big[big + 1:])
-    while not (cut := _cut((ones, sizes, size, row), sep)):
-        sep += 1
-    c0, c_star, side = cut
-    near = ((sep * ones | ones << 7) - row(c_star, size)) & c0
+    ones, _, size, beyond = packing = _packed(sets)
+    sep = _sep(sets, packing)
+    c0, c_star, side = _cut(packing, sep)
+    near = ((sep * ones | ones << 7) - beyond(c_star, size)) & c0
     if near & 0x80:
         p_star = 0
     else:
@@ -252,16 +233,15 @@ def sep_bottleneck(fam: DomFamily) -> SepReport:
     )
 
 
-def _cut(packing: tuple, sep: int) -> Optional[tuple[int, int, int]]:
-    """(C0, c*, the side below c*) for this sep, or None when U_sep is disconnected.
+def _cut(packing: tuple, sep: int) -> tuple[int, int, int]:
+    """(C0, c*, the side below c*), as guard bits, at the separation sep.
 
-    sep must be at most the separation, so that U_{sep-1} is disconnected.
-    The steps are those of sep_bottleneck's docstring. C0 and c*'s
-    component are taken first, and when they hold every member, U_sep is
-    connected. Otherwise one search at sep decides that first, and then the
-    components left are taken in Prim's order: claims holds the members at
-    weight sep from a component taken, and ours those of them that a
-    component on the side reached first.
+    U_{sep-1} is disconnected and U_sep connected, so some member outside
+    C0 is at weight sep from it, and c* is the lowest. The steps are those
+    of sep_bottleneck's docstring. C0 and c*'s component are taken first;
+    then any components left are taken in Prim's order: claims holds the
+    members at weight sep from a component taken, and ours those of them
+    that a component on the side reached first.
     """
     ones, sizes, size, beyond = packing
     m = len(sizes)
@@ -269,16 +249,12 @@ def _cut(packing: tuple, sep: int) -> Optional[tuple[int, int, int]]:
     within = sep * ones | everyone
     c0 = _component(packing, sep - 1, 0, everyone ^ 0x80)
     rest = everyone ^ c0
-    c_star = next((y for y in _members(rest, m) if (within - beyond(y, size)) & c0), -1)
-    if c_star < 0:
-        return None
+    c_star = next(y for y in _members(rest, m) if (within - beyond(y, size)) & c0)
     rest ^= 0x80 << 8 * c_star
     side = _component(packing, sep - 1, c_star, rest)
     rest &= ~side
     if not rest:
         return c0, c_star, side
-    if _component(packing, sep, 0, everyone ^ 0x80) != everyone:
-        return None
 
     def reach(comp: int) -> int:
         near = 0
@@ -357,6 +333,20 @@ def _component(packing: tuple, t: int, start: int, unseen: int) -> int:
     return seen
 
 
+def sep_value(fam: DomFamily) -> int:
+    """The separation sep, and so d0 (module docstring), without a witness.
+
+    The cut that puts a largest set X alone on one side has its least
+    cross weight, min |X u Y| over the other sets Y, at most sep. So t is
+    tried upward from there, and the first t at which sep_at_most's
+    question, whether U_t is connected, is answered yes is sep. A family
+    of more than _SCAN_MAX_SETS sets is packed once for every try.
+    """
+    _require_at_least_two(fam)
+    sets = fam.sets
+    return _sep(sets, _packed(sets) if len(sets) > _SCAN_MAX_SETS else None)
+
+
 def sep_at_most(fam: DomFamily, k: int) -> bool:
     """Whether sep <= k, that is whether U_k is connected (module docstring).
 
@@ -369,24 +359,47 @@ def sep_at_most(fam: DomFamily, k: int) -> bool:
     """
     _require_at_least_two(fam)
     sets = fam.sets
-    if len(sets) <= _SCAN_MAX_SETS:
-        unseen = sets[1:]
-        todo = [sets[0]]
-        while todo:
-            x = todo.pop()
-            far = []
-            for y in unseen:
-                if (x | y).bit_count() <= k:
-                    todo.append(y)
-                else:
-                    far.append(y)
-            if not far:
-                return True
-            unseen = far
-        return False
-    packing = _packed(sets)
-    everyone = packing[0] << 7
-    return _component(packing, k, 0, everyone ^ 0x80) == everyone
+    return _at_most(sets, k, _packed(sets) if len(sets) > _SCAN_MAX_SETS else None)
+
+
+def _sep(sets: tuple[VertexSet, ...], packing: Optional[tuple]) -> int:
+    """sep_value of sets, each try asked of _at_most with this packing.
+
+    A packing gives the bound's weights as one row, in |X| whole-int
+    additions, where the plain loop forms each pair (X, Y) on its own.
+    """
+    if packing is None:
+        big = max(sets, key=int.bit_count)
+        t = min(map(int.bit_count, map(big.__or__, filter(big.__ne__, sets))))
+    else:
+        _, sizes, size, beyond = packing
+        big = sizes.index(max(sizes))
+        row = beyond(big, size).to_bytes(len(sizes), "little")
+        t = min(row[:big] + row[big + 1:])
+    while not _at_most(sets, t, packing):
+        t += 1
+    return t
+
+
+def _at_most(sets: tuple[VertexSet, ...], k: int, packing: Optional[tuple]) -> bool:
+    """sep_at_most of sets: by _component on packing, or by the scan when it is None."""
+    if packing is not None:
+        everyone = packing[0] << 7
+        return _component(packing, k, 0, everyone ^ 0x80) == everyone
+    unseen = sets[1:]
+    todo = [sets[0]]
+    while todo:
+        x = todo.pop()
+        far = []
+        for y in unseen:
+            if (x | y).bit_count() <= k:
+                todo.append(y)
+            else:
+                far.append(y)
+        if not far:
+            return True
+        unseen = far
+    return False
 
 
 def check_sep_equals_d0(
@@ -395,6 +408,6 @@ def check_sep_equals_d0(
     """Cross-validate the two d_0 routes: direct scan vs separation."""
     budget = budget or Budget.resolve()
     fam = enumerate_minimal_dominating(g, budget)
-    sep = sep_bottleneck(fam).sep
+    sep = sep_value(fam)
     d0 = d0_direct(g, budget, family=fam)
     return D0SepEvidence(d0=d0, sep=sep, agree=d0 == sep)

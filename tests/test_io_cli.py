@@ -709,22 +709,40 @@ def test_cli_hunt_runs_d0_direct_only_on_hits(monkeypatch, capsys, planted_strea
     assert calls == [json.loads(line)["graph6"] for line in out.splitlines()]
 
 
-def test_cli_hunt_calls_sep_bottleneck_only_on_hits(monkeypatch, capsys, planted_stream):
-    # A miss is settled by sep_at_most; the full tree runs only for a hit's sep.
+def test_cli_hunt_calls_sep_value_only_on_hits(monkeypatch, capsys, planted_stream):
+    # A miss is settled by sep_at_most; sep_value runs only for a hit's sep.
     stream, expected, count = planted_stream
     calls = []
-    real = io_cli.sep_bottleneck
+    real = io_cli.sep_value
 
     def counting(fam):
         calls.append(fam)
         return real(fam)
 
-    monkeypatch.setattr(io_cli, "sep_bottleneck", counting)
+    monkeypatch.setattr(io_cli, "sep_value", counting)
     code, out, _ = _hunt_in_process(monkeypatch, capsys, stream, "--min-excess", "2")
     assert code == 0
     hits = [json.loads(line) for line in out.splitlines()]
     assert len(calls) == len(hits) == len(expected) < count
-    assert [real(fam).sep for fam in calls] == [h["sep"] for h in hits]
+    assert [real(fam) for fam in calls] == [h["sep"] for h in hits]
+
+
+@pytest.mark.parametrize("args", [["d0", "-"], ["d0", "-", "--method", "sep"],
+                                  ["d0", "-", "--method", "both"], ["hunt", "--min-excess", "2"]],
+                         ids=["d0", "d0-sep", "d0-both", "hunt"])
+def test_cli_reads_the_value_of_sep_without_its_witness(monkeypatch, planted_stream, args):
+    # Only `domrec sep` prints the witness; every other command reads sep_value.
+    stream, expected, _ = planted_stream
+
+    def refused(fam):
+        raise AssertionError("sep_bottleneck called for the value alone")
+
+    for module in (io_cli, separation):  # each binding a command could reach
+        monkeypatch.setattr(module, "sep_bottleneck", refused)
+    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
+    code, out = _stdout_of(args, stream)
+    assert code == 0
+    assert len(out.splitlines()) == (len(expected) if args[0] == "hunt" else 34)
 
 
 def test_cli_enumerates_each_minimal_family_once(monkeypatch, capsys, planted_stream):
@@ -995,6 +1013,22 @@ def test_cli_graph6_file_lines_end_only_at_a_newline(tmp_path, data, code):
     assert proc.stdout == (b"" if code else b'{"d0":2}\n' * 2)
     stdin = subprocess.run(CLI + ["d0", "-"], input=data, capture_output=True, env=CLI_ENV)
     assert (stdin.returncode, stdin.stdout) == (proc.returncode, proc.stdout)
+
+
+@pytest.mark.parametrize("data, code", [(b"0 1\x1c1 2\n", EXIT_PARSE), (b"0 1\r1 2\n", EXIT_PARSE),
+                                        (b"0 1\r\n1 2\r\n", EXIT_OK)], ids=["fs", "cr", "crlf"])
+def test_cli_edge_list_lines_end_only_at_a_newline(capsys, tmp_path, data, code):
+    # As in graph6, "\x1c" or a lone "\r" inside a line is refused, not read
+    # as a line end; "\r\n" ends a line and reads the path 0-1-2.
+    f = tmp_path / "graph.txt"
+    f.write_bytes(data)
+    assert main(["invariants", str(f)]) == code
+    out, err = capsys.readouterr()
+    assert _stdout_of(["invariants", "-"], data.decode()) == (code, out)
+    if code:
+        assert "expected 'u v'" in err
+    else:
+        assert out == _stdout_of(["invariants", "-"], export_graph6(path_graph(3)) + "\n")[1]
 
 
 @pytest.mark.parametrize("args", [["sep", "-"], ["hunt"], ["gen", "cartesian"]],

@@ -1,10 +1,11 @@
 """Smoke runs of the scripts under scripts/, each at a size that takes about a second.
 
-All three call d0_direct through the public API, so a signature or
-behaviour change there that breaks them shows here; each refuses a
-malformed DOMREC_BUDGET before its first row, and stops with exit 4 at the
-first graph the budget refuses. The reproduction script also runs
-sep_bottleneck and the structure checks on every row.
+All three read d0 through the public API, the surveys from sep_value and
+the reproduction script from d0_direct, so a signature or behaviour change
+there that breaks them shows here; each refuses a malformed DOMREC_BUDGET
+before its first row, and stops with exit 4 at the first graph the budget
+refuses. The reproduction script also runs sep_value and the structure
+checks on every row.
 """
 
 import importlib.util

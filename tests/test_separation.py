@@ -23,6 +23,7 @@ from domrec import (
     sep_at_most,
     sep_bottleneck,
     sep_brute_force,
+    sep_value,
     star,
     vertex_list,
 )
@@ -275,11 +276,6 @@ def test_sep_at_most_on_synthetic_families():
     assert answers == {"scan": {False, True}, "packed": {False, True}}
 
 
-def sep_at_most_by(cutoff, fam, k):
-    with patch.object(separation, "_SCAN_MAX_SETS", cutoff):
-        return sep_at_most(fam, k)
-
-
 @st.composite
 def synthetic_families(draw):
     """Distinct sets over 8, 16 or 64 vertices, from 2 up to well past the scan cutoff."""
@@ -289,18 +285,32 @@ def synthetic_families(draw):
     return synthetic_family(sets)
 
 
+# A largest set X with a subset inside the family, and 66 sets of two high
+# vertices: the cut of X bounds sep by 4, but sep is 5, across {X, its subset}.
+BOUND_BELOW_SEP = [0b1111, 0b0111] + [1 << 8 + i | 1 << 8 + j for i in range(12)
+                                      for j in range(i + 1, 12)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(edged_graphs().map(enumerate_minimal_dominating) | synthetic_families())
 @example(synthetic_family(range(64)))  # the 64 subsets of 6 vertices: m at the cutoff
 @example(synthetic_family(range(65)))  # and one past it
 @example(synthetic_family([*range(1, 40), *(s << 32 for s in range(1, 40))]))  # two clusters
+# The cut of the largest set bounds sep at sep - 1, so sep_value tries a second t.
+@example(synthetic_family([17, 14, 15]))
+@example(synthetic_family([9, 13, 7]))
+@example(synthetic_family(BOUND_BELOW_SEP))
 def test_scan_and_packed_routes_agree_with_sep(fam):
     # _SCAN_MAX_SETS = 0 sends every family to the packed search, 10**9 every
-    # one to the scan; both must answer sep <= k at every k, "no" included.
-    sep = sep_bottleneck(fam).sep
-    for k in [*range(-1, 2 * fam.Gamma + 2), 64, 200]:
-        assert sep_at_most_by(0, fam, k) == (sep <= k), k
-        assert sep_at_most_by(10**9, fam, k) == (sep <= k), k
+    # one to the scan; both must answer sep <= k at every k, "no" included,
+    # and sep_value must read sep off either, as sep_bottleneck and the tree do.
+    sep = naive_sep_report(fam.sets)[0]
+    assert sep_value(fam) == sep_bottleneck(fam).sep == sep
+    for cutoff in (0, 10**9):
+        with patch.object(separation, "_SCAN_MAX_SETS", cutoff):
+            assert sep_value(fam) == sep, cutoff
+            for k in [*range(-1, 2 * fam.Gamma + 2), 64, 200]:
+                assert sep_at_most(fam, k) == (sep <= k), (cutoff, k)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -347,9 +357,7 @@ def test_sep_bottleneck_matches_the_tree_oracle(g):
 @given(st.lists(st.integers(0, (1 << 64) - 1) | st.integers(0, 63), min_size=2, max_size=40,
                 unique=True))
 # The cut of the largest set bounds sep from below, and t is tried upward from
-# there. Here the bound is sep - 1, so the first try fails: no member is at
-# weight t from member 0's component of U_{t-1} (first), or the components of
-# U_{t-1} do not all join (second).
+# there. Here the bound is sep - 1, so the first try fails: U_t is disconnected.
 @example([17, 14, 15])
 @example([9, 13, 7])
 def test_sep_bottleneck_matches_the_tree_oracle_on_synthetic_families(sets):
@@ -385,6 +393,43 @@ def test_sep_bottleneck_draws_at_most_one_prim_edge_on_the_grid(monkeypatch, mak
     fam = enumerate_minimal_dominating(make(k, r)[0], Budget.resolve(40))
     assert sep_bottleneck(fam).sep == k + r
     assert len(drawn) <= 1
+
+
+# sep_value and sep_bottleneck pack a large family once --------------------------
+
+
+LARGE_FAMILIES = {
+    "bound-below-sep": lambda: synthetic_family(BOUND_BELOW_SEP),
+    "gkr(4,2)": lambda: enumerate_minimal_dominating(generate_gkr(4, 2)[0]),
+    "qkr(4,3)": lambda: enumerate_minimal_dominating(generate_qkr(4, 3)[0]),
+}
+
+
+@pytest.mark.parametrize("route", [sep_value, sep_bottleneck], ids=["value", "witness"])
+@pytest.mark.parametrize("name", LARGE_FAMILIES)
+def test_one_call_packs_a_large_family_once(monkeypatch, route, name):
+    # However many t the value search tries, a family of more than
+    # _SCAN_MAX_SETS sets is packed once, and the witness search reuses it.
+    fam = LARGE_FAMILIES[name]()
+    assert len(fam.sets) > separation._SCAN_MAX_SETS
+    packed, tried = [], []
+    real_packed, real_component = separation._packed, separation._component
+
+    def packing(sets):
+        packed.append(sets)
+        return real_packed(sets)
+
+    def component(packing, t, start, unseen):
+        tried.append(t)
+        return real_component(packing, t, start, unseen)
+
+    monkeypatch.setattr(separation, "_packed", packing)
+    monkeypatch.setattr(separation, "_component", component)
+    got = route(fam)
+    assert (got if route is sep_value else got.sep) == naive_sep_report(fam.sets)[0]
+    assert len(packed) == 1
+    if name == "bound-below-sep":
+        assert tried[:2] == [4, 5]  # two tries of the value search on the one packing
 
 
 # The threshold search, against a plain BFS over pair weights ------------------

@@ -1,8 +1,8 @@
 """Source checks: line width, a runtime that imports only the standard library,
 one owner for the unchecked graph constructor, constructions that import no
 reconfiguration or separation code, an oracle module that imports no private
-package name, a separation module that reads no environment variable, and the
-layout of the committed benchmark records."""
+package name, a separation module that reads no environment variable, one
+route to the value of sep, and the layout of the committed benchmark records."""
 
 import ast
 import json
@@ -92,6 +92,21 @@ def test_separation_reads_no_environment_variable():
                           else node.id if isinstance(node, ast.Name)
                           else node.name if isinstance(node, ast.alias) else None]
              if name in {"environ", "environb", "getenv", "getenvb"}]
+    assert reads == [], reads
+
+
+def test_the_value_of_sep_has_one_route():
+    # sep_value is the number; sep_bottleneck(...).sep would pay for a
+    # witness that is thrown away, and give the value a second route.
+    reads = []
+    for path in sorted([*(ROOT / "src").glob("**/*.py"), *(ROOT / "scripts").glob("**/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "sep"
+                    and isinstance(node.value, ast.Call)):
+                func = node.value.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "sep_bottleneck":
+                    reads.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert reads == [], reads
 
 
