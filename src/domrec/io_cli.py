@@ -3,12 +3,15 @@
 Formats:
   * graph6 - byte-exact to the published encoding (6-bit groups offset 63,
     upper-triangle column-major adjacency bits, short or 3-byte length
-    header). One graph per line, ended by "\n" alone; a stripped line holds
-    only '?'..'~'. Streams compose with external generators. The body is
-    read as one int with pair p at bit p, and Graph.from_edges turns its
-    columns into adjacency rows.
-  * edge list - one `u v` pair per line, 0-based ids, `#` comments,
-    vertex count inferred as max id + 1.
+    header), the body read as one int with pair p at bit p that
+    Graph.from_edges turns into adjacency rows. One graph per line; less
+    spaces, tabs and one final "\r", a line holds only '?'..'~'.
+  * edge list - `u v` per line, split at spaces and tabs alone, 0-based ids,
+    `#` comments, n = max id + 1. One graph, read whole.
+
+Input is read a line at a time, split at "\n" alone, so a graph6 stream (as
+from geng) runs in bounded memory: a malformed line ends the run (exit 3,
+naming the graph by its ordinal) after the rows of the lines before it.
 
 All stdout is deterministic across reruns; timings and progress go to
 stderr only. Exit codes: 0 ok, 2 usage, 3 parse/input, 4 budget,
@@ -32,7 +35,7 @@ import time
 from contextlib import closing
 from dataclasses import asdict
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .graph_core import (
@@ -110,10 +113,9 @@ class ParseError(InputError):
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 line into a Graph."""
+    """Decode one graph6 line, without its line end, into a Graph."""
     if line.startswith(_GRAPH6_HEADER):
         line = line[len(_GRAPH6_HEADER):]
-    line = line.rstrip("\r\n")
     if not line:
         raise ParseError("empty graph6 line")
     if min(line) < "?" or max(line) > "~":
@@ -166,18 +168,14 @@ def export_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse `u v` lines (0-based, `#` comments). n is max id + 1.
-
-    A line ends at "\n" alone, as a graph6 line does (_graph6_lines), so a
-    "\r" or "\x1c" inside one is refused with it, not read as a line end.
-    """
+    """Parse `u v` lines (0-based, `#` comments), split at spaces and tabs. n is max id + 1."""
     edges = []
     max_id = -1
     for ln, raw in enumerate(text.split("\n"), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.removesuffix("\r").split("#", 1)[0].replace("\t", " ")
+        parts = [part for part in line.split(" ") if part]
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"edge list line {ln}: expected 'u v', got {raw!r}")
         if not all(_EDGE_ID.fullmatch(part) for part in parts):
@@ -196,56 +194,51 @@ def parse_edge_list(text: str) -> Graph:
 # input plumbing
 
 
-def _stdin_lines() -> Iterable[str]:
-    """Lines of stdin, decoded from its bytes as _read_text decodes a file, whatever the locale."""
-    if sys.stdin is None:  # the process started with file descriptor 0 closed
+def _lines(source: str) -> Iterator[str]:
+    """The lines of a file, or of stdin for "-", one at a time and ended by "\n" alone."""
+    # Bytes are ASCII whatever the locale; a non-ASCII one is a surrogate the parsers refuse.
+    if source != "-":
+        with open(source, encoding="ascii", errors="surrogateescape", newline="\n") as fh:
+            yield from fh
+    elif sys.stdin is None:  # the process started with file descriptor 0 closed
         raise InputError("standard input is closed")
-    buf = getattr(sys.stdin, "buffer", None)
-    if buf is None:  # in-memory text, such as an io.StringIO, holds no bytes
-        return sys.stdin
-    return (raw.decode("ascii", "surrogateescape") for raw in buf)
-
-
-def _read_text(source: str) -> str:
-    if source == "-":
-        return "".join(_stdin_lines())
-    # As on stdin, a non-ASCII byte becomes a lone surrogate that the parsers
-    # reject, and line ends are left as they are.
-    with open(source, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
-        return fh.read()
+    elif getattr(sys.stdin, "buffer", None) is None:  # in-memory text, such as an io.StringIO
+        yield from sys.stdin
+    else:
+        for raw in sys.stdin.buffer:
+            yield raw.decode("ascii", "surrogateescape")
 
 
 def _graph6_lines(lines: Iterable[str]) -> Iterator[str]:
-    """The graph6 lines among lines: each stripped, the blank ones dropped.
-
-    Text is split on "\n" alone before it comes here, as stdin's bytes are,
-    so every command reads the same lines; str.splitlines would also end a
-    line at "\r", "\x0b", "\x0c" and "\x1c".."\x1e", which the parser
-    refuses inside one.
-    """
-    return (line for line in map(str.strip, lines) if line)
+    """The lines with data, each stripped of "\n", one final "\r", spaces and tabs alone."""
+    for raw in lines:
+        line = raw.removesuffix("\n").removesuffix("\r").strip(" \t")
+        if line:
+            yield line
 
 
-def _looks_like_edge_list(text: str) -> bool:
-    for raw in text.split("\n"):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        return _EDGE_ID.fullmatch(line.split()[0]) is not None
-    return False
-
-
-def read_graphs(source: str, fmt: str = "auto") -> list[Graph]:
-    """Read one or more graphs; graph6 sources may hold many, one per line."""
-    text = _read_text(source)
-    if fmt == "auto":
-        fmt = "edgelist" if _looks_like_edge_list(text) else "graph6"
+def read_graphs(source: str, fmt: str = "auto") -> Iterator[Graph]:
+    """The graphs of source, yielded as its lines are read."""
+    lines = _lines(source)
+    head = []
+    if fmt == "auto":  # up to the first line with data: an edge list if it starts with an id
+        for line in lines:
+            head.append(line)
+            if data := line.split("#", 1)[0].strip(" \t\r\n"):
+                fmt = "edgelist" if _EDGE_ID.match(data) else "graph6"
+                break
+    lines = chain(head, lines)
     if fmt == "edgelist":
-        return [parse_edge_list(text)]
-    out = [parse_graph6(line) for line in _graph6_lines(text.split("\n"))]
-    if not out:
+        yield parse_edge_list("".join(lines))
+        return
+    ordinal = 0
+    for ordinal, line in enumerate(_graph6_lines(lines), 1):
+        try:
+            yield parse_graph6(line)
+        except InputError as exc:  # named as hunt names it
+            raise type(exc)(f"graph {ordinal}: {exc}") from None
+    if not ordinal:
         raise ParseError(f"no graphs found in {source!r}")
-    return out
 
 
 def _parse_id_list(text: str) -> VertexSet:
@@ -410,7 +403,7 @@ def cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
         g = generate_gkr(args.k, args.r)[0] if family == "gkr" else generate_qkr(args.k, args.r)[0]
     elif family == "cartesian":
         # Factors are piped in: exactly two graph6 lines on stdin.
-        lines = list(_graph6_lines(_read_text("-").split("\n")))
+        lines = list(islice(_graph6_lines(_lines("-")), 3))
         if len(lines) != 2:
             raise InputError("gen cartesian reads exactly two graph6 lines from stdin")
         g = cartesian_product(parse_graph6(lines[0]), parse_graph6(lines[1]))
@@ -476,7 +469,7 @@ def cmd_hunt(args: argparse.Namespace, out: TextIO) -> int:
     budget = Budget.resolve(args.budget)
     max_n = args.max_n if args.max_n is not None else budget.max_n
     judge = partial(_hunt_worker, max_n=max_n, min_excess=args.min_excess, budget=budget)
-    lines = _graph6_lines(_stdin_lines())
+    lines = _graph6_lines(_lines("-"))
     started = time.perf_counter()
     if args.jobs > 1:
         with closing(_pooled(min(args.jobs, HUNT_MAX_JOBS), judge, lines)) as results:

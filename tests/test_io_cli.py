@@ -188,25 +188,24 @@ def test_edge_list_errors():
 def test_read_graphs_autodetect(tmp_path):
     g6 = tmp_path / "graphs.g6"
     g6.write_text(export_graph6(star(3)) + "\n" + export_graph6(complete_graph(3)) + "\n")
-    graphs = read_graphs(str(g6))
-    assert [g.n for g in graphs] == [4, 3]
+    assert [g.n for g in read_graphs(str(g6))] == [4, 3]
 
     el = tmp_path / "graph.txt"
     el.write_text("0 1\n1 2\n")
-    graphs = read_graphs(str(el))
-    assert len(graphs) == 1 and graphs[0].n == 3
+    assert [g.n for g in read_graphs(str(el))] == [3]
 
 
 def test_read_graphs_format_override(tmp_path):
+    # read_graphs is a generator: it reads, and fails, only as it is iterated.
     el = tmp_path / "graph.txt"
     el.write_text("0 1\n1 2\n")
-    assert read_graphs(str(el), "edgelist")[0].n == 3
+    assert [g.n for g in read_graphs(str(el), "edgelist")] == [3]
     with pytest.raises(ParseError):
-        read_graphs(str(el), "graph6")  # forced wrong format must fail loudly
+        list(read_graphs(str(el), "graph6"))  # forced wrong format must fail loudly
     g6 = tmp_path / "graph.g6"
     g6.write_text(export_graph6(star(3)) + "\n")
     with pytest.raises(ParseError):
-        read_graphs(str(g6), "edgelist")
+        list(read_graphs(str(g6), "edgelist"))
 
 
 def test_export_dot_small():
@@ -991,19 +990,23 @@ def test_cli_main_leaves_no_cyclic_garbage(capsys):
 
 
 # str.splitlines ends a line at each of these; a graph6 line ends only at "\n".
-@pytest.mark.parametrize("byte", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"],
-                         ids=["cr", "vt", "ff", "fs", "gs", "rs"])
+# str.strip would also strip them, where a line loses only spaces, tabs and one final "\r".
+@pytest.mark.parametrize("line", ["A_\rA_", "A_\x0bA_", "A_\x0cA_", "A_\x1cA_", "A_\x1dA_",
+                                  "A_\x1eA_", "A_\x1c", "\x0cA_"],
+                         ids=["cr", "vt", "ff", "fs", "gs", "rs", "fs-at-end", "ff-at-start"])
 @pytest.mark.parametrize("args", [["d0", "-"], ["invariants", "-"], ["gen", "cartesian"],
                                   ["hunt"]], ids=["d0", "invariants", "gen-cartesian", "hunt"])
-def test_cli_graph6_lines_end_only_at_a_newline(args, byte):
-    proc = subprocess.run(CLI + args, input=f"A_{byte}A_\nA_\n".encode(), capture_output=True,
+def test_cli_graph6_lines_end_only_at_a_newline(args, line):
+    proc = subprocess.run(CLI + args, input=f"{line}\nA_\n".encode(), capture_output=True,
                           env=CLI_ENV)
     assert proc.returncode == EXIT_PARSE, proc.stdout
     assert b"outside '?'..'~'" in proc.stderr and b"Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("data, code", [(b"A_\rA_\n", EXIT_PARSE), (b"A_\r\nA_\r\n", EXIT_OK)],
-                         ids=["cr-inside", "crlf"])
+@pytest.mark.parametrize("data, code", [(b"A_\rA_\n", EXIT_PARSE), (b"A_\r\nA_\r\n", EXIT_OK),
+                                        (b"A_\r\r\nA_\n", EXIT_PARSE),
+                                        (b" A_\t\r\n\tA_ \r\n", EXIT_OK)],
+                         ids=["cr-inside", "crlf", "two-crs", "spaces-and-tabs"])
 def test_cli_graph6_file_lines_end_only_at_a_newline(tmp_path, data, code):
     # A file is read with its line ends as they are, as stdin is.
     f = tmp_path / "graphs.g6"
@@ -1015,20 +1018,58 @@ def test_cli_graph6_file_lines_end_only_at_a_newline(tmp_path, data, code):
     assert (stdin.returncode, stdin.stdout) == (proc.returncode, proc.stdout)
 
 
-@pytest.mark.parametrize("data, code", [(b"0 1\x1c1 2\n", EXIT_PARSE), (b"0 1\r1 2\n", EXIT_PARSE),
-                                        (b"0 1\r\n1 2\r\n", EXIT_OK)], ids=["fs", "cr", "crlf"])
-def test_cli_edge_list_lines_end_only_at_a_newline(capsys, tmp_path, data, code):
+@pytest.mark.parametrize("data, code, error", [
+    (b"0 1\x1c1 2\n", EXIT_PARSE, "expected 'u v'"), (b"0 1\r1 2\n", EXIT_PARSE, "expected 'u v'"),
+    (b"0 1\r\n1 2\r\n", EXIT_OK, None), (b"0\r1\n", EXIT_PARSE, "expected 'u v'"),
+    (b"0\x0b1\n", EXIT_PARSE, "expected 'u v'"), (b"0 1\x0c\n", EXIT_PARSE, "non-integer id"),
+    (b"0\t1\r\n1 \t 2 \r\n", EXIT_OK, None),
+], ids=["fs", "cr", "crlf", "cr-between", "vt-between", "ff-at-end", "tabs"])
+def test_cli_edge_list_lines_end_only_at_a_newline(capsys, tmp_path, data, code, error):
     # As in graph6, "\x1c" or a lone "\r" inside a line is refused, not read
-    # as a line end; "\r\n" ends a line and reads the path 0-1-2.
+    # as a line end; "\r\n" ends a line and reads the path 0-1-2. Only
+    # spaces and tabs separate two ids.
     f = tmp_path / "graph.txt"
     f.write_bytes(data)
     assert main(["invariants", str(f)]) == code
     out, err = capsys.readouterr()
     assert _stdout_of(["invariants", "-"], data.decode()) == (code, out)
     if code:
-        assert "expected 'u v'" in err
+        assert error in err
     else:
         assert out == _stdout_of(["invariants", "-"], export_graph6(path_graph(3)) + "\n")[1]
+
+
+@pytest.mark.parametrize("command", ["d0", "sep", "invariants", "profile"])
+def test_cli_a_malformed_line_ends_the_stream_after_the_rows_before_it(capsys, command):
+    # Each graph6 line is parsed as it is read, so the rows of the lines
+    # before a malformed one are written, as hunt writes its hits; the error
+    # counts the lines with data, as hunt's does.
+    code, out = _stdout_of([command, "-"], "A_\n\nBw\nA\nA_\n")
+    assert code == EXIT_PARSE
+    assert len(out.splitlines()) == 2
+    assert out == _stdout_of([command, "-"], "A_\n\nBw\n")[1]
+    assert capsys.readouterr().err.startswith("domrec: input: graph 3: graph6 line for n=2")
+
+
+class _CountsLines:
+    taken = 0
+
+    def __next__(self):
+        self.taken += 1
+        return super().__next__()
+
+
+@pytest.mark.parametrize("base", [io.StringIO, io.BytesIO], ids=["text", "bytes"])
+def test_read_graphs_yields_a_graph_as_soon_as_its_line_is_read(monkeypatch, base):
+    lines = "A_\nBw\nA_\n"
+    counter = type("Counting", (_CountsLines, base), {})(
+        lines if base is io.StringIO else lines.encode())
+    stdin = counter if base is io.StringIO else argparse.Namespace(buffer=counter)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    graphs = read_graphs("-")
+    assert next(graphs).n == 2
+    assert counter.taken == 1
+    assert [g.n for g in graphs] == [3, 2]
 
 
 @pytest.mark.parametrize("args", [["sep", "-"], ["hunt"], ["gen", "cartesian"]],

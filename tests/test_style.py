@@ -2,7 +2,8 @@
 one owner for the unchecked graph constructor, constructions that import no
 reconfiguration or separation code, an oracle module that imports no private
 package name, a separation module that reads no environment variable, one
-route to the value of sep, and the layout of the committed benchmark records."""
+route to the value of sep, a command line that reads its input a line at a
+time, and the layout of the committed benchmark records."""
 
 import ast
 import json
@@ -107,6 +108,21 @@ def test_the_value_of_sep_has_one_route():
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name == "sep_bottleneck":
                     reads.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert reads == [], reads
+
+
+def test_the_command_line_reads_its_input_a_line_at_a_time():
+    # Every command reads through io_cli._lines, so a graph6 stream runs in
+    # bounded memory; a whole-input read would hold every line at once.
+    tree = ast.parse((ROOT / "src" / "domrec" / "io_cli.py").read_text(encoding="utf-8"))
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in {"read", "readlines"}:
+                reads.append(f".{node.func.attr}():{node.lineno}")
+        elif "_read_text" in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None)):
+            reads.append(f"_read_text:{node.lineno}")
     assert reads == [], reads
 
 
