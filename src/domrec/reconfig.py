@@ -73,13 +73,59 @@ L_{s-1}, joined through the (s-1)-sets that do not dominate:
   = X n Y; when K dominates, c(X) = c(K) = c(Y). So only a key K that does
   not dominate, shared by two s-sets, can join two components of L_{s-1}.
 
-d0_direct reads layer Gamma with a plain union-find, since there a minimal
-set has no dominating subset and opens a node of its own. Above Gamma each
-set takes the node of a dominating subset and no set opens one, so the
-count starts at the components of L_{s-1} and falls by one per join of two
-nodes. The joins still to come only lower it, and it cannot fall below 1,
-so it is exact mid-layer as soon as it reaches 1: layer d0 - 1 is read
-only up to its first bridge, and no set of size d0 or more is listed.
+d0_direct has two routes to the first swap-connected layer: subset truth
+tables for n <= _D0_TABLE_MAX_N, and union-finds over layers streamed from
+the leaf walk above it.
+
+Tables. A table is an int of 2^n bits whose bit S is set iff the subset S
+has the property. x_v, the table of "v in S", repeats a byte pattern. S
+dominates iff it meets every closed neighbourhood, so Dom = AND over w of
+(OR over v in N[w] of x_v); size_s, the table of |S| = s, comes from the
+doubling recurrence over the vertices. Removing v from a mask that holds
+it subtracts 2^v, so for a table R of s-sets and D of (s-1)-sets
+
+  down(R) = OR over v of ((R & x_v) >> 2^v)  holds the (s-1)-subsets of R's sets,
+  up(D)   = OR over v of ((D << 2^v) & x_v)  the sets one vertex above D's.
+
+With L = Dom & size_s, R | (up(down(R)) & L) is R and every set of L that
+shares an (s-1)-subset with a set of R: R and its swap neighbours in L.
+Repeated from the lowest set of L, it grows by one swap a round and stops
+growing exactly at that set's swap component, so L is swap-connected iff
+the search reaches all of L, and it stops as soon as it does. A round is
+about 4n operations on 2^n-bit ints, all in C. The 2n + 1 tables of x_v,
+size_s and Dom hold (2n + 1) 2^n bits, 0.55 MB at n = 17 (MB of 2^20
+bytes), and live only for the call; nothing is cached.
+
+Crossover, per graph: the median of 7 runs of each route in ms, and the
+tables' peak under tracemalloc in MB, the round's temporaries included,
+on one CPU of a 2-vCPU Xeon with Python 3.11.
+The G(n, .35) rows are medians over 5 connected graphs:
+
+    graph        n   tables   layers   tables MB
+    G(n, .35)   13     0.16     1.66     0.04
+    G(n, .35)   15     0.50     7.80     0.16
+    G(n, .35)   17     1.53    18.08     0.71
+    G(n, .35)   18     2.94    30.94     1.50
+    G(n, .35)   20    14.39   118.47     6.67
+    gkr(4,2)    13     0.24     2.34     0.04
+    qkr(4,2)    15     0.65     2.95     0.16
+    gkr(4,3)    17     1.48     9.04     0.71
+    qkr(5,2)    18     2.89    12.55     1.50
+    qkr(4,3)    20    14.65    15.04     6.67
+
+The tables win on time through n = 20 except on qkr(4,3), where they
+tie, so memory sets the cutoff: the tables double with every vertex, and
+at n = 20 they would add 6.7 MB for no gain to `d0 --method both` on
+qkr(4,3). _D0_TABLE_MAX_N = 17 keeps them under 1 MB.
+
+Union-finds. d0_direct reads layer Gamma with a plain union-find, since
+there a minimal set has no dominating subset and opens a node of its own.
+Above Gamma each set takes the node of a dominating subset and no set
+opens one, so the count starts at the components of L_{s-1} and falls by
+one per join of two nodes. The joins still to come only lower it, and it
+cannot fall below 1, so it is exact mid-layer as soon as it reaches 1:
+layer d0 - 1 is read only up to its first bridge, and no set of size d0
+or more is listed.
 """
 
 from __future__ import annotations
@@ -87,8 +133,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
-from operator import and_, or_
+from itertools import compress, repeat
+from operator import and_, lshift, or_, rshift
 from typing import Callable, Iterable, Iterator, Optional
 
 from .graph_core import (
@@ -121,6 +167,9 @@ _DIAMETER_BLOCK = 4096
 # holds at least _LANE_FLOOR lanes; a smaller family is never packed again.
 _LANE_FLOOR = 256
 _RETIRE_EVERY = 16
+# Largest n whose d0_direct layers are searched in subset truth tables, from the
+# measured crossover in the module docstring; larger graphs take the union-finds.
+_D0_TABLE_MAX_N = 17
 
 
 @dataclass(frozen=True)
@@ -480,41 +529,68 @@ def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> Connectiv
     return ConnectivityProfile(gamma=gamma, n=g.n, profile=tuple(entries))
 
 
-def d0_direct(
-    g: Graph, budget: Optional[Budget] = None, *, family: Optional[DomFamily] = None
-) -> int:
-    """Smallest j such that D_k(G) is connected for every k >= j.
+def _vertex_tables(n: int) -> list[int]:
+    """x_v for each vertex v of n: bit S of x_v is set iff v is in S.
 
-    Returns 1 + the first size s >= Gamma whose layer of dominating s-sets
-    is swap-connected: by the module docstring, that is the first k > Gamma
-    at which D_k(G) is connected, connectivity is monotone from Gamma on,
-    and D_Gamma is disconnected. Layer Gamma gets a plain union-find
-    (_swap_components); each layer above takes its components from the
-    layer below (_lifted_components) and is read only until they number 1.
-    The layers stream from the leaf walk on demand, and those below Gamma
-    are never drawn, so no set of size d0 or more is ever built.
-
-    This is the independent oracle for d0, not the fast route: d0 equals
-    the separation sep (proof in separation.py), so `domrec d0` and `hunt`
-    read it off sep_value. This scan runs for `d0 --method direct`
-    and `both`, and to re-verify every `hunt` hit. It takes only Gamma
-    and the edgeless rule from the minimal family, never the family's
-    U_k. A Gamma that came out too small would let it test a layer below
-    Gamma, where a minimal set of the next size is isolated and the answer
-    can be too low; the tests against tests/naive.py, which build no
-    family, are what guard against that.
-
-    family is g's minimal family when the caller already holds it, and is
-    enumerated when omitted; a family of one set (edgeless g) is refused.
+    x_v repeats 2^v clear bits, then 2^v set ones: one byte pattern for
+    v < 3, and 2^(v-3) zero bytes, then as many 0xff bytes, from v = 3 on.
+    Repeating the pattern and reading it back once is linear in 2^n, unlike
+    a division of the full table.
     """
-    budget = budget or Budget.resolve()
-    fam = family if family is not None else enumerate_minimal_dominating(g, budget)
-    _require_at_least_two(fam)
+    width = max(1 << n >> 3, 1)  # bytes per table; below n = 3 one byte, cut after
+    out = []
+    for v in range(n):
+        half = 1 << v >> 3
+        pattern = bytes(half) + b"\xff" * half if half else (b"\xaa", b"\xcc", b"\xf0")[v]
+        out.append(int.from_bytes(pattern * (width // len(pattern)), "little"))
+    return out if n >= 3 else [t & (1 << (1 << n)) - 1 for t in out]
+
+
+def _d0_from_tables(g: Graph, Gamma: int, budget: Budget) -> int:
+    """d0_direct's route for n <= _D0_TABLE_MAX_N: each layer from subset truth tables.
+
+    dom has bit S set iff S dominates, sizes[s] iff |S| = s. Each layer
+    from Gamma up is searched breadth-first from its lowest set, all sets
+    of a round at once, until the search stops growing or holds the whole
+    layer (module docstring).
+    """
+    budget.check(g, "dominating set enumeration")
+    n = g.n
+    x = _vertex_tables(n)
+    dom = (1 << (1 << n)) - 1
+    for c in g.closed:
+        dom &= reduce(or_, map(x.__getitem__, vertex_list(c)))
+    sizes = [1]  # over the vertices below v: sizes[s] has bit S set iff |S| = s
+    for v in range(n):
+        sizes = [a | b << (1 << v) for a, b in zip([*sizes, 0], [0, *sizes])]
+    shifts = [1 << v for v in range(n)]
+    for s in range(Gamma, n):
+        layer = dom & sizes[s]
+        reach = layer & -layer
+        while True:
+            down = reduce(or_, map(rshift, map(and_, repeat(reach), x), shifts))
+            grown = reduce(or_, map(and_, map(lshift, repeat(down), shifts), x), reach) & layer
+            if grown == layer:
+                return s + 1
+            if grown == reach:
+                break
+            reach = grown
+    raise InputError("D_n(G) reported disconnected; graph state inconsistent")
+
+
+def _d0_from_layers(g: Graph, Gamma: int, budget: Budget) -> int:
+    """d0_direct's route above _D0_TABLE_MAX_N: layers streamed from the leaf walk.
+
+    Layer Gamma gets a plain union-find (_swap_components); each layer
+    above takes its components from the layer below (_lifted_components)
+    and is read only until they number 1. The layers below Gamma are never
+    drawn, and no set of size d0 or more is ever built.
+    """
     below: dict[VertexSet, int] = {}  # the layer below: each set's node in root
     for size, layer in _dominating_layers(g, g.n - 1, budget):
-        if size < fam.Gamma:
+        if size < Gamma:
             continue
-        if size > fam.Gamma:
+        if size > Gamma:
             components, below = _lifted_components(layer, below, root, components)
         else:
             sets = list(layer)
@@ -524,6 +600,41 @@ def d0_direct(
         if components == 1:
             return size + 1
     raise InputError("D_n(G) reported disconnected; graph state inconsistent")
+
+
+def d0_direct(
+    g: Graph, budget: Optional[Budget] = None, *, family: Optional[DomFamily] = None
+) -> int:
+    """Smallest j such that D_k(G) is connected for every k >= j.
+
+    Returns 1 + the first size s >= Gamma whose layer of dominating s-sets
+    is swap-connected: by the module docstring, that is the first k > Gamma
+    at which D_k(G) is connected, connectivity is monotone from Gamma on,
+    and D_Gamma is disconnected. A graph with n <= _D0_TABLE_MAX_N vertices
+    has each layer searched in subset truth tables (_d0_from_tables), whose
+    2n + 1 tables of 2^n bits live only for the call: 0.55 MB at n = 17.
+    A larger one streams its layers from the leaf walk (_d0_from_layers).
+    The module docstring has the search, the union-finds and the crossover
+    that sets _D0_TABLE_MAX_N.
+
+    This is the independent oracle for d0, not the fast route: d0 equals
+    the separation sep (proof in separation.py), so `domrec d0` and `hunt`
+    read it off sep_value. This scan runs for `d0 --method direct`
+    and `both`, and to re-verify every `hunt` hit. It takes only Gamma
+    and the edgeless rule from the minimal family, never the family's
+    U_k. A Gamma that came out too small would let it test a layer below
+    Gamma, where a minimal set of the next size is isolated and the answer
+    can be too low; the tests against tests/naive.py, which build no
+    family, are what guard against that. Both routes check the budget.
+
+    family is g's minimal family when the caller already holds it, and is
+    enumerated when omitted; a family of one set (edgeless g) is refused.
+    """
+    budget = budget or Budget.resolve()
+    fam = family if family is not None else enumerate_minimal_dominating(g, budget)
+    _require_at_least_two(fam)
+    route = _d0_from_tables if g.n <= _D0_TABLE_MAX_N else _d0_from_layers
+    return route(g, fam.Gamma, budget)
 
 
 def reconfig_path(

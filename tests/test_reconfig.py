@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domrec import (
+    Budget,
+    BudgetError,
     InputError,
     build_dk,
     cartesian_product,
@@ -21,6 +23,7 @@ from domrec import (
     Graph,
     MAX_VERTICES,
     generate_qkr,
+    is_connected,
     is_dominating,
     mask_of,
     path_graph,
@@ -31,6 +34,7 @@ from domrec import (
 )
 from domrec import domination, reconfig
 from domrec.domination import _dominating_set_counts
+from domrec.families import GkrLayout, QkrLayout
 from domrec.io_cli import parse_graph6
 from domrec.reconfig import _prim_tree, _swap_components
 from conftest import SHAPES, random_connected_graph, random_graph, small_graphs
@@ -113,6 +117,8 @@ def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
     # the test of layer d0 - 1 = 6 settles d0 = 7, so no set above size 6
     # is ever listed. Layer d0 - 1 is read only up to its first bridge:
     # qkr(4,3)'s layer 6 holds 23,655 sets. Layers below Gamma are skipped.
+    # gkr(4,3) has n = 17, so d0_direct takes the tables; its layered route
+    # is called directly. qkr(4,3), n = 20, is above the cutoff.
     drawn = {}
 
     def layers(*args):
@@ -128,13 +134,71 @@ def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
 
     monkeypatch.setattr(reconfig, "_dominating_layers", layers)
     g43, _ = generate_gkr(4, 3)
+    assert g43.n <= reconfig._D0_TABLE_MAX_N
     assert d0_direct(g43) == 7
+    assert drawn == {}
+    Gamma = enumerate_minimal_dominating(g43).Gamma
+    assert reconfig._d0_from_layers(g43, Gamma, Budget()) == 7
     assert list(drawn) == [4, 5, 6]
     drawn.clear()
     q43, _ = generate_qkr(4, 3)
+    assert q43.n > reconfig._D0_TABLE_MAX_N
     assert d0_direct(q43) == 7
     assert list(drawn) == [3, 4, 5, 6] and drawn[3] == 0
     assert drawn[4] == 1088 and drawn[5] == 6642 and drawn[6] < 1000
+
+
+@pytest.mark.parametrize("name, budget", [("gkr(3,2)", 5), ("qkr(4,3)", 19)])
+def test_d0_direct_checks_the_budget_on_both_routes(name, budget):
+    # With the family given, nothing else checks the budget: n = 10 takes
+    # the tables, n = 20 the leaf walk.
+    kind, k, r = name[0], int(name[4]), int(name[6])
+    g, _ = (generate_gkr if kind == "g" else generate_qkr)(k, r)
+    fam = enumerate_minimal_dominating(g)
+    assert g.n > budget and (g.n <= reconfig._D0_TABLE_MAX_N) == (g.n == 10)
+    with pytest.raises(BudgetError):
+        d0_direct(g, Budget(budget), family=fam)
+
+
+def _both_routes(g):
+    """(tables, layers): d0 by each route of d0_direct."""
+    Gamma = enumerate_minimal_dominating(g).Gamma
+    return (reconfig._d0_from_tables(g, Gamma, Budget()),
+            reconfig._d0_from_layers(g, Gamma, Budget()))
+
+
+def test_d0_routes_match_naive_on_random_graphs():
+    # Any graph with an edge on 2 to 9 vertices, disconnected ones included.
+    rng = random.Random(29)
+    checked = disconnected = 0
+    while checked < 120:
+        g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.15, 0.8))
+        if not any(g.adj):
+            continue
+        assert _both_routes(g) == (naive_d0(g),) * 2, g.edges()
+        checked += 1
+        disconnected += not is_connected(g)
+    assert disconnected >= 20
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_d0_routes_agree_just_below_the_cutoff(n):
+    rng = random.Random(n)
+    for _ in range(2):
+        tables, layers = _both_routes(random_graph(rng, n, 0.35))
+        assert tables == layers
+
+
+# Every gkr and qkr with n <= 17, gkr(4,3) and gkr(8,1) the largest.
+BELOW_CUTOFF = [(layout.__name__[:3].lower(), k, r)
+                for layout in (GkrLayout, QkrLayout) for k in range(3, 17) for r in range(1, k)
+                if layout(k, r).order <= 17]
+
+
+@pytest.mark.parametrize("kind, k, r", BELOW_CUTOFF)
+def test_d0_routes_agree_on_every_construction_below_the_cutoff(kind, k, r):
+    g, _ = (generate_gkr if kind == "gkr" else generate_qkr)(k, r)
+    assert _both_routes(g) == (k + r,) * 2
 
 
 # Graphs whose d0 is Gamma + 2, so that d0_direct lifts a layer above Gamma:
@@ -161,6 +225,7 @@ def test_d0_direct_ignores_vertex_order_where_a_layer_above_gamma_decides(name, 
     rnd.shuffle(perm)
     h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     assert d0_direct(h) == 5
+    assert _both_routes(h) == (5, 5)
 
 
 def test_d0_matches_naive_on_random_graphs():

@@ -1,9 +1,10 @@
 """Source checks: line width, a runtime that imports only the standard library,
 one owner for the unchecked graph constructor, constructions that import no
 reconfiguration or separation code, an oracle module that imports no private
-package name, a separation module that reads no environment variable, one
-route to the value of sep, a command line that reads its input a line at a
-time, and the layout of the committed benchmark records."""
+package name, separation and reconfiguration modules that read no
+environment variable, one route to the value of sep, a command line that
+reads its input a line at a time, and the layout of the committed benchmark
+records."""
 
 import ast
 import json
@@ -86,13 +87,16 @@ def test_the_oracle_module_imports_no_private_name_from_the_package():
 
 def test_separation_reads_no_environment_variable():
     # sep_at_most's route is chosen by the module constant _SCAN_MAX_SETS,
-    # set from a measured crossover; it must not become a knob.
-    tree = ast.parse((ROOT / "src" / "domrec" / "separation.py").read_text(encoding="utf-8"))
-    reads = [f"{name}:{node.lineno}" for node in ast.walk(tree)
-             for name in [node.attr if isinstance(node, ast.Attribute)
-                          else node.id if isinstance(node, ast.Name)
-                          else node.name if isinstance(node, ast.alias) else None]
-             if name in {"environ", "environb", "getenv", "getenvb"}]
+    # and d0_direct's by reconfig's _D0_TABLE_MAX_N, each set from a measured
+    # crossover; neither may become a knob.
+    reads = []
+    for name in ("separation.py", "reconfig.py"):
+        tree = ast.parse((ROOT / "src" / "domrec" / name).read_text(encoding="utf-8"))
+        reads += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  for read in [node.attr if isinstance(node, ast.Attribute)
+                               else node.id if isinstance(node, ast.Name)
+                               else node.name if isinstance(node, ast.alias) else None]
+                  if read in {"environ", "environb", "getenv", "getenvb"}]
     assert reads == [], reads
 
 
