@@ -148,14 +148,14 @@ def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
     assert drawn[4] == 1088 and drawn[5] == 6642 and drawn[6] < 1000
 
 
-@pytest.mark.parametrize("name, budget", [("gkr(3,2)", 5), ("qkr(4,3)", 19)])
-def test_d0_direct_checks_the_budget_on_both_routes(name, budget):
-    # With the family given, nothing else checks the budget: n = 10 takes
-    # the tables, n = 20 the leaf walk.
-    kind, k, r = name[0], int(name[4]), int(name[6])
-    g, _ = (generate_gkr if kind == "g" else generate_qkr)(k, r)
+@pytest.mark.parametrize("generate, k, r, budget, tables", [
+    (generate_gkr, 3, 2, 5, True), (generate_qkr, 4, 3, 19, False)],
+    ids=["gkr(3,2)", "qkr(4,3)"])
+def test_d0_direct_checks_the_budget_on_both_routes(generate, k, r, budget, tables):
+    # With the family given, only the route itself can refuse the graph.
+    g, _ = generate(k, r)
+    assert g.n > budget and (g.n <= reconfig._D0_TABLE_MAX_N) == tables
     fam = enumerate_minimal_dominating(g)
-    assert g.n > budget and (g.n <= reconfig._D0_TABLE_MAX_N) == (g.n == 10)
     with pytest.raises(BudgetError):
         d0_direct(g, Budget(budget), family=fam)
 
@@ -190,9 +190,8 @@ def test_d0_routes_agree_just_below_the_cutoff(n):
 
 
 # Every gkr and qkr with n <= 17, gkr(4,3) and gkr(8,1) the largest.
-BELOW_CUTOFF = [(layout.__name__[:3].lower(), k, r)
-                for layout in (GkrLayout, QkrLayout) for k in range(3, 17) for r in range(1, k)
-                if layout(k, r).order <= 17]
+BELOW_CUTOFF = [(kind, k, r) for kind, layout in (("gkr", GkrLayout), ("qkr", QkrLayout))
+                for k in range(3, 17) for r in range(1, k) if layout(k, r).order <= 17]
 
 
 @pytest.mark.parametrize("kind, k, r", BELOW_CUTOFF)
