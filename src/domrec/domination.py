@@ -42,11 +42,54 @@ _TABLE_MAX_N is 13: the tables of n = 14, 15 and 16 would hold 0.60, 1.75
 and 4.62 MB for the life of the process, and the loss on graphs with few
 sets grows with 2^n (star(14), n = 15: 39 against 179 us).
 
-Larger graphs use the minimal walk. Two walks list dominating sets. Each
-node branches on an undominated vertex u: every unbanned v in N[u] is
-tried in ascending order, and is banned for the later siblings once its
-branch returns. Both proofs below use only that u is not yet dominated,
-never which vertex it is, so each walk chooses u by what it costs:
+Larger graphs use the minimal walk.
+
+All dominating sets of a graph with n <= _DOM_TABLE_MAX_N vertices are
+counted and listed from per-call truth tables (_dominating_tables): x_v
+from a repeated byte pattern, Dom by the formula above with each OR taken
+over the x_v themselves, and size_s, the table of |S| = s, by the doubling
+recurrence over the vertices. The count of size s is the bit count of
+Dom & size_s, and layer s is its set bits, read in ascending mask order,
+which is canonical order within a layer, so nothing is sorted. Nothing is
+cached: the 2n + 2 tables hold (2n + 2) 2^n bits, 1.2 MB at n = 18, freed
+on return. Per graph, walk against tables, in ms: medians of 7 alternating
+runs on one CPU of a 2-vCPU Xeon with Python 3.11; the listing is cut at
+n // 2; the G(n, .35) rows are medians over 5 connected graphs:
+
+    graph        n     sets   count: walk  tables   list: walk  tables
+    G(n, .35)   12     2529          0.13    0.07         0.65    0.23
+    G(n, .35)   14    10605          0.20    0.16         1.93    0.88
+    G(n, .35)   16    48063          0.88    0.64        14.88    5.87
+    G(n, .35)   17    94223          1.02    1.10        17.08    8.28
+    G(n, .35)   18   200571          0.97    1.31        37.74   18.55
+    G(n, .35)   19   378479          1.69    3.88        57.34   28.46
+    G(n, .35)   20   813785          1.75    6.18       160.98   77.08
+    P3 x C4     12     2629          0.24    0.06         0.94    0.20
+    C4 x C4     16    45707          1.04    0.29         9.50    2.75
+    P3 x P6     18   105913          2.84    1.05        19.34    5.59
+    P4 x P5     20   401253          4.86    4.50        57.20   22.76
+    star(11)    12     2049          0.07    0.23         0.58    0.60
+    star(16)    17    65537          0.04    0.56         6.66    4.36
+    star(17)    18   131073          0.05    1.07        18.31   10.60
+    gkr(4,2)    13     7037          0.15    0.08         1.17    0.44
+    gkr(4,3)    17   106067          0.50    0.57        13.94    5.74
+    qkr(5,2)    18   253309          0.28    1.19        40.14   19.42
+    qkr(4,3)    20   955891          0.69    5.30       161.51   87.88
+
+The tables list about twice as fast on every row. The walk counts a
+leaf's comb(|free|, e) sets at once, so it counts faster where leaves
+hold many sets: on stars, whose leaf {centre} holds half of all sets, on
+qkr(5,2), and on G(n, .35) from n = 17. The tables count faster on the
+grids. Their peak under tracemalloc is 0.71, 1.51, 3.17 and 6.67 MB at
+n = 17, 18, 19 and 20. _DOM_TABLE_MAX_N = 18 keeps the listing's gain and
+the grids' counts, at under 1.6 MB; the counts it slows lose at most
+1 ms a graph (star(17)).
+
+Above it, two walks list dominating sets. Each node branches on an
+undominated vertex u: every unbanned v in N[u] is tried in ascending
+order, and is banned for the later siblings once its branch returns. Both
+proofs below use only that u is not yet dominated, never which vertex it
+is, so each walk chooses u by what it costs:
 
   * The minimal walk takes the lowest undominated vertex. The leaf walk's
     rule below cuts its nodes on the seed-71 hunt stream from 49,583 to
@@ -69,11 +112,11 @@ keeps a private neighbour, and a full cover is emitted.
     where private neighbours survive, until chosen dominates, i.e. is S.
     Each other sibling takes a non-member or bans a member of S.
 
-Every dominating set of size <= cap comes from the leaf walk, which has
-no private-neighbour check and is cut once cap vertices are chosen. A
-full cover is a leaf (chosen, free), free being the vertices neither
-chosen nor banned there. Neither walk needs a coverage prune: every
-branch dominates u.
+Above _DOM_TABLE_MAX_N, every dominating set of size <= cap comes from
+the leaf walk, which has no private-neighbour check and is cut once cap
+vertices are chosen. A full cover is a leaf (chosen, free), free being the
+vertices neither chosen nor banned there. Neither walk needs a coverage
+prune: every branch dominates u.
 
   * Each dominating set S of size <= cap is chosen | T for exactly one
     leaf and one T inside free. While chosen lies inside S and banned
@@ -95,18 +138,30 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, combinations
 from math import comb
+from operator import or_
 from typing import Iterator, Optional
 
-from .graph_core import BudgetError, Graph, InputError, VertexSet, iter_vertices, popcount
+from .graph_core import (
+    BudgetError,
+    Graph,
+    InputError,
+    VertexSet,
+    iter_vertices,
+    popcount,
+    vertex_list,
+)
 
 DEFAULT_MAX_N = 24
 DEFAULT_IR_MAX_N = 20
 BUDGET_ENV_VAR = "DOMREC_BUDGET"
 # Largest n whose minimal family comes from truth tables (module docstring).
 _TABLE_MAX_N = 13
+# Largest n whose dominating sets are counted and listed from truth tables, from
+# the measured crossover in the module docstring; larger graphs take the leaf walk.
+_DOM_TABLE_MAX_N = 18
 _SET_BIT = re.compile("1")
 
 
@@ -168,6 +223,43 @@ class InvariantReport:
     well_dominated: bool
 
 
+def _vertex_tables(n: int) -> list[int]:
+    """x_v for each vertex v of n: bit S of x_v is set iff v is in S.
+
+    x_v repeats 2^v clear bits, then 2^v set ones: one byte pattern for
+    v < 3, and 2^(v-3) zero bytes, then as many 0xff bytes, from v = 3 on.
+    Repeating the pattern and reading it back once is linear in 2^n, unlike
+    a division of the full table.
+    """
+    width = max(1 << n >> 3, 1)  # bytes per table; below n = 3 one byte, cut after
+    out = []
+    for v in range(n):
+        half = 1 << v >> 3
+        pattern = bytes(half) + b"\xff" * half if half else (b"\xaa", b"\xcc", b"\xf0")[v]
+        out.append(int.from_bytes(pattern * (width // len(pattern)), "little"))
+    return out if n >= 3 else [t & (1 << (1 << n)) - 1 for t in out]
+
+
+def _dominating_tables(g: Graph, budget: Optional[Budget]) -> tuple[list[int], int, list[int]]:
+    """(x, dom, sizes): truth tables over the 2^n subsets of g's vertices, for one call.
+
+    x[v] has bit S set iff v is in S, dom iff S dominates, and sizes[s] iff
+    |S| = s, for s = 0..n. The budget is checked before any table is built.
+    Nothing is cached: the 2n + 2 tables hold (2n + 2) 2^n bits, 1.2 MB at
+    n = 18, and are freed once the caller drops them.
+    """
+    (budget or Budget.resolve()).check(g, "dominating set enumeration")
+    n = g.n
+    x = _vertex_tables(n)
+    dom = (1 << (1 << n)) - 1
+    for c in g.closed:
+        dom &= reduce(or_, map(x.__getitem__, vertex_list(c)))
+    sizes = [1]  # over the vertices below v: sizes[s] has bit S set iff |S| = s
+    for v in range(n):
+        sizes = [a | b << (1 << v) for a, b in zip([*sizes, 0], [0, *sizes])]
+    return x, dom, sizes
+
+
 @cache
 def _subset_tables(n: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]:
     """Truth tables over the subsets of n vertices: bit S of a table is S's entry.
@@ -177,10 +269,7 @@ def _subset_tables(n: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...], 
     the mask m of vertices below h, high[m] iff S meets m << h.
     """
     full = (1 << (1 << n)) - 1
-    # x_v repeats 2^v clear bits, then 2^v set ones; full // (2^(2^(v+1)) - 1)
-    # has one set bit per period.
-    x = [full // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
-         for v in range(n)]
+    x = _vertex_tables(n)
     h = n // 2
 
     def meets(tables: list[int]) -> tuple[int, ...]:
@@ -202,8 +291,13 @@ def _minimal_from_tables(g: Graph) -> list[VertexSet]:
     shrinks = 0  # bit S set iff S - v dominates for some v in S
     for v, rest in enumerate(without):
         shrinks |= (dom & rest) << (1 << v)
+    return _members(dom & ~shrinks)
+
+
+def _members(table: int) -> list[VertexSet]:
+    """The sets S whose bit is set in table, in ascending mask order."""
     # format writes the highest bit first; reversed, character S is bit S.
-    return list(map(re.Match.start, _SET_BIT.finditer(format(dom & ~shrinks, "b")[::-1])))
+    return list(map(re.Match.start, _SET_BIT.finditer(format(table, "b")[::-1])))
 
 
 def _minimal_walk(g: Graph) -> list[VertexSet]:
@@ -311,16 +405,29 @@ def _dominating_layers(g: Graph, cap: int,
 
 def dominating_sets_upto(g: Graph, max_size: int,
                          budget: Optional[Budget] = None) -> list[VertexSet]:
-    """All dominating sets of cardinality <= max_size, canonical order."""
-    layers = _dominating_layers(g, min(max_size, g.n), budget)
+    """All dominating sets of cardinality <= max_size, canonical order.
+
+    Up to n = _DOM_TABLE_MAX_N, layer s is the set bits of Dom & size_s, already
+    in ascending mask order; above it, the leaf walk's layers, each sorted.
+    """
+    cap = min(max_size, g.n)
+    if g.n <= _DOM_TABLE_MAX_N:
+        dom, sizes = _dominating_tables(g, budget)[1:]
+        return [s for table in sizes[:cap + 1] for s in _members(dom & table)]
+    layers = _dominating_layers(g, cap, budget)
     return list(chain.from_iterable(sorted(layer) for _size, layer in layers))
 
 
 def _dominating_set_counts(g: Graph, budget: Optional[Budget] = None) -> list[int]:
     """counts[j] = number of dominating sets of cardinality j, for j = 0..n.
 
-    A leaf (chosen, free) stands for comb(|free|, e) sets of size |chosen| + e.
+    Up to n = _DOM_TABLE_MAX_N, counts[j] is the bit count of Dom & size_j.
+    Above it, a leaf (chosen, free) of the walk stands for comb(|free|, e)
+    sets of size |chosen| + e.
     """
+    if g.n <= _DOM_TABLE_MAX_N:
+        dom, sizes = _dominating_tables(g, budget)[1:]
+        return [(dom & table).bit_count() for table in sizes]
     counts = [0] * (g.n + 1)
     shapes = Counter((popcount(chosen), popcount(free))
                      for chosen, free in _dominating_leaves(g, g.n, budget))

@@ -363,6 +363,10 @@ def cmd_sep(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_dk(args: argparse.Namespace, out: TextIO) -> int:
+    if args.diameter and args.export == "dot":
+        print("domrec: usage: dk --diameter needs --export json; dot output has no diameter",
+              file=sys.stderr)
+        return EXIT_USAGE
     budget = Budget.resolve(args.budget)
     for g in read_graphs(args.input, args.format):
         rg = build_dk(g, args.k, budget)
@@ -611,7 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--export", choices=["dot", "json"], default="json")
-    p.add_argument("--diameter", action="store_true")
+    p.add_argument("--diameter", action="store_true",
+                   help="also report the diameter of D_k (JSON export only)")
     _add_budget(p)
 
     p = sub.add_parser("path", help="shortest reconfiguration sequence inside D_k")

@@ -78,11 +78,12 @@ tables for n <= _D0_TABLE_MAX_N, and union-finds over layers streamed from
 the leaf walk above it.
 
 Tables. A table is an int of 2^n bits whose bit S is set iff the subset S
-has the property. x_v, the table of "v in S", repeats a byte pattern. S
-dominates iff it meets every closed neighbourhood, so Dom = AND over w of
-(OR over v in N[w] of x_v); size_s, the table of |S| = s, comes from the
-doubling recurrence over the vertices. Removing v from a mask that holds
-it subtracts 2^v, so for a table R of s-sets and D of (s-1)-sets
+has the property. domination._dominating_tables builds the tables this
+route reads, for the call only: x_v, the table of "v in S"; Dom, of the
+dominating sets; and size_s, of |S| = s (domination.py's module docstring
+has how). `dk` and `profile` list and count from the same tables. Removing
+v from a mask that holds it subtracts 2^v, so for a table R of s-sets and
+D of (s-1)-sets
 
   down(R) = OR over v of ((R & x_v) >> 2^v)  holds the (s-1)-subsets of R's sets,
   up(D)   = OR over v of ((D << 2^v) & x_v)  the sets one vertex above D's.
@@ -92,8 +93,8 @@ shares an (s-1)-subset with a set of R: R and its swap neighbours in L.
 Repeated from the lowest set of L, it grows by one swap a round and stops
 growing exactly at that set's swap component, so L is swap-connected iff
 the search reaches all of L, and it stops as soon as it does. A round is
-about 4n operations on 2^n-bit ints, all in C. The 2n + 1 tables of x_v,
-size_s and Dom hold (2n + 1) 2^n bits, 0.55 MB at n = 17 (MB of 2^20
+about 4n operations on 2^n-bit ints, all in C. The 2n + 2 tables of x_v,
+size_s and Dom hold (2n + 2) 2^n bits, 0.56 MB at n = 17 (MB of 2^20
 bytes), and live only for the call; nothing is cached.
 
 Crossover, per graph: the median of 7 runs of each route in ms, and the
@@ -133,8 +134,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
-from operator import and_, lshift, or_, rshift
+from itertools import compress, islice, repeat
+from operator import and_, itemgetter, lshift, or_, rshift
 from typing import Callable, Iterable, Iterator, Optional
 
 from .graph_core import (
@@ -150,6 +151,7 @@ from .domination import (
     Budget,
     DomFamily,
     _dominating_layers,
+    _dominating_tables,
     _require_at_least_two,
     _dominating_set_counts,
     dominating_sets_upto,
@@ -209,19 +211,24 @@ class ConnectivityProfile:
     profile: tuple[ProfileEntry, ...]
 
 
-def _edges(verts: list[VertexSet]) -> list[tuple[int, int]]:
-    """Index pairs (T, T + v) of canonically ordered sets, sorted."""
+def _edges(verts: list[VertexSet], k: int, full: VertexSet) -> list[tuple[int, int]]:
+    """Index pairs (T, T + v) of D_k's canonically ordered sets, sorted.
+
+    Each T with |T| < k is joined to its up-neighbours T + v, v not in T, in
+    ascending v; every superset of a dominating set dominates, so each is in
+    D_k. T's index rises, and T's up-neighbours share one size with masks
+    rising in v, so the pairs come out in order.
+    """
     index = {m: i for i, m in enumerate(verts)}
     edges: list[tuple[int, int]] = []
-    for idx, mask in enumerate(verts):
-        rest = mask
+    for i, mask in enumerate(verts):
+        if popcount(mask) >= k:
+            break  # canonical order: every set from here on has size k
+        rest = full ^ mask
         while rest:
             low = rest & -rest
             rest ^= low
-            prev = index.get(mask ^ low)
-            if prev is not None:
-                edges.append((prev, idx))
-    edges.sort()
+            edges.append((i, index[mask | low]))
     return edges
 
 
@@ -245,7 +252,7 @@ def build_dk(g: Graph, k: int, budget: Optional[Budget] = None) -> ReconfigGraph
         k=k,
         n=g.n,
         verts=tuple(verts),
-        edges=tuple(_edges(verts)),
+        edges=tuple(_edges(verts, k, g.full_mask)),
         component_count=_component_counter(g, budget)(k) if verts else 0,
     )
 
@@ -529,23 +536,6 @@ def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> Connectiv
     return ConnectivityProfile(gamma=gamma, n=g.n, profile=tuple(entries))
 
 
-def _vertex_tables(n: int) -> list[int]:
-    """x_v for each vertex v of n: bit S of x_v is set iff v is in S.
-
-    x_v repeats 2^v clear bits, then 2^v set ones: one byte pattern for
-    v < 3, and 2^(v-3) zero bytes, then as many 0xff bytes, from v = 3 on.
-    Repeating the pattern and reading it back once is linear in 2^n, unlike
-    a division of the full table.
-    """
-    width = max(1 << n >> 3, 1)  # bytes per table; below n = 3 one byte, cut after
-    out = []
-    for v in range(n):
-        half = 1 << v >> 3
-        pattern = bytes(half) + b"\xff" * half if half else (b"\xaa", b"\xcc", b"\xf0")[v]
-        out.append(int.from_bytes(pattern * (width // len(pattern)), "little"))
-    return out if n >= 3 else [t & (1 << (1 << n)) - 1 for t in out]
-
-
 def _d0_from_tables(g: Graph, Gamma: int, budget: Budget) -> int:
     """d0_direct's route for n <= _D0_TABLE_MAX_N: each layer from subset truth tables.
 
@@ -554,15 +544,8 @@ def _d0_from_tables(g: Graph, Gamma: int, budget: Budget) -> int:
     of a round at once, until the search stops growing or holds the whole
     layer (module docstring).
     """
-    budget.check(g, "dominating set enumeration")
     n = g.n
-    x = _vertex_tables(n)
-    dom = (1 << (1 << n)) - 1
-    for c in g.closed:
-        dom &= reduce(or_, map(x.__getitem__, vertex_list(c)))
-    sizes = [1]  # over the vertices below v: sizes[s] has bit S set iff |S| = s
-    for v in range(n):
-        sizes = [a | b << (1 << v) for a, b in zip([*sizes, 0], [0, *sizes])]
+    x, dom, sizes = _dominating_tables(g, budget)
     shifts = [1 << v for v in range(n)]
     for s in range(Gamma, n):
         layer = dom & sizes[s]
@@ -612,7 +595,7 @@ def d0_direct(
     at which D_k(G) is connected, connectivity is monotone from Gamma on,
     and D_Gamma is disconnected. A graph with n <= _D0_TABLE_MAX_N vertices
     has each layer searched in subset truth tables (_d0_from_tables), whose
-    2n + 1 tables of 2^n bits live only for the call: 0.55 MB at n = 17.
+    2n + 2 tables of 2^n bits live only for the call: 0.56 MB at n = 17.
     A larger one streams its layers from the leaf walk (_d0_from_layers).
     The module docstring has the search, the union-finds and the crossover
     that sets _D0_TABLE_MAX_N.
@@ -735,9 +718,15 @@ def dk_diameter(rg: ReconfigGraph) -> Optional[int]:
     for a, b in rg.edges:
         nbrs[side[a]][place[a]].append(place[b])
         nbrs[side[b]][place[b]].append(place[a])
+    # One itemgetter per vertex gathers its neighbours' rows. Each class's rows
+    # end in a zero row, which pads a vertex of fewer than two neighbours: an
+    # itemgetter of one index returns the row itself, not a tuple.
+    gets = [[itemgetter(*nb, *[in_class[x ^ 1]] * (2 - len(nb))) for nb in nbrs[x]]
+            for x in (0, 1)]
+    del nbrs
     best = 0
     for lo in range(0, order, _DIAMETER_BLOCK):
-        rows = [[0] * in_class[0], [0] * in_class[1]]
+        rows = [[0] * (in_class[0] + 1), [0] * (in_class[1] + 1)]
         sources = [0, 0]  # the block's sources in each class
         for s, i in enumerate(range(lo, min(lo + _DIAMETER_BLOCK, order))):
             rows[side[i]][place[i]] = 1 << s
@@ -750,9 +739,9 @@ def dk_diameter(rg: ReconfigGraph) -> Optional[int]:
             if todo[x]:
                 if t:
                     other = rows[x ^ 1]
-                    rows[x] = [reduce(or_, map(other.__getitem__, nb), r)
-                               for r, nb in zip(rows[x], nbrs[x])]
-                held = reduce(and_, rows[x])
+                    rows[x] = [reduce(or_, get(other), r) for r, get in zip(rows[x], gets[x])]
+                    rows[x].append(0)
+                held = reduce(and_, islice(rows[x], in_class[x]))
                 for y in todo[x]:
                     if held & sources[y] == sources[y]:
                         best = max(best, t - ((t ^ x ^ y) & 1))

@@ -11,6 +11,7 @@ from domrec import (
     BudgetError,
     DomFamily,
     Graph,
+    build_dk,
     cartesian_product,
     complete_graph,
     compute_ir,
@@ -36,6 +37,7 @@ from conftest import SHAPES, random_graph, small_graphs
 from naive import (
     compute_alpha,
     independent_members,
+    naive_dk,
     naive_ir,
     naive_is_dominating,
     naive_maximal_independent_sets,
@@ -262,6 +264,81 @@ def test_dominating_sets_upto_stress_wider():
         ]
         assert len(set(got)) == len(got)
         assert sorted(got) == sorted(expected)
+
+
+def dominating_by(route_max_n, g):
+    """(counts, listing at every cap from -1 to n + 1, D_k's edges at every such k)."""
+    with patch.object(domination, "_DOM_TABLE_MAX_N", route_max_n):
+        caps = range(-1, g.n + 2)
+        return (_dominating_set_counts(g), [dominating_sets_upto(g, cap) for cap in caps],
+                [build_dk(g, k).edges for k in caps])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=8))
+@example(Graph.from_edges(1, []))
+@example(Graph.from_edges(8, []))
+@example(SHAPES[1])  # isolated vertex 0
+@example(SHAPES[2])
+@example(star(7))
+def test_dominating_set_table_and_walk_routes_agree(g):
+    # _DOM_TABLE_MAX_N = 64 sends every graph to the tables, 0 every one down the walk.
+    tables = dominating_by(64, g)
+    assert tables == dominating_by(0, g)
+    # The edges are read off the listing; naive_dk builds D_k by definition.
+    assert tables[2] == [tuple(naive_dk(g, k)[1]) for k in range(-1, g.n + 2)]
+
+
+@pytest.mark.parametrize("g", [star(17), cartesian_product(path_graph(3), path_graph(6))],
+                         ids=["star(17)", "P3xP6"])
+def test_dominating_set_routes_agree_at_the_table_limit(g):
+    # n = 18 is the largest order counted and listed from truth tables. star(17)
+    # has few leaves and 2^17 + 1 dominating sets; P3 x P6 has 105,913.
+    assert g.n == domination._DOM_TABLE_MAX_N == 18
+
+    def by_route(max_n, call, *args):
+        with patch.object(domination, "_DOM_TABLE_MAX_N", max_n):
+            return call(g, *args)
+
+    everything = by_route(64, dominating_sets_upto, g.n + 1)
+    assert everything == sorted(everything, key=lambda m: (popcount(m), m))
+    counts = by_route(64, _dominating_set_counts)
+    assert counts == by_route(0, _dominating_set_counts)
+    assert counts == [sum(popcount(s) == j for s in everything) for j in range(g.n + 1)]
+    for cap in range(-1, g.n + 2):
+        listing = by_route(0, dominating_sets_upto, cap)
+        assert listing == by_route(64, dominating_sets_upto, cap), cap
+        assert listing == everything[:sum(counts[:cap + 1])], cap
+
+
+@pytest.mark.parametrize("n, walked", [(18, False), (19, True)])
+def test_dominating_sets_take_the_walk_above_the_table_limit(n, walked):
+    g = path_graph(n)
+    with patch.object(domination, "_dominating_leaves", wraps=domination._dominating_leaves) as walk:
+        assert _dominating_set_counts(g) == naive_prefix_counts(g)
+        assert dominating_sets_upto(g, 8) == naive_prefix_sets(g, 8)
+    assert walk.called == walked
+
+
+def test_table_route_refuses_at_the_budget_before_any_table_is_built():
+    g = path_graph(12)
+    calls = (lambda budget: dominating_sets_upto(g, 5, budget),
+             lambda budget: _dominating_set_counts(g, budget))
+    messages = set()
+    for max_n in (64, 0):
+        with patch.object(domination, "_DOM_TABLE_MAX_N", max_n), \
+                patch.object(domination, "_vertex_tables", wraps=domination._vertex_tables) as tables:
+            for call in calls:
+                with pytest.raises(BudgetError, match="max_n=11") as refused:
+                    call(Budget(max_n=11))
+                messages.add(str(refused.value))
+            assert not tables.called
+    # Both routes refuse with the same message.
+    assert messages == {"dominating set enumeration on n=12 exceeds enumeration budget max_n=11"
+                        " (raise via --budget or DOMREC_BUDGET)"}
+    with patch.object(domination, "_vertex_tables", wraps=domination._vertex_tables) as tables:
+        dominating_sets_upto(g, 5, Budget(max_n=12))
+    tables.assert_called_once_with(12)
 
 
 def test_alpha_values():

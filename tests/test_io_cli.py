@@ -261,6 +261,15 @@ def test_cli_dk_diameter():
     assert data["order"] == 4 and data["size"] == 3 and data["diameter"] == 2
 
 
+def test_cli_dk_refuses_diameter_with_dot_export():
+    # DOT has no field for the diameter, so the flag would be dropped unread.
+    proc = run_cli(["dk", "-", "--k", "2", "--export", "dot", "--diameter"],
+                   stdin_text=export_graph6(star(3)) + "\n")
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr == ("domrec: usage: dk --diameter needs --export json;"
+                           " dot output has no diameter\n")
+
+
 def test_cli_path_absent_and_present():
     line = export_graph6(star(3)) + "\n"
     blocked = run_cli(["path", "-", "--from", "1,2,3", "--to", "0", "--k", "3"],

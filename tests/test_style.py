@@ -2,7 +2,8 @@
 one owner for the unchecked graph constructor, constructions that import no
 reconfiguration or separation code, an oracle module that imports no private
 package name, separation and reconfiguration modules that read no
-environment variable, one route to the value of sep, a command line that
+environment variable, a domination module that reads one only to resolve
+the budget, one route to the value of sep, a command line that
 reads its input a line at a time, and the layout of the committed benchmark
 records."""
 
@@ -98,6 +99,27 @@ def test_separation_reads_no_environment_variable():
                                else node.name if isinstance(node, ast.alias) else None]
                   if read in {"environ", "environb", "getenv", "getenvb"}]
     assert reads == [], reads
+
+
+def test_domination_reads_the_environment_only_to_resolve_the_budget():
+    # The route cutoffs _TABLE_MAX_N and _DOM_TABLE_MAX_N are module constants set
+    # from measured crossovers; DOMREC_BUDGET, read by Budget.resolve, is the one
+    # variable. Each read is recorded with the class and function it sits in.
+    reads = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = (*where, child.name) if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef)) else where
+            read = (child.attr if isinstance(child, ast.Attribute)
+                    else child.id if isinstance(child, ast.Name)
+                    else child.name if isinstance(child, ast.alias) else None)
+            if read in {"environ", "environb", "getenv", "getenvb"}:
+                reads.append((".".join(inner), child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse((ROOT / "src" / "domrec" / "domination.py").read_text(encoding="utf-8")), ())
+    assert reads and {where for where, _ in reads} == {"Budget.resolve"}, reads
 
 
 def test_the_value_of_sep_has_one_route():
