@@ -413,7 +413,7 @@ def dominating_sets_upto(g: Graph, max_size: int,
     cap = min(max_size, g.n)
     if g.n <= _DOM_TABLE_MAX_N:
         dom, sizes = _dominating_tables(g, budget)[1:]
-        return [s for table in sizes[:cap + 1] for s in _members(dom & table)]
+        return list(chain.from_iterable(map(_members, map(dom.__and__, sizes[:cap + 1]))))
     layers = _dominating_layers(g, cap, budget)
     return list(chain.from_iterable(sorted(layer) for _size, layer in layers))
 
