@@ -83,7 +83,7 @@ qkr(5,2), and on G(n, .35) from n = 17. The tables count faster on the
 grids. Their peak under tracemalloc is 0.71, 1.51, 3.17 and 6.67 MB at
 n = 17, 18, 19 and 20. _DOM_TABLE_MAX_N = 18 keeps the listing's gain and
 the grids' counts, at under 1.6 MB; the counts it slows lose at most
-1 ms a graph (star(17)).
+1.02 ms a graph (star(17)).
 
 Above it, two walks list dominating sets. Each node branches on an
 undominated vertex u: every unbanned v in N[u] is tried in ascending
