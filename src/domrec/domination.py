@@ -46,7 +46,7 @@ Larger graphs use the minimal walk.
 
 All dominating sets of a graph with n <= _DOM_TABLE_MAX_N vertices are
 counted and listed from per-call truth tables (_dominating_tables): x_v
-from a repeated byte pattern, Dom by the formula above with each OR taken
+by doubling one period, Dom by the formula above with each OR taken
 over the x_v themselves, and size_s, the table of |S| = s, by the doubling
 recurrence over the vertices. The count of size s is the bit count of
 Dom & size_s, and layer s is its set bits, read in ascending mask order,
@@ -85,7 +85,32 @@ n = 17, 18, 19 and 20. _DOM_TABLE_MAX_N = 18 keeps the listing's gain and
 the grids' counts, at under 1.6 MB; the counts it slows lose at most
 1.02 ms a graph (star(17)).
 
-Above it, two walks list dominating sets. Each node branches on an
+reconfig.d0_direct searches its layers in the same tables up to the same
+cutoff. Per graph, each route's median of 7 runs in ms (of 5 on the rows
+marked *) and the tables' peak under tracemalloc in MB, the round's
+temporaries included, on the same CPU; a G(n, .35) row is the median of
+5 connected graphs:
+
+    graph        n   tables   layers   tables MB
+    G(n, .35)   13     0.16     1.66     0.04
+    G(n, .35)   15     0.50     7.80     0.16
+    G(n, .35)   17     1.53    18.08     0.71
+    G(n, .35)   18     2.94    30.94     1.50
+    G(n, .35)   20    14.39   118.47     6.67
+    gkr(4,2)    13     0.24     2.34     0.04
+    qkr(4,2)    15     0.65     2.95     0.16
+    gkr(4,3)    17     1.48     9.04     0.71
+    qkr(5,2)    18     2.89    12.55     1.50
+    P3 x P6 *   18     4.39    78.51     1.50
+    star(17) *  18     1.46     0.25     1.50
+    qkr(4,3)    20    14.65    15.04     6.67
+
+The tables win on every row but qkr(4,3), a tie, and star(17), whose two
+minimal sets put d0 at n. Memory sets the cutoff: at n = 18 the layers'
+own peak was 1.08 to 5.17 MB on P3 x P6, qkr(5,2) and three G(18, .35),
+and at n = 20 the tables would add 6.7 MB for no gain on qkr(4,3).
+
+Above the cutoffs, two walks list dominating sets. Each node branches on an
 undominated vertex u: every unbanned v in N[u] is tried in ascending
 order, and is banned for the later siblings once its branch returns. Both
 proofs below use only that u is not yet dominated, never which vertex it
@@ -159,8 +184,8 @@ DEFAULT_IR_MAX_N = 20
 BUDGET_ENV_VAR = "DOMREC_BUDGET"
 # Largest n whose minimal family comes from truth tables (module docstring).
 _TABLE_MAX_N = 13
-# Largest n whose dominating sets are counted and listed from truth tables, from
-# the measured crossover in the module docstring; larger graphs take the leaf walk.
+# Largest n whose dominating sets are counted, listed and searched for d0 in truth
+# tables, from the measured crossovers in the module docstring; above, the leaf walk.
 _DOM_TABLE_MAX_N = 18
 _SET_BIT = re.compile("1")
 
@@ -226,18 +251,18 @@ class InvariantReport:
 def _vertex_tables(n: int) -> list[int]:
     """x_v for each vertex v of n: bit S of x_v is set iff v is in S.
 
-    x_v repeats 2^v clear bits, then 2^v set ones: one byte pattern for
-    v < 3, and 2^(v-3) zero bytes, then as many 0xff bytes, from v = 3 on.
-    Repeating the pattern and reading it back once is linear in 2^n, unlike
-    a division of the full table.
+    x_v repeats 2^v clear bits, then 2^v set ones: one period, doubled by
+    ORing in itself shifted by its span until it covers 2^n bits, which is
+    linear in 2^n, unlike a division of the full table.
     """
-    width = max(1 << n >> 3, 1)  # bytes per table; below n = 3 one byte, cut after
     out = []
     for v in range(n):
-        half = 1 << v >> 3
-        pattern = bytes(half) + b"\xff" * half if half else (b"\xaa", b"\xcc", b"\xf0")[v]
-        out.append(int.from_bytes(pattern * (width // len(pattern)), "little"))
-    return out if n >= 3 else [t & (1 << (1 << n)) - 1 for t in out]
+        t, span = (1 << (1 << v)) - 1 << (1 << v), 2 << v
+        while span < 1 << n:
+            t |= t << span
+            span <<= 1
+        out.append(t)
+    return out
 
 
 def _dominating_tables(g: Graph, budget: Optional[Budget]) -> tuple[list[int], int, list[int]]:
@@ -409,7 +434,10 @@ def dominating_sets_upto(g: Graph, max_size: int,
 
     Up to n = _DOM_TABLE_MAX_N, layer s is the set bits of Dom & size_s, already
     in ascending mask order; above it, the leaf walk's layers, each sorted.
+    A negative max_size lists nothing, and is not checked against the budget.
     """
+    if max_size < 0:
+        return []
     cap = min(max_size, g.n)
     if g.n <= _DOM_TABLE_MAX_N:
         dom, sizes = _dominating_tables(g, budget)[1:]

@@ -74,16 +74,15 @@ L_{s-1}, joined through the (s-1)-sets that do not dominate:
   not dominate, shared by two s-sets, can join two components of L_{s-1}.
 
 d0_direct has two routes to the first swap-connected layer: subset truth
-tables for n <= _D0_TABLE_MAX_N, and union-finds over layers streamed from
-the leaf walk above it.
+tables for n <= domination._DOM_TABLE_MAX_N (crossover in domination.py),
+and union-finds over layers streamed from the leaf walk above it.
 
 Tables. A table is an int of 2^n bits whose bit S is set iff the subset S
 has the property. domination._dominating_tables builds the tables this
 route reads, for the call only: x_v, the table of "v in S"; Dom, of the
 dominating sets; and size_s, of |S| = s (domination.py's module docstring
-has how). `dk` and `profile` list and count from the same tables. Removing
-v from a mask that holds it subtracts 2^v, so for a table R of s-sets and
-D of (s-1)-sets
+has how). Removing v from a mask that holds it subtracts 2^v, so for a
+table R of s-sets and D of (s-1)-sets
 
   down(R) = OR over v of ((R & x_v) >> 2^v)  holds the (s-1)-subsets of R's sets,
   up(D)   = OR over v of ((D << 2^v) & x_v)  the sets one vertex above D's.
@@ -94,30 +93,8 @@ Repeated from the lowest set of L, it grows by one swap a round and stops
 growing exactly at that set's swap component, so L is swap-connected iff
 the search reaches all of L, and it stops as soon as it does. A round is
 about 4n operations on 2^n-bit ints, all in C. The 2n + 2 tables of x_v,
-size_s and Dom hold (2n + 2) 2^n bits, 0.56 MB at n = 17 (MB of 2^20
+size_s and Dom hold (2n + 2) 2^n bits, 1.2 MB at n = 18 (MB of 2^20
 bytes), and live only for the call; nothing is cached.
-
-Crossover, per graph: the median of 7 runs of each route in ms, and the
-tables' peak under tracemalloc in MB, the round's temporaries included,
-on one CPU of a 2-vCPU Xeon with Python 3.11.
-The G(n, .35) rows are medians over 5 connected graphs:
-
-    graph        n   tables   layers   tables MB
-    G(n, .35)   13     0.16     1.66     0.04
-    G(n, .35)   15     0.50     7.80     0.16
-    G(n, .35)   17     1.53    18.08     0.71
-    G(n, .35)   18     2.94    30.94     1.50
-    G(n, .35)   20    14.39   118.47     6.67
-    gkr(4,2)    13     0.24     2.34     0.04
-    qkr(4,2)    15     0.65     2.95     0.16
-    gkr(4,3)    17     1.48     9.04     0.71
-    qkr(5,2)    18     2.89    12.55     1.50
-    qkr(4,3)    20    14.65    15.04     6.67
-
-The tables win on time through n = 20 except on qkr(4,3), where they
-tie, so memory sets the cutoff: the tables double with every vertex, and
-at n = 20 they would add 6.7 MB for no gain to `d0 --method both` on
-qkr(4,3). _D0_TABLE_MAX_N = 17 keeps them under 1 MB.
 
 Union-finds. d0_direct reads layer Gamma with a plain union-find, since
 there a minimal set has no dominating subset and opens a node of its own.
@@ -147,6 +124,7 @@ from .graph_core import (
     popcount,
     vertex_list,
 )
+from . import domination
 from .domination import (
     Budget,
     DomFamily,
@@ -165,13 +143,10 @@ _LACKING_DIGITS = bytes.maketrans(b"0b1", b"\1\0\0")
 
 # Sources per bit-parallel BFS in dk_diameter; memory is O(order * block) bits.
 _DIAMETER_BLOCK = 4096
-# _prim_tree looks for settled members every lanes / _RETIRE_EVERY steps while it
+# _prim_edges looks for settled members every lanes / _RETIRE_EVERY steps while it
 # holds at least _LANE_FLOOR lanes; a smaller family is never packed again.
 _LANE_FLOOR = 256
 _RETIRE_EVERY = 16
-# Largest n whose d0_direct layers are searched in subset truth tables, from the
-# measured crossover in the module docstring; larger graphs take the union-finds.
-_D0_TABLE_MAX_N = 17
 
 
 @dataclass(frozen=True)
@@ -240,14 +215,14 @@ def _component_counter(g: Graph, budget: Optional[Budget]) -> Callable[[int], in
     so it gives 0 for the empty D_k.
     """
     sets = enumerate_minimal_dominating(g, budget).sets
-    weights = [w for w, _, _ in _prim_tree(sets)]
+    weights = [w for w, _, _ in _prim_edges(sets)]
     sizes = [popcount(s) for s in sets]
     return lambda k: 1 + sum(w > k for w in weights) - sum(c > k for c in sizes)
 
 
 def build_dk(g: Graph, k: int, budget: Optional[Budget] = None) -> ReconfigGraph:
     """Construct D_k(G) exactly. k below gamma gives an empty graph."""
-    verts = dominating_sets_upto(g, k, budget) if k >= 0 else []
+    verts = dominating_sets_upto(g, k, budget)
     return ReconfigGraph(
         k=k,
         n=g.n,
@@ -365,20 +340,15 @@ def _packed(
     return ones, size.to_bytes(m, "little"), size, beyond
 
 
-def _prim_tree(sets: tuple[VertexSet, ...]) -> list[tuple[int, int, int]]:
-    """Minimum spanning tree of the pair weights |X u Y|, by Prim's algorithm.
-
-    Returns (weight, parent, child) edges in insertion order, parents
-    before children, rooted at index 0. The sets must be distinct, as the
-    members of a minimal family are. The edges come from _prim_edges.
-    """
-    return list(_prim_edges(sets))
-
-
 def _prim_edges(
     sets: tuple[VertexSet, ...], packing: Optional[tuple] = None
 ) -> Iterator[tuple[int, int, int]]:
-    """Yields _prim_tree's edges one at a time, so a caller may stop early.
+    """Minimum spanning tree of the pair weights |X u Y|, by Prim's algorithm.
+
+    Yields (weight, parent, child) edges in insertion order, parents
+    before children, rooted at index 0, one at a time, so a caller may
+    stop early. The sets must be distinct, as the members of a minimal
+    family are.
 
     packing is _packed(sets) when the caller already holds it.
 
@@ -537,7 +507,7 @@ def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> Connectiv
 
 
 def _d0_from_tables(g: Graph, Gamma: int, budget: Budget) -> int:
-    """d0_direct's route for n <= _D0_TABLE_MAX_N: each layer from subset truth tables.
+    """d0_direct's route for n <= _DOM_TABLE_MAX_N: each layer from subset truth tables.
 
     dom has bit S set iff S dominates, sizes[s] iff |S| = s. Each layer
     from Gamma up is searched breadth-first from its lowest set, all sets
@@ -562,7 +532,7 @@ def _d0_from_tables(g: Graph, Gamma: int, budget: Budget) -> int:
 
 
 def _d0_from_layers(g: Graph, Gamma: int, budget: Budget) -> int:
-    """d0_direct's route above _D0_TABLE_MAX_N: layers streamed from the leaf walk.
+    """d0_direct's route above _DOM_TABLE_MAX_N: layers streamed from the leaf walk.
 
     Layer Gamma gets a plain union-find (_swap_components); each layer
     above takes its components from the layer below (_lifted_components)
@@ -593,12 +563,12 @@ def d0_direct(
     Returns 1 + the first size s >= Gamma whose layer of dominating s-sets
     is swap-connected: by the module docstring, that is the first k > Gamma
     at which D_k(G) is connected, connectivity is monotone from Gamma on,
-    and D_Gamma is disconnected. A graph with n <= _D0_TABLE_MAX_N vertices
+    and D_Gamma is disconnected. A graph with n <= _DOM_TABLE_MAX_N vertices
     has each layer searched in subset truth tables (_d0_from_tables), whose
-    2n + 2 tables of 2^n bits live only for the call: 0.56 MB at n = 17.
+    2n + 2 tables of 2^n bits live only for the call: 1.2 MB at n = 18.
     A larger one streams its layers from the leaf walk (_d0_from_layers).
-    The module docstring has the search, the union-finds and the crossover
-    that sets _D0_TABLE_MAX_N.
+    The module docstring has the search and the union-finds, and
+    domination.py's the crossover that sets _DOM_TABLE_MAX_N.
 
     This is the independent oracle for d0, not the fast route: d0 equals
     the separation sep (proof in separation.py), so `domrec d0` and `hunt`
@@ -616,7 +586,7 @@ def d0_direct(
     budget = budget or Budget.resolve()
     fam = family if family is not None else enumerate_minimal_dominating(g, budget)
     _require_at_least_two(fam)
-    route = _d0_from_tables if g.n <= _D0_TABLE_MAX_N else _d0_from_layers
+    route = _d0_from_tables if g.n <= domination._DOM_TABLE_MAX_N else _d0_from_layers
     return route(g, fam.Gamma, budget)
 
 

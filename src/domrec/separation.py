@@ -6,7 +6,7 @@ maximum of that over all 2-partitions. The brute-force route scans every
 partition; the bottleneck route reads the same number off a minimum
 spanning tree over pair weights w(X,Y) = |X u Y|: the max-min over cuts
 equals the heaviest MST edge, and removing that edge exhibits a witness
-partition. The tree is reconfig._prim_tree's, but the route does not
+partition. The tree is from reconfig._prim_edges, but the route does not
 build it. sep is the least t at which U_t (below) is connected, tried
 upward from a lower bound with threshold searches (sep_value), and the
 witness comes from the components of U_{sep-1}: Prim runs only inside
@@ -178,7 +178,7 @@ def sep_brute_force(fam: DomFamily) -> SepReport:
 def sep_bottleneck(fam: DomFamily) -> SepReport:
     """Separation via the heaviest edge of a minimum spanning tree.
 
-    The tree is reconfig._prim_tree's: rooted at member 0, it takes next
+    The tree is from reconfig._prim_edges: rooted at member 0, it takes next
     the lowest index at the smallest distance to the tree, and a parent
     changes only on a strict decrease. The report is its first heaviest
     edge (sep, p*, c*), as the pair (p*, c*), and the subtree below it, as

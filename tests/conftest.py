@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from domrec import Graph, is_connected  # noqa: E402
+from domrec import DomFamily, Graph, is_connected, popcount  # noqa: E402
 
 CORPUS_SEED = 20260808
 
@@ -89,6 +89,26 @@ def chordal_graphs(draw, max_n=9) -> Graph:
             if adj[v] >> u & 1:
                 adj[u] |= 1 << v
     return Graph(n, tuple(adj))
+
+
+def synthetic_family(sets) -> DomFamily:
+    sizes = [popcount(s) for s in sets]
+    return DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
+
+
+@st.composite
+def synthetic_families(draw) -> DomFamily:
+    """Distinct sets over 8, 16 or 64 vertices, from 2 up to well past the scan cutoff."""
+    width = draw(st.sampled_from([8, 16, 64]))
+    m = draw(st.integers(2, 150))
+    sets = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=m, max_size=m, unique=True))
+    return synthetic_family(sets)
+
+
+# A largest set X with a subset inside the family, and 66 sets of two high
+# vertices: the cut of X bounds sep by 4, but sep is 5, across {X, its subset}.
+BOUND_BELOW_SEP = [0b1111, 0b0111] + [1 << 8 + i | 1 << 8 + j for i in range(12)
+                                      for j in range(i + 1, 12)]
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,7 @@ from hypothesis import example, given, settings
 from domrec import (
     Budget,
     BudgetError,
-    DomFamily,
     Graph,
-    build_dk,
     cartesian_product,
     complete_graph,
     compute_ir,
@@ -37,7 +35,6 @@ from conftest import SHAPES, random_graph, small_graphs
 from naive import (
     compute_alpha,
     independent_members,
-    naive_dk,
     naive_ir,
     naive_is_dominating,
     naive_maximal_independent_sets,
@@ -116,38 +113,6 @@ def test_minimal_sets_equal_id_order_dfs_beyond_full_scan():
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             g = random_graph(rng, n, p)
             assert list(enumerate_minimal_dominating(g).sets) == naive_minimal_dfs(g), (n, p)
-
-
-def enumerate_by(route_max_n, g):
-    with patch.object(domination, "_TABLE_MAX_N", route_max_n):
-        return enumerate_minimal_dominating(g)
-
-
-@settings(max_examples=200, deadline=None)
-@given(small_graphs(max_n=13))
-@example(Graph.from_edges(1, []))
-@example(Graph.from_edges(13, []))
-@example(Graph.from_edges(13, [(0, 1), (5, 12)]))  # eleven isolated vertices
-@example(SHAPES[1])
-@example(star(12))
-@example(complete_graph(13))
-def test_table_and_walk_routes_return_the_same_family(g):
-    # _TABLE_MAX_N = 0 sends every graph down the walk, 64 every one to the tables.
-    assert enumerate_by(64, g) == enumerate_by(0, g)
-
-
-@pytest.mark.parametrize("n", [13, 14])
-def test_minimal_sets_equal_id_order_dfs_either_side_of_the_table_limit(n):
-    # n = 13 is the largest order enumerated from truth tables, 14 the smallest walked.
-    assert domination._TABLE_MAX_N == 13
-    rng = random.Random(1300 + n)
-    graphs = [random_graph(rng, n, p) for p in (0.1, 0.2, 0.35, 0.5, 0.7, 0.9)]
-    graphs += [path_graph(n), cycle_graph(n), star(n - 1), complete_graph(n),
-               Graph.from_edges(n, []), Graph.from_edges(n, [(0, n - 1)])]
-    for g in graphs:
-        dfs = naive_minimal_dfs(g)
-        expected = DomFamily(tuple(dfs), popcount(dfs[0]), popcount(dfs[-1]))
-        assert enumerate_minimal_dominating(g) == expected, g.edges()
 
 
 def test_budget_refuses_before_any_table_is_built():
@@ -264,51 +229,6 @@ def test_dominating_sets_upto_stress_wider():
         ]
         assert len(set(got)) == len(got)
         assert sorted(got) == sorted(expected)
-
-
-def dominating_by(route_max_n, g):
-    """(counts, listing at every cap from -1 to n + 1, D_k's edges at every such k)."""
-    with patch.object(domination, "_DOM_TABLE_MAX_N", route_max_n):
-        caps = range(-1, g.n + 2)
-        return (_dominating_set_counts(g), [dominating_sets_upto(g, cap) for cap in caps],
-                [build_dk(g, k).edges for k in caps])
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_graphs(max_n=8))
-@example(Graph.from_edges(1, []))
-@example(Graph.from_edges(8, []))
-@example(SHAPES[1])  # isolated vertex 0
-@example(SHAPES[2])
-@example(star(7))
-def test_dominating_set_table_and_walk_routes_agree(g):
-    # _DOM_TABLE_MAX_N = 64 sends every graph to the tables, 0 every one down the walk.
-    tables = dominating_by(64, g)
-    assert tables == dominating_by(0, g)
-    # The edges are read off the listing; naive_dk builds D_k by definition.
-    assert tables[2] == [tuple(naive_dk(g, k)[1]) for k in range(-1, g.n + 2)]
-
-
-@pytest.mark.parametrize("g", [star(17), cartesian_product(path_graph(3), path_graph(6))],
-                         ids=["star(17)", "P3xP6"])
-def test_dominating_set_routes_agree_at_the_table_limit(g):
-    # n = 18 is the largest order counted and listed from truth tables. star(17)
-    # has few leaves and 2^17 + 1 dominating sets; P3 x P6 has 105,913.
-    assert g.n == domination._DOM_TABLE_MAX_N == 18
-
-    def by_route(max_n, call, *args):
-        with patch.object(domination, "_DOM_TABLE_MAX_N", max_n):
-            return call(g, *args)
-
-    everything = by_route(64, dominating_sets_upto, g.n + 1)
-    assert everything == sorted(everything, key=lambda m: (popcount(m), m))
-    counts = by_route(64, _dominating_set_counts)
-    assert counts == by_route(0, _dominating_set_counts)
-    assert counts == [sum(popcount(s) == j for s in everything) for j in range(g.n + 1)]
-    for cap in range(-1, g.n + 2):
-        listing = by_route(0, dominating_sets_upto, cap)
-        assert listing == by_route(64, dominating_sets_upto, cap), cap
-        assert listing == everything[:sum(counts[:cap + 1])], cap
 
 
 @pytest.mark.parametrize("n, walked", [(18, False), (19, True)])

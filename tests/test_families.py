@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domrec import (
-    DomFamily,
     InputError,
     canonical_key,
     complete_graph,
@@ -29,6 +28,7 @@ from domrec import (
     verify_qkr_structure,
 )
 from domrec import families
+from conftest import synthetic_family
 from naive import degree, edge_count, irredundance_witness, naive_structure_rows
 
 GRID = [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
@@ -160,8 +160,7 @@ def test_verify_rows_match_the_set_by_set_oracle(case):
             sets[at % len(sets)] ^= 1 << value % n
     if shuffle is not None:
         random.Random(shuffle).shuffle(sets)
-    sizes = [s.bit_count() for s in sets]
-    fam = DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
+    fam = synthetic_family(sets)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(families, "enumerate_minimal_dominating", lambda g, budget=None: fam)
         report = verify(k, r)

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domrec import (
-    DomFamily,
     Graph,
     build_dk,
     cartesian_product,
@@ -46,7 +45,7 @@ from domrec.io_cli import (
 )
 from domrec.domination import BUDGET_ENV_VAR
 from domrec.graph_core import UnsupportedGraphError
-from conftest import edged_graphs, random_graph
+from conftest import edged_graphs, random_graph, synthetic_family
 from naive import (
     degree_sequence,
     edge_count,
@@ -444,9 +443,7 @@ def _verify_with_family(monkeypatch, capsys, construction, k, r, tamper):
 
     def tampered(g, budget=None):
         fam = real(g, budget)
-        sets = tamper(list(fam.sets))
-        sizes = [s.bit_count() for s in sets]
-        return DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
+        return synthetic_family(tamper(list(fam.sets)))
 
     monkeypatch.setattr(families, "enumerate_minimal_dominating", tampered)
     code = main(["verify", construction, "--k", str(k), "--r", str(r)])

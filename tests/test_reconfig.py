@@ -23,7 +23,6 @@ from domrec import (
     Graph,
     MAX_VERTICES,
     generate_qkr,
-    is_connected,
     is_dominating,
     mask_of,
     path_graph,
@@ -36,7 +35,7 @@ from domrec import domination, reconfig
 from domrec.domination import _dominating_set_counts
 from domrec.families import GkrLayout, QkrLayout
 from domrec.io_cli import parse_graph6
-from domrec.reconfig import _prim_tree, _swap_components
+from domrec.reconfig import _prim_edges, _swap_components
 from conftest import SHAPES, random_connected_graph, random_graph, small_graphs
 from naive import (
     _components,
@@ -134,7 +133,7 @@ def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
 
     monkeypatch.setattr(reconfig, "_dominating_layers", layers)
     g43, _ = generate_gkr(4, 3)
-    assert g43.n <= reconfig._D0_TABLE_MAX_N
+    assert g43.n <= domination._DOM_TABLE_MAX_N
     assert d0_direct(g43) == 7
     assert drawn == {}
     Gamma = enumerate_minimal_dominating(g43).Gamma
@@ -142,7 +141,7 @@ def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
     assert list(drawn) == [4, 5, 6]
     drawn.clear()
     q43, _ = generate_qkr(4, 3)
-    assert q43.n > reconfig._D0_TABLE_MAX_N
+    assert q43.n > domination._DOM_TABLE_MAX_N
     assert d0_direct(q43) == 7
     assert list(drawn) == [3, 4, 5, 6] and drawn[3] == 0
     assert drawn[4] == 1088 and drawn[5] == 6642 and drawn[6] < 1000
@@ -154,7 +153,7 @@ def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
 def test_d0_direct_checks_the_budget_on_both_routes(generate, k, r, budget, tables):
     # With the family given, only the route itself can refuse the graph.
     g, _ = generate(k, r)
-    assert g.n > budget and (g.n <= reconfig._D0_TABLE_MAX_N) == tables
+    assert g.n > budget and (g.n <= domination._DOM_TABLE_MAX_N) == tables
     fam = enumerate_minimal_dominating(g)
     with pytest.raises(BudgetError):
         d0_direct(g, Budget(budget), family=fam)
@@ -167,31 +166,10 @@ def _both_routes(g):
             reconfig._d0_from_layers(g, Gamma, Budget()))
 
 
-def test_d0_routes_match_naive_on_random_graphs():
-    # Any graph with an edge on 2 to 9 vertices, disconnected ones included.
-    rng = random.Random(29)
-    checked = disconnected = 0
-    while checked < 120:
-        g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.15, 0.8))
-        if not any(g.adj):
-            continue
-        assert _both_routes(g) == (naive_d0(g),) * 2, g.edges()
-        checked += 1
-        disconnected += not is_connected(g)
-    assert disconnected >= 20
-
-
-@pytest.mark.parametrize("n", [16, 17])
-def test_d0_routes_agree_just_below_the_cutoff(n):
-    rng = random.Random(n)
-    for _ in range(2):
-        tables, layers = _both_routes(random_graph(rng, n, 0.35))
-        assert tables == layers
-
-
-# Every gkr and qkr with n <= 17, gkr(4,3) and gkr(8,1) the largest.
+# Every gkr and qkr with n <= _DOM_TABLE_MAX_N; at 18, qkr(5,2) and qkr(8,1) are the largest.
 BELOW_CUTOFF = [(kind, k, r) for kind, layout in (("gkr", GkrLayout), ("qkr", QkrLayout))
-                for k in range(3, 17) for r in range(1, k) if layout(k, r).order <= 17]
+                for k in range(3, 17) for r in range(1, k)
+                if layout(k, r).order <= domination._DOM_TABLE_MAX_N]
 
 
 @pytest.mark.parametrize("kind, k, r", BELOW_CUTOFF)
@@ -502,7 +480,7 @@ def test_reconfig_path_matches_naive_bfs(g, k, i, j):
     assert (None if path is None else [frozenset(vertex_list(s)) for s in path]) == expected
 
 
-# _prim_tree against the plain O(m^2) Prim loop -------------------------------
+# _prim_edges against the plain O(m^2) Prim loop ------------------------------
 
 
 @settings(max_examples=150, deadline=None)
@@ -516,7 +494,7 @@ def test_reconfig_path_matches_naive_bfs(g, k, i, j):
 @example(generate_qkr(5, 3)[0])  # 842 sets, all but one lane settled at once
 def test_prim_tree_matches_naive_on_minimal_families(g):
     sets = enumerate_minimal_dominating(g).sets
-    tree = _prim_tree(sets)
+    tree = list(_prim_edges(sets))
     assert tree == naive_prim_tree(sets)
     assert len(tree) == len(sets) - 1
 
@@ -540,7 +518,7 @@ def distinct_masks(draw, max_width=64):
 @example((0b011, 0b110))
 @example((0b0001, 0b0011, 0b0111, 0b1111))  # a chain of nested sets
 def test_prim_tree_matches_naive_on_synthetic_families(sets):
-    assert _prim_tree(sets) == naive_prim_tree(sets)
+    assert list(_prim_edges(sets)) == naive_prim_tree(sets)
 
 
 @settings(max_examples=300, deadline=None)
@@ -557,7 +535,7 @@ def test_prim_tree_retires_exactly_on_synthetic_families(sets):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reconfig, "_LANE_FLOOR", 2)
         patch.setattr(reconfig, "_RETIRE_EVERY", 2)
-        assert _prim_tree(sets) == naive_prim_tree(sets)
+        assert list(_prim_edges(sets)) == naive_prim_tree(sets)
 
 
 def test_prim_tree_advances_when_the_cadence_exceeds_the_floor():
@@ -572,7 +550,7 @@ def test_prim_tree_advances_when_the_cadence_exceeds_the_floor():
                  for m in (5, 9, 17, 40)]
 
     def hang(signum, frame):
-        raise TimeoutError("_prim_tree took no step at a checkpoint")
+        raise TimeoutError("_prim_edges took no step at a checkpoint")
 
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(60)
@@ -581,7 +559,7 @@ def test_prim_tree_advances_when_the_cadence_exceeds_the_floor():
             patch.setattr(reconfig, "_LANE_FLOOR", 2)
             patch.setattr(reconfig, "_RETIRE_EVERY", 4)
             for sets in families:
-                assert _prim_tree(sets) == naive_prim_tree(sets)
+                assert list(_prim_edges(sets)) == naive_prim_tree(sets)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -614,7 +592,7 @@ def test_prim_tree_keeps_a_member_whose_subset_is_left_to_take():
     assert popcount(sets[0] | sets[y]) == 11
     assert taken.index(x) == len(sets) - 3
     assert (10, x, y) in tree
-    assert _prim_tree(sets) == tree
+    assert list(_prim_edges(sets)) == tree
 
 
 def test_prim_tree_byte_fields_hold_every_weight():
@@ -624,7 +602,7 @@ def test_prim_tree_byte_fields_hold_every_weight():
     low = (1 << 32) - 1
     high = low << 32
     full = (1 << 64) - 1
-    assert _prim_tree((low, high)) == [(64, 0, 1)]
+    assert list(_prim_edges((low, high))) == [(64, 0, 1)]
     rng = random.Random(64)
     halves = [rng.getrandbits(64) for _ in range(6)]
     families = [
@@ -634,7 +612,7 @@ def test_prim_tree_byte_fields_hold_every_weight():
     ]
     for sets in families:
         assert max(popcount(x | y) for x in sets for y in sets) == 64
-        assert _prim_tree(sets) == naive_prim_tree(sets)
+        assert list(_prim_edges(sets)) == naive_prim_tree(sets)
     # full is 64 from everything: it joins last, and ties go to the lowest index.
-    assert _prim_tree(families[0])[-1] == (64, 0, 5)
-    assert _prim_tree(families[1]) == [(64, 0, 1), (64, 0, 2)]
+    assert list(_prim_edges(families[0]))[-1] == (64, 0, 5)
+    assert list(_prim_edges(families[1])) == [(64, 0, 1), (64, 0, 2)]

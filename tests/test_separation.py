@@ -1,5 +1,4 @@
 import random
-from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,8 +28,8 @@ from domrec import (
 )
 from domrec import separation
 from domrec.reconfig import _packed
-from conftest import (bipartite_graphs, chordal_graphs, edged_graphs, random_connected_graph,
-                      small_graphs)
+from conftest import (BOUND_BELOW_SEP, bipartite_graphs, chordal_graphs, edged_graphs,
+                      random_connected_graph, small_graphs, synthetic_family)
 from naive import partition_separation
 from naive import naive_d0, naive_sep, naive_sep_report, naive_threshold_component
 
@@ -172,8 +171,7 @@ def test_minimax_duality_on_synthetic_families():
             mask = rng.getrandbits(width) or 1
             if mask not in sets:
                 sets.append(mask)
-        sizes = [popcount(s) for s in sets]
-        fam = DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
+        fam = synthetic_family(sets)
         fast = sep_bottleneck(fam)
         slow = sep_brute_force(fam)
         assert fast.sep == slow.sep
@@ -248,11 +246,6 @@ def test_sep_at_most_matches_sep_and_the_definition(g):
         assert sep_at_most(fam, k) == (sep <= k)
 
 
-def synthetic_family(sets):
-    sizes = [popcount(s) for s in sets]
-    return DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
-
-
 def test_sep_at_most_on_synthetic_families():
     # Arbitrary distinct sets over up to 64 vertices, the empty set
     # included, at every k around the field range. m falls below the scan
@@ -274,43 +267,6 @@ def test_sep_at_most_on_synthetic_families():
             answers["scan" if m <= cutoff else "packed"].add(got)
     # Both routes gave both answers.
     assert answers == {"scan": {False, True}, "packed": {False, True}}
-
-
-@st.composite
-def synthetic_families(draw):
-    """Distinct sets over 8, 16 or 64 vertices, from 2 up to well past the scan cutoff."""
-    width = draw(st.sampled_from([8, 16, 64]))
-    m = draw(st.integers(2, 150))
-    sets = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=m, max_size=m, unique=True))
-    return synthetic_family(sets)
-
-
-# A largest set X with a subset inside the family, and 66 sets of two high
-# vertices: the cut of X bounds sep by 4, but sep is 5, across {X, its subset}.
-BOUND_BELOW_SEP = [0b1111, 0b0111] + [1 << 8 + i | 1 << 8 + j for i in range(12)
-                                      for j in range(i + 1, 12)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(edged_graphs().map(enumerate_minimal_dominating) | synthetic_families())
-@example(synthetic_family(range(64)))  # the 64 subsets of 6 vertices: m at the cutoff
-@example(synthetic_family(range(65)))  # and one past it
-@example(synthetic_family([*range(1, 40), *(s << 32 for s in range(1, 40))]))  # two clusters
-# The cut of the largest set bounds sep at sep - 1, so sep_value tries a second t.
-@example(synthetic_family([17, 14, 15]))
-@example(synthetic_family([9, 13, 7]))
-@example(synthetic_family(BOUND_BELOW_SEP))
-def test_scan_and_packed_routes_agree_with_sep(fam):
-    # _SCAN_MAX_SETS = 0 sends every family to the packed search, 10**9 every
-    # one to the scan; both must answer sep <= k at every k, "no" included,
-    # and sep_value must read sep off either, as sep_bottleneck and the tree do.
-    sep = naive_sep_report(fam.sets)[0]
-    assert sep_value(fam) == sep_bottleneck(fam).sep == sep
-    for cutoff in (0, 10**9):
-        with patch.object(separation, "_SCAN_MAX_SETS", cutoff):
-            assert sep_value(fam) == sep, cutoff
-            for k in [*range(-1, 2 * fam.Gamma + 2), 64, 200]:
-                assert sep_at_most(fam, k) == (sep <= k), (cutoff, k)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -362,8 +318,7 @@ def test_sep_bottleneck_matches_the_tree_oracle(g):
 @example([9, 13, 7])
 def test_sep_bottleneck_matches_the_tree_oracle_on_synthetic_families(sets):
     # Any distinct sets: nested ones, the empty set and 64-vertex unions.
-    sizes = [popcount(s) for s in sets]
-    fam = DomFamily(sets=tuple(sets), gamma=min(sizes), Gamma=max(sizes))
+    fam = synthetic_family(sets)
     assert report_tuple(sep_bottleneck(fam)) == naive_sep_report(fam.sets)
 
 

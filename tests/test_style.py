@@ -88,7 +88,7 @@ def test_the_oracle_module_imports_no_private_name_from_the_package():
 
 def test_separation_reads_no_environment_variable():
     # sep_at_most's route is chosen by the module constant _SCAN_MAX_SETS,
-    # and d0_direct's by reconfig's _D0_TABLE_MAX_N, each set from a measured
+    # and d0_direct's by domination's _DOM_TABLE_MAX_N, each set from a measured
     # crossover; neither may become a knob.
     reads = []
     for name in ("separation.py", "reconfig.py"):
