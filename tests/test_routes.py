@@ -47,7 +47,8 @@ def d0_graphs():
     rng, graphs = random.Random(29), []
     while len(graphs) < 120:
         g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.15, 0.8))
-        graphs += [g] if any(g.adj) else []
+        if any(g.adj):
+            graphs.append(g)
     assert sum(not is_connected(g) for g in graphs) >= 20
     return graphs
 
