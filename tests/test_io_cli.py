@@ -419,12 +419,21 @@ def _golden_cases():
     # path: each pair has one level with no path and one with a shortest path.
     # gkr(4,3): the hub set to a transversal, whose unions have k + r = 7 vertices.
     gkr43, isolated = generate_gkr(4, 3)[0], Graph.from_edges(6, [(1, 2), (3, 4), (4, 5)])
+    # P3 x P6 (n = 18): no path between its two gamma-sets at k = 6; at k = 7, two
+    # 6-sets 8 apart are 12 steps apart, with many shortest paths to choose from. The
+    # same pair at k = 8 with an isolated vertex 18 added, at n = 19.
+    p3xp6 = cartesian_product(path_graph(3), path_graph(6))
+    p3xp6_isolated = Graph.from_edges(19, p3xp6.edges())
     for stem, g, src, dst, k in (("gkr-4-3-k6", gkr43, "1,2,3,4", "1,5,9,13", 6),
                                  ("gkr-4-3-k7", gkr43, "1,2,3,4", "1,5,9,13", 7),
                                  ("star3-k3", star(3), "1,2,3", "0", 3),
                                  ("star3-k4", star(3), "1,2,3", "0", 4),
                                  ("isolated-two-components-k3", isolated, "0,1,4", "0,2,4", 3),
-                                 ("isolated-two-components-k5", isolated, "0,1,3,5", "0,2,4", 5)):
+                                 ("isolated-two-components-k5", isolated, "0,1,3,5", "0,2,4", 5),
+                                 ("p3xp6-k6", p3xp6, "2,6,10,11,14", "3,6,7,11,15", 6),
+                                 ("p3xp6-k7", p3xp6, "1,3,7,11,13,16", "1,4,8,10,12,16", 7),
+                                 ("p3xp6-isolated-k8", p3xp6_isolated, "1,3,7,11,13,16,18",
+                                  "1,4,8,10,12,16,18", 8)):
         case(f"path-{stem}", ["path", "-", "--from", src, "--to", dst, "--k", str(k)],
              export_graph6(g) + "\n")
     return cases
