@@ -167,7 +167,7 @@ from functools import cache, reduce
 from itertools import chain, combinations
 from math import comb
 from operator import or_
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graph_core import (
     BudgetError,
@@ -265,23 +265,26 @@ def _vertex_tables(n: int) -> list[int]:
     return out
 
 
-def _dominating_tables(g: Graph, budget: Optional[Budget]) -> tuple[list[int], int, list[int]]:
+def _dominating_tables(g: Graph, budget: Optional[Budget],
+                       cap: Optional[int] = None) -> tuple[list[int], int, list[int]]:
     """(x, dom, sizes): truth tables over the 2^n subsets of g's vertices, for one call.
 
     x[v] has bit S set iff v is in S, dom iff S dominates, and sizes[s] iff
-    |S| = s, for s = 0..n. The budget is checked before any table is built.
-    Nothing is cached: the 2n + 2 tables hold (2n + 2) 2^n bits, 1.2 MB at
-    n = 18, and are freed once the caller drops them.
+    |S| = s, for s = 0..cap (n by default; a cap above n is n). The budget is
+    checked before any table is built. Nothing is cached: the n + cap + 2
+    tables hold (n + cap + 2) 2^n bits, 1.2 MB at n = 18, and are freed once
+    the caller drops them.
     """
     (budget or Budget.resolve()).check(g, "dominating set enumeration")
     n = g.n
+    top = (n if cap is None else min(cap, n)) + 1  # the number of size tables
     x = _vertex_tables(n)
     dom = (1 << (1 << n)) - 1
     for c in g.closed:
         dom &= reduce(or_, map(x.__getitem__, vertex_list(c)))
     sizes = [1]  # over the vertices below v: sizes[s] has bit S set iff |S| = s
     for v in range(n):
-        sizes = [a | b << (1 << v) for a, b in zip([*sizes, 0], [0, *sizes])]
+        sizes = [a | b << (1 << v) for a, b in zip([*sizes, 0][:top], [0, *sizes])]
     return x, dom, sizes
 
 
@@ -313,6 +316,14 @@ def _minimal_from_tables(g: Graph) -> list[VertexSet]:
     dom = full
     for c in g.closed:
         dom &= low[c & below] | high[c >> h]
+    return _minimal_in(dom, without)
+
+
+def _minimal_in(dom: int, without: Iterable[int]) -> list[VertexSet]:
+    """The sets of Min (module docstring) in ascending mask order.
+
+    dom is the table of the dominating sets, and without[v] that of "v not in S".
+    """
     shrinks = 0  # bit S set iff S - v dominates for some v in S
     for v, rest in enumerate(without):
         shrinks |= (dom & rest) << (1 << v)
@@ -440,29 +451,36 @@ def dominating_sets_upto(g: Graph, max_size: int,
         return []
     cap = min(max_size, g.n)
     if g.n <= _DOM_TABLE_MAX_N:
-        dom, sizes = _dominating_tables(g, budget)[1:]
-        return list(chain.from_iterable(map(_members, map(dom.__and__, sizes[:cap + 1]))))
+        dom, sizes = _dominating_tables(g, budget, cap)[1:]
+        return list(chain.from_iterable(map(_members, map(dom.__and__, sizes))))
     layers = _dominating_layers(g, cap, budget)
     return list(chain.from_iterable(sorted(layer) for _size, layer in layers))
 
 
-def _dominating_set_counts(g: Graph, budget: Optional[Budget] = None) -> list[int]:
-    """counts[j] = number of dominating sets of cardinality j, for j = 0..n.
+def _counts_and_family(g: Graph, budget: Optional[Budget] = None
+                       ) -> tuple[list[int], tuple[VertexSet, ...]]:
+    """(counts, family): counts[j] dominating sets of cardinality j, for j = 0..n,
+    and the minimal family in canonical order.
 
-    Up to n = _DOM_TABLE_MAX_N, counts[j] is the bit count of Dom & size_j.
-    Above it, a leaf (chosen, free) of the walk stands for comb(|free|, e)
-    sets of size |chosen| + e.
+    Up to n = _DOM_TABLE_MAX_N both come from one call's tables: counts[j]
+    is the bit count of Dom & size_j, and the family is Min (module
+    docstring) taken from the same Dom. Above it, a leaf (chosen, free) of
+    the walk stands for comb(|free|, e) sets of size |chosen| + e, and the
+    family comes from enumerate_minimal_dominating.
     """
     if g.n <= _DOM_TABLE_MAX_N:
-        dom, sizes = _dominating_tables(g, budget)[1:]
-        return [(dom & table).bit_count() for table in sizes]
+        x, dom, sizes = _dominating_tables(g, budget)
+        full = (1 << (1 << g.n)) - 1
+        family = _minimal_in(dom, map(full.__xor__, x))
+        family.sort(key=int.bit_count)  # ascending masks, stably by size: canonical
+        return [(dom & table).bit_count() for table in sizes], tuple(family)
     counts = [0] * (g.n + 1)
     shapes = Counter((popcount(chosen), popcount(free))
                      for chosen, free in _dominating_leaves(g, g.n, budget))
     for (count, free), leaves in shapes.items():
         for extra in range(free + 1):
             counts[count + extra] += leaves * comb(free, extra)
-    return counts
+    return counts, enumerate_minimal_dominating(g, budget).sets
 
 
 def compute_ir(g: Graph, budget: Optional[Budget] = None) -> int:

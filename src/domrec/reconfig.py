@@ -76,10 +76,12 @@ L_{s-1}, joined through the (s-1)-sets that do not dominate:
 d0_direct has two routes to the first swap-connected layer: subset truth
 tables for n <= domination._DOM_TABLE_MAX_N (crossover in domination.py),
 and union-finds over layers streamed from the leaf walk above it.
+reconfig_path has two routes at the same cutoff: a search from both ends
+in the same tables, and a breadth-first search over D_k above it.
 
 Tables. A table is an int of 2^n bits whose bit S is set iff the subset S
-has the property. domination._dominating_tables builds the tables this
-route reads, for the call only: x_v, the table of "v in S"; Dom, of the
+has the property. domination._dominating_tables builds the tables these
+routes read, for the call only: x_v, the table of "v in S"; Dom, of the
 dominating sets; and size_s, of |S| = s (domination.py's module docstring
 has how). Removing v from a mask that holds it subtracts 2^v, so for a
 table R of s-sets and D of (s-1)-sets
@@ -87,6 +89,8 @@ table R of s-sets and D of (s-1)-sets
   down(R) = OR over v of ((R & x_v) >> 2^v)  holds the (s-1)-subsets of R's sets,
   up(D)   = OR over v of ((D << 2^v) & x_v)  the sets one vertex above D's.
 
+So down(T) | up(T) holds the sets one vertex away from T's, whatever their
+sizes, and & Dom keeps those in D_n: reconfig_path's spheres grow by it.
 With L = Dom & size_s, R | (up(down(R)) & L) is R and every set of L that
 shares an (s-1)-subset with a set of R: R and its swap neighbours in L.
 Repeated from the lowest set of L, it grows by one swap a round and stops
@@ -111,7 +115,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import and_, itemgetter, lshift, or_, rshift
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -128,10 +132,10 @@ from . import domination
 from .domination import (
     Budget,
     DomFamily,
+    _counts_and_family,
     _dominating_layers,
     _dominating_tables,
     _require_at_least_two,
-    _dominating_set_counts,
     dominating_sets_upto,
     enumerate_minimal_dominating,
 )
@@ -207,14 +211,13 @@ def _edges(verts: list[VertexSet], k: int, full: VertexSet) -> list[tuple[int, i
     return edges
 
 
-def _component_counter(g: Graph, budget: Optional[Budget]) -> Callable[[int], int]:
-    """k -> number of components of D_k(G).
+def _component_counter(sets: tuple[VertexSet, ...]) -> Callable[[int], int]:
+    """k -> number of components of D_k(G), from G's minimal family in canonical order.
 
     Read off the spanning tree of the minimal family by the identity in
     the module docstring. Below gamma every tree edge and every set counts,
     so it gives 0 for the empty D_k.
     """
-    sets = enumerate_minimal_dominating(g, budget).sets
     weights = [w for w, _, _ in _prim_edges(sets)]
     sizes = [popcount(s) for s in sets]
     return lambda k: 1 + sum(w > k for w in weights) - sum(c > k for c in sizes)
@@ -228,7 +231,8 @@ def build_dk(g: Graph, k: int, budget: Optional[Budget] = None) -> ReconfigGraph
         n=g.n,
         verts=tuple(verts),
         edges=tuple(_edges(verts, k, g.full_mask)),
-        component_count=_component_counter(g, budget)(k) if verts else 0,
+        component_count=(_component_counter(enumerate_minimal_dominating(g, budget).sets)(k)
+                         if verts else 0),
     )
 
 
@@ -488,11 +492,12 @@ def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> Connectiv
 
     Read off per-size counts of dominating sets and the spanning tree of
     the minimal family (identities in the module docstring), so no
-    dominating set is listed.
+    dominating set is listed. For n <= _DOM_TABLE_MAX_N both come from one
+    set of truth tables (domination._counts_and_family).
     """
     budget = budget or Budget.resolve()
-    counts = _dominating_set_counts(g, budget)
-    components = _component_counter(g, budget)
+    counts, family = _counts_and_family(g, budget)
+    components = _component_counter(family)
     entries = []
     order = size = 0
     for k, count in enumerate(counts):
@@ -504,6 +509,21 @@ def connectivity_profile(g: Graph, budget: Optional[Budget] = None) -> Connectiv
         size += count * (g.n - k)
     gamma = entries[0].k if entries else 0
     return ConnectivityProfile(gamma=gamma, n=g.n, profile=tuple(entries))
+
+
+def _down(table: int, x: list[int], shifts: list[int]) -> int:
+    """down(table) of the module docstring: the sets one vertex below table's sets."""
+    return reduce(or_, map(rshift, map(and_, repeat(table), x), shifts))
+
+
+def _up(table: int, x: list[int], shifts: list[int], start: int = 0) -> int:
+    """start | up(table) of the module docstring: the sets one vertex above table's sets."""
+    return reduce(or_, map(and_, map(lshift, repeat(table), shifts), x), start)
+
+
+def _near(table: int, x: list[int], shifts: list[int]) -> int:
+    """down(table) | up(table): the sets one vertex away from table's sets."""
+    return _up(table, x, shifts, _down(table, x, shifts))
 
 
 def _d0_from_tables(g: Graph, Gamma: int, budget: Budget) -> int:
@@ -521,8 +541,7 @@ def _d0_from_tables(g: Graph, Gamma: int, budget: Budget) -> int:
         layer = dom & sizes[s]
         reach = layer & -layer
         while True:
-            down = reduce(or_, map(rshift, map(and_, repeat(reach), x), shifts))
-            grown = reduce(or_, map(and_, map(lshift, repeat(down), shifts), x), reach) & layer
+            grown = _up(_down(reach, x, shifts), x, shifts, reach) & layer
             if grown == layer:
                 return s + 1
             if grown == reach:
@@ -599,25 +618,140 @@ def reconfig_path(
 ) -> Optional[list[VertexSet]]:
     """Shortest add/remove sequence between two dominating sets inside D_k.
 
-    Returns None when a and b lie in different components. Breadth-first
-    search over D_k without listing it: the neighbours of S are the
-    removals S - v, for v descending, that still dominate, then the
-    additions S + v, for v ascending, while |S| < k. Canonical order sorts
-    by size, then by mask, and S - v grows as v falls, so that is the
-    canonical order of S's neighbours: each set is reached first from the
-    lowest canonical-order neighbour, as in a search over sorted adjacency
-    lists of the explicit D_k. The search stops as soon as it reaches b,
-    and otherwise visits a's component only.
+    Returns None when a and b lie in different components. D_k is never
+    listed: the neighbours of S are the removals S - v, for v descending,
+    that still dominate, then the additions S + v, for v ascending, while
+    |S| < k. Canonical order sorts by size, then by mask, and S - v grows
+    as v falls, so that is the canonical order of S's neighbours.
 
-    S - v dominates iff every vertex of N[v] is covered twice by S: once
-    by v and once by another member.
+    The path returned is the lexicographically first shortest path from a
+    to b, its sets compared in canonical order: the one a breadth-first
+    search over sorted adjacency lists of the explicit D_k returns, each set
+    taking as parent the first set of the round before that reaches it.
+
+      By induction on the rounds, each set's tree path is the first
+      shortest path to it, and a round's queue order is the order of
+      those paths. Round 0 is a alone. A set T of round t + 1 is first
+      reached from the earliest set P of round t adjacent to it, whose
+      tree path is the first of all T's neighbours in round t. Every
+      shortest path to T ends in such a neighbour Q and T, and its first t
+      + 1 sets are no earlier than Q's tree path, which is no earlier than
+      P's, so P's tree path and T are the first. Round t + 1 is queued
+      set by set of round t, in queue order, and each set's new
+      neighbours in canonical order: the order of (tree path of the
+      parent, T), which is that of the tree paths.
+
+    For n <= _DOM_TABLE_MAX_N the search runs from both ends in subset
+    truth tables (_path_from_tables), whose work is bounded by the distance;
+    above it, a breadth-first search over D_k (_path_by_search). The budget
+    is checked before either starts.
     """
     for name, s in (("from", a), ("to", b)):
+        if s & ~g.full_mask:
+            raise InputError(f"'{name}' endpoint names vertex {s.bit_length() - 1},"
+                             f" outside the graph's n={g.n} vertices")
         if not is_dominating(g, s):
             raise InputError(f"'{name}' endpoint is not a dominating set")
         if popcount(s) > k:
             raise InputError(f"'{name}' endpoint has cardinality above k={k}")
-    (budget or Budget.resolve()).check(g, "dominating set enumeration")
+    budget = budget or Budget.resolve()
+    budget.check(g, "dominating set enumeration")
+    if g.n <= domination._DOM_TABLE_MAX_N:
+        return _path_from_tables(g, a, b, k, budget)
+    return _path_by_search(g, a, b, k)
+
+
+def _path_from_tables(g: Graph, a: VertexSet, b: VertexSet, k: int,
+                      budget: Budget) -> Optional[list[VertexSet]]:
+    """reconfig_path's route for n <= _DOM_TABLE_MAX_N: a two-sided search in truth tables.
+
+    inside is the table of D_k's sets: Dom & (size_0 | ... | size_k), and
+    _spheres grows the spheres 0..i around a and 0..j around b in it until
+    the last two meet, at the distance d = i + j, or a side stops growing:
+    no path.
+
+    Level t is the sets at distance t from a and d - t from b, those on
+    shortest paths. Next to a set of level t - 1, a set lies on level t
+    iff it is at distance d - t from b, by the triangle inequality. So
+    for t >= i the walk below reads sphere d - t around b as it is, and
+    only a's side is rebuilt, in place of its spheres: level i is where
+    the last spheres meet, and level t - 1, for t <= i, is sphere t - 1
+    around a less the sets with no neighbour on level t.
+
+    The walk from a then takes at each step the first neighbour, in
+    canonical order, on the next level. That keeps it on a shortest path,
+    and no other shortest path has an earlier set at the first place they
+    differ: it is the path of reconfig_path's docstring.
+
+    Work: d rounds to meet and i - 1 to rebuild, each about 6n operations
+    on 2^n-bit ints; with no path, _spheres bounds the rounds. Memory: the
+    n + k + 2 tables of _dominating_tables, all but x_v freed before the
+    rebuild, and at most d + 2 spheres of 2^n bits each.
+    """
+    x, dom, sizes = _dominating_tables(g, budget, k)
+    shifts = [1 << v for v in range(g.n)]
+    spheres = _spheres(a, b, reduce(or_, sizes) & dom, x, shifts)
+    del dom, sizes
+    if spheres is None:
+        return None
+    fwd, bwd = spheres
+    fwd[-1] &= bwd[-1]
+    for t in range(len(fwd) - 1, 1, -1):  # level t - 1: sphere t - 1 next to level t
+        fwd[t - 1] &= _near(fwd[t], x, shifts)
+    path = [a]
+    full = g.full_mask
+    for level in fwd[1:] + bwd[-2::-1]:
+        cur = path[-1]
+        for nb in chain([cur ^ 1 << v for v in reversed(vertex_list(cur))],
+                        [cur | 1 << v for v in iter_vertices(full ^ cur)]):
+            if level >> nb & 1:
+                path.append(nb)
+                break
+    return path
+
+
+def _spheres(a: VertexSet, b: VertexSet, inside: int, x: list[int],
+             shifts: list[int]) -> Optional[tuple[list[int], list[int]]]:
+    """The spheres around a and b in the table inside, out to where they first meet.
+
+    Returns (around a, around b), sphere i of each the table of the sets
+    at distance i from its end, or None when a side stops growing first.
+    The next sphere of S is near(S) & inside, less the ball around its end
+    so far. Each round grows the side whose last sphere holds fewer sets,
+    a's on a tie. An empty sphere means that side's ball is its whole
+    component, which misses the other end, so there is no path.
+
+    The last spheres meet at the distance d = i + j. Before a round, the
+    balls of radii i and j are disjoint, so d > i + j; a new sphere i + 1
+    that meets the other ball at radius j' <= j gives d <= i + 1 + j', so
+    j' = j. So the search stops as soon as the two last spheres meet: d
+    rounds when there is a path. Without one, side a grows at most r_a
+    times and side b at most r_b, r the eccentricity of an end in its
+    component, and the first empty sphere ends the search: at most r_a +
+    r_b + 1 rounds, and a side with a small component, whose spheres stay
+    small, is grown first.
+    """
+    spheres = ([1 << a], [1 << b])
+    unseen = [inside & ~(1 << a), inside & ~(1 << b)]  # inside less each side's ball
+    while not spheres[0][-1] & spheres[1][-1]:
+        side = spheres[1][-1].bit_count() < spheres[0][-1].bit_count()
+        grown = _near(spheres[side][-1], x, shifts) & unseen[side]
+        if not grown:
+            return None
+        spheres[side].append(grown)
+        unseen[side] ^= grown
+    return spheres
+
+
+def _path_by_search(g: Graph, a: VertexSet, b: VertexSet, k: int) -> Optional[list[VertexSet]]:
+    """reconfig_path's route above _DOM_TABLE_MAX_N: breadth-first search over D_k.
+
+    Each set is reached first from the lowest canonical-order neighbour in
+    the round before, as in the search of reconfig_path's docstring. The
+    search stops as soon as it reaches b, and otherwise visits a's
+    component only. S - v dominates iff every vertex of N[v] is covered
+    twice by S: once by v and once by another member.
+    """
     closed, full = g.closed, g.full_mask
     parent = {a: a}
     queue = deque([a])

@@ -325,6 +325,38 @@ def naive_d0(g: Graph) -> int:
     return last_disconnected + 1
 
 
+def naive_profile(g: Graph) -> list[tuple[int, int, int, int]]:
+    """(k, order, size, components) of D_k for each k = 0..n with D_k not empty.
+
+    D_k is D_n on its first sets, those of size <= k, and the edges between
+    them, so each k adds the sets of size k and their edges down to size k - 1,
+    and one union-find over naive_dk(g, n) counts the components of every level.
+    """
+    verts, edges = naive_dk(g, g.n)
+    parent = list(range(len(verts)))
+    by_top: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
+    for a, b in edges:
+        by_top[len(verts[b])].append((a, b))
+    out = []
+    order = size = comps = 0
+    for k in range(g.n + 1):
+        while order < len(verts) and len(verts[order]) == k:
+            order += 1
+            comps += 1
+        for a, b in by_top[k]:
+            size += 1
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                comps -= 1
+        if order:
+            out.append((k, order, size, comps))
+    return out
+
+
 def naive_shortest_path_length(
     g: Graph, k: int, a: frozenset[int], b: frozenset[int]
 ) -> int | None:

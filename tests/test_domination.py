@@ -30,7 +30,7 @@ from domrec import (
     vertex_list,
 )
 from domrec import domination
-from domrec.domination import _dominating_leaves, _dominating_set_counts
+from domrec.domination import _counts_and_family, _dominating_leaves
 from conftest import SHAPES, random_graph, small_graphs
 from naive import (
     compute_alpha,
@@ -132,7 +132,7 @@ def test_dominating_sets_equal_prefix_scan_on_constructions(make, k, r):
     fam = enumerate_minimal_dominating(g)
     cap = fam.Gamma + fam.gamma
     assert dominating_sets_upto(g, cap) == naive_prefix_sets(g, cap)
-    assert _dominating_set_counts(g) == naive_prefix_counts(g)
+    assert _counts_and_family(g)[0] == naive_prefix_counts(g)
 
 
 def test_dominating_set_counts_equal_prefix_scan_beyond_full_scan():
@@ -142,7 +142,7 @@ def test_dominating_set_counts_equal_prefix_scan_beyond_full_scan():
     for n in range(14, 25):
         for p in (0.1, 0.3, 0.5, 0.7, 0.9) if n < 20 else (0.7, 0.9):
             g = random_graph(rng, n, p)
-            assert _dominating_set_counts(g) == naive_prefix_counts(g), (n, p)
+            assert _counts_and_family(g)[0] == naive_prefix_counts(g), (n, p)
 
 
 def test_dominating_sets_equal_prefix_scan_on_random_graphs():
@@ -235,7 +235,7 @@ def test_dominating_sets_upto_stress_wider():
 def test_dominating_sets_take_the_walk_above_the_table_limit(n, walked):
     g = path_graph(n)
     with patch.object(domination, "_dominating_leaves", wraps=domination._dominating_leaves) as walk:
-        assert _dominating_set_counts(g) == naive_prefix_counts(g)
+        assert _counts_and_family(g)[0] == naive_prefix_counts(g)
         assert dominating_sets_upto(g, 8) == naive_prefix_sets(g, 8)
     assert walk.called == walked
 
@@ -243,7 +243,7 @@ def test_dominating_sets_take_the_walk_above_the_table_limit(n, walked):
 def test_table_route_refuses_at_the_budget_before_any_table_is_built():
     g = path_graph(12)
     calls = (lambda budget: dominating_sets_upto(g, 5, budget),
-             lambda budget: _dominating_set_counts(g, budget))
+             lambda budget: _counts_and_family(g, budget)[0])
     messages = set()
     for max_n in (64, 0):
         with patch.object(domination, "_DOM_TABLE_MAX_N", max_n), \
@@ -376,7 +376,7 @@ def test_enumerators_leave_no_cyclic_garbage():
     try:
         enumerate_minimal_dominating(g)
         dominating_sets_upto(g, 5)
-        _dominating_set_counts(g)
+        _counts_and_family(g)[0]
         d0_direct(g)
         compute_ir(g)
         connectivity_profile(g)

@@ -300,6 +300,17 @@ def test_cli_path_rejects_out_of_range_ids(ids):
     assert f"vertex id {ids} outside 0..63" in proc.stderr
 
 
+# An id the list accepts but the graph does not have is refused once the graph is read,
+# naming the endpoint, the id and n.
+@pytest.mark.parametrize("flag, other", [("--from", "--to"), ("--to", "--from")])
+def test_cli_path_names_an_endpoint_outside_the_graph(flag, other):
+    proc = run_cli(["path", "-", flag, "0,7", other, "0", "--k", "3"],
+                   stdin_text=export_graph6(star(3)) + "\n")
+    assert proc.returncode == EXIT_PARSE and proc.stdout == ""
+    assert proc.stderr == (f"domrec: input: '{flag[2:]}' endpoint names vertex 7,"
+                           " outside the graph's n=4 vertices\n")
+
+
 # As in edge lists, ids are ASCII decimal: int() alone reads each of these as 1 or 10,
 # and with 1 the query below would have a path.
 @pytest.mark.parametrize("first", ["\u0661", "+1", "1_0", " 1"],

@@ -32,7 +32,7 @@ from domrec import (
     vertex_list,
 )
 from domrec import domination, reconfig
-from domrec.domination import _dominating_set_counts
+from domrec.domination import _counts_and_family
 from domrec.families import GkrLayout, QkrLayout
 from domrec.io_cli import parse_graph6
 from domrec.reconfig import _prim_edges, _swap_components
@@ -319,6 +319,79 @@ def test_union_bound_guarantees_connection():
             assert len(path) - 1 <= 2 * k  # crude sanity on the detour length
 
 
+def _path_and_rounds(monkeypatch, g, a, b, k):
+    """reconfig_path's answer on the table route, and the rounds of its sphere search."""
+    calls, rounds = [], []
+    near, spheres = reconfig._near, reconfig._spheres
+
+    def counted_near(*args):
+        calls.append(None)
+        return near(*args)
+
+    def counted_spheres(*args):
+        before = len(calls)
+        out = spheres(*args)
+        rounds.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(reconfig, "_near", counted_near)
+    monkeypatch.setattr(reconfig, "_spheres", counted_spheres)
+    assert g.n <= domination._DOM_TABLE_MAX_N
+    path = reconfig_path(g, a, b, k)
+    assert len(rounds) == 1
+    return path, rounds[0], len(calls)
+
+
+def test_path_tables_make_one_round_per_unit_of_distance(monkeypatch):
+    # d rounds to meet, and fewer than d to rebuild the levels on a's side.
+    gkr43 = generate_gkr(4, 3)[0]
+    p3xp6 = cartesian_product(path_graph(3), path_graph(6))
+    queries = [(gkr43, [1, 2, 3, 4], [1, 5, 9, 13], k) for k in (7, 8, 9)]
+    queries += [(p3xp6, [1, 3, 7, 11, 13, 16], [1, 4, 8, 10, 12, 16], 7),
+                (p3xp6, [2, 6, 10, 11, 14], [2, 6, 10, 11, 14], 5), (star(3), [1, 2, 3], [0], 4)]
+    rng = random.Random(61)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.7))
+        sets = naive_dk(g, g.n)[0]
+        a, b = rng.choice(sets), rng.choice(sets)
+        queries.append((g, sorted(a), sorted(b), rng.randint(max(len(a), len(b)), g.n)))
+    found = 0
+    for g, a, b, k in queries:
+        path, rounds, calls = _path_and_rounds(monkeypatch, g, mask_of(a), mask_of(b), k)
+        if path is not None:
+            found += 1
+            d = len(path) - 1
+            assert rounds == d and calls <= max(2 * d - 1, 0), (g, a, b, k)
+    assert found >= 25
+
+
+def test_path_tables_stop_once_the_smaller_side_stops_growing(monkeypatch):
+    # star(17): the 17 leaves are isolated in D_17, while {0} lies in a component of
+    # 2^17 - 1 sets; the search ends with the leaves' side, at its first or second round.
+    leaves, centre = mask_of(range(1, 18)), mask_of([0])
+    assert _path_and_rounds(monkeypatch, star(17), leaves, centre, 17)[:2] == (None, 1)
+    assert _path_and_rounds(monkeypatch, star(17), centre, leaves, 17)[:2] == (None, 2)
+    # gkr(4,3) at k = 6: the hub set's component has 92 sets and eccentricity 2, the
+    # transversal's 9,040 sets and eccentricity 10.
+    g = generate_gkr(4, 3)[0]
+    path, rounds, _ = _path_and_rounds(monkeypatch, g, mask_of([1, 2, 3, 4]),
+                                       mask_of([1, 5, 9, 13]), 6)
+    assert path is None and rounds <= 2 * (2 + 1) < 10 + 1
+
+
+@pytest.mark.parametrize("generate, k, r, budget, tables", [
+    (generate_gkr, 3, 2, 5, True), (generate_qkr, 4, 3, 19, False)],
+    ids=["gkr(3,2)", "qkr(4,3)"])
+def test_path_checks_the_budget_on_both_routes(monkeypatch, generate, k, r, budget, tables):
+    g, lay = generate(k, r)
+    assert g.n > budget and (g.n <= domination._DOM_TABLE_MAX_N) == tables
+    built = []
+    monkeypatch.setattr(domination, "_vertex_tables", lambda n: built.append(n))
+    with pytest.raises(BudgetError, match=f"max_n={budget}"):
+        reconfig_path(g, lay.hub_mask, lay.hub_mask, k, Budget(budget))
+    assert built == []
+
+
 def test_reconfig_path_same_endpoints():
     g = star(3)
     assert reconfig_path(g, mask_of([0]), mask_of([0]), 1) == [mask_of([0])]
@@ -424,7 +497,7 @@ def test_dominating_set_counts_match_naive_count(g):
     for size in range(g.n + 1):
         for combo in combinations(range(g.n), size):
             expected[size] += naive_is_dominating(g, frozenset(combo))
-    assert _dominating_set_counts(g) == expected
+    assert _counts_and_family(g)[0] == expected
 
 
 @pytest.mark.parametrize("block", [1, 3, reconfig._DIAMETER_BLOCK])

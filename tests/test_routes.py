@@ -20,14 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domrec import (Graph, build_dk, cartesian_product, complete_graph, cycle_graph, d0_direct,
-                    dominating_sets_upto, enumerate_minimal_dominating, is_connected, path_graph,
-                    popcount, sep_at_most, sep_bottleneck, sep_value, star)
+from domrec import (Graph, build_dk, cartesian_product, complete_graph, connectivity_profile,
+                    cycle_graph, d0_direct, dominating_sets_upto, enumerate_minimal_dominating,
+                    generate_gkr, is_connected, mask_of, path_graph, popcount, reconfig_path,
+                    sep_at_most, sep_bottleneck, sep_value, star, vertex_list)
 from domrec import domination, reconfig, separation
 from conftest import (BOUND_BELOW_SEP, SHAPES, edged_graphs, random_graph, small_graphs,
                       synthetic_families, synthetic_family)
 from naive import (naive_d0, naive_dk, naive_minimal_dfs, naive_prefix_counts, naive_prefix_sets,
-                   naive_prim_tree, naive_sep_report)
+                   naive_prim_tree, naive_profile, naive_reconfig_path, naive_sep_report)
 
 Row = namedtuple("Row", "quantity naive module constant routes pinned drawn")
 
@@ -73,6 +74,43 @@ def sep_answers(fam, sep=None):
     return sep, sep, [sep <= k for k in ks]
 
 
+def path_queries(g, i=-1, above=None):
+    """(g, a, b, k) for a and b g's first and i-th minimal sets, at each k from the larger of
+    them to their union (or to `above` past the larger), and for a = b = the first."""
+    fam = naive_minimal_dfs(g)
+    a, b = fam[0], fam[i]
+    low = max(popcount(a), popcount(b))
+    high = max(low, popcount(a | b)) if above is None else low + above
+    return [*((g, a, b, k) for k in range(low, high + 1)), (g, a, a, popcount(a))]
+
+
+def id_queries(g, *queries):
+    """(g, a, b, k) for each (a, b, k) given with a and b as id lists."""
+    return [(g, mask_of(a), mask_of(b), k) for a, b, k in queries]
+
+
+@st.composite
+def drawn_path_queries(draw):
+    """(g, a, b, k) for any graph on 1..8 vertices, any two dominating sets and any k allowed."""
+    g = draw(small_graphs(max_n=8))
+    sets = naive_prefix_sets(g, g.n)
+    a, b = draw(st.sampled_from(sets)), draw(st.sampled_from(sets))
+    return g, a, b, draw(st.integers(max(popcount(a), popcount(b)), g.n))
+
+
+def naive_path(query):
+    g, a, b, k = query
+    path = naive_reconfig_path(g, k, frozenset(vertex_list(a)), frozenset(vertex_list(b)))
+    return None if path is None else list(map(mask_of, path))
+
+
+def profile_rows(g):
+    """(k, order, size, components) of each level of connectivity_profile, and its connected."""
+    profile = connectivity_profile(g)
+    assert all(e.connected == (e.component_count == 1) for e in profile.profile)
+    return [(e.k, e.order, e.size, e.component_count) for e in profile.profile]
+
+
 SMALL = [Graph.from_edges(n, pairs=bits) for n in range(2, 6)
          for bits in range(1, 1 << n * (n - 1) // 2)]
 DOMINATING = [*SMALL, Graph.from_edges(1, []), Graph.from_edges(8, []), SHAPES[1], SHAPES[2],
@@ -91,8 +129,9 @@ MATRIX = {
              Graph.from_edges(n, []), Graph.from_edges(n, [(0, n - 1)])))],
         small_graphs(max_n=13)),
     "counts": Row(
-        domination._dominating_set_counts, naive_prefix_counts, domination, "_DOM_TABLE_MAX_N",
-        TABLES, [*DOMINATING, *LIMIT, *near(DOM_N, 0.1, 0.35)], small_graphs(max_n=8)),
+        lambda g: domination._counts_and_family(g)[0], naive_prefix_counts, domination,
+        "_DOM_TABLE_MAX_N", TABLES, [*DOMINATING, *LIMIT, *near(DOM_N, 0.1, 0.35)],
+        small_graphs(max_n=8)),
     "listing at each cap": Row(
         lambda g: [dominating_sets_upto(g, cap) for cap in range(-3, g.n + 2)], naive_listing,
         domination, "_DOM_TABLE_MAX_N", TABLES, [*DOMINATING, *LIMIT, *near(DOM_N, 0.1)],
@@ -106,6 +145,23 @@ MATRIX = {
         d0_direct, lambda g: naive_d0(g) if g.n <= 9 else naive_sep_report(family(g).sets)[0],
         domination, "_DOM_TABLE_MAX_N", TABLES,
         [*SMALL, *d0_graphs(), *near(16, 0.35, 0.35), *near(DOM_N, 0.35)], edged_graphs()),
+    # Every level of the profile: the counts and the minimal family from one set of tables.
+    "profile": Row(
+        profile_rows, naive_profile, domination, "_DOM_TABLE_MAX_N", TABLES,
+        [*DOMINATING, *near(14, 0.35), cartesian_product(cycle_graph(4), cycle_graph(4)),
+         LIMIT[1]], small_graphs(max_n=8)),
+    # The ends of a path, its ties and its absence; gkr(4,3) from the hub set to a
+    # transversal is the benchmark's pair, with no path at k = 6 and one of length 6 at 7.
+    "path": Row(
+        lambda query: reconfig_path(*query), naive_path, domination, "_DOM_TABLE_MAX_N",
+        TABLES,
+        [*(q for g in DOMINATING for q in path_queries(g)),
+         *id_queries(star(17), ([0], [0], 1), ([0, 1], [0, 2], 2), ([0, 1, 2], [0, 3], 3)),
+         *id_queries(LIMIT[1], ([2, 6, 10, 11, 14], [3, 6, 7, 11, 15], 6),
+                     ([1, 3, 7, 11, 13, 16], [1, 4, 8, 10, 12, 16], 7)),
+         *(q for g in near(DOM_N, 0.35) for q in path_queries(g, 1, above=1)),
+         *id_queries(generate_gkr(4, 3)[0], *(([1, 2, 3, 4], [1, 5, 9, 13], k) for k in (6, 7)))],
+        drawn_path_queries()),
     "sep": Row(
         sep_answers, lambda fam: sep_answers(fam, naive_sep_report(fam.sets)[0]),
         separation, "_SCAN_MAX_SETS", {"scan": 10**9, "packed": 0},

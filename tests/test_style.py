@@ -3,9 +3,9 @@ one owner for the unchecked graph constructor, constructions that import no
 reconfiguration or separation code, an oracle module that imports no private
 package name, separation and reconfiguration modules that read no
 environment variable, a domination module that reads one only to resolve
-the budget, one route to the value of sep, a command line that
-reads its input a line at a time, and the layout of the committed benchmark
-records."""
+the budget, one builder of subset truth tables, one route to the value of
+sep, a command line that reads its input a line at a time, and the layout
+of the committed benchmark records."""
 
 import ast
 import json
@@ -120,6 +120,30 @@ def test_domination_reads_the_environment_only_to_resolve_the_budget():
 
     visit(ast.parse((ROOT / "src" / "domrec" / "domination.py").read_text(encoding="utf-8")), ())
     assert reads and {where for where, _ in reads} == {"Budget.resolve"}, reads
+
+
+def test_only_domination_builds_subset_tables():
+    # A subset truth table has 2^n bits, and 1 << (1 << e) is the width of one; only
+    # domination.py makes such an int. Only _dominating_tables and _subset_tables read x_v
+    # off _vertex_tables, so every table route reads the tables of one builder.
+    def is_one(node):
+        return isinstance(node, ast.Constant) and node.value == 1
+
+    builds, readers = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builds += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+                   and is_one(node.left) and isinstance(node.right, ast.BinOp)
+                   and isinstance(node.right.op, ast.LShift) and is_one(node.right.left)]
+        for stmt in tree.body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            readers |= {(path.name, owner) for node in ast.walk(stmt)
+                        if "_vertex_tables" in (getattr(node, "id", None),
+                                                getattr(node, "attr", None))}
+    assert builds and all(b.startswith("domination.py:") for b in builds), builds
+    assert readers == {("domination.py", "_dominating_tables"),
+                       ("domination.py", "_subset_tables")}, readers
 
 
 def test_the_value_of_sep_has_one_route():
