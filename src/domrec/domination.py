@@ -48,9 +48,12 @@ All dominating sets of a graph with n <= _DOM_TABLE_MAX_N vertices are
 counted and listed from per-call truth tables (_dominating_tables): x_v
 by doubling one period, Dom by the formula above with each OR taken
 over the x_v themselves, and size_s, the table of |S| = s, by the doubling
-recurrence over the vertices. The count of size s is the bit count of
-Dom & size_s, and layer s is its set bits, read in ascending mask order,
-which is canonical order within a layer, so nothing is sorted. Nothing is
+recurrence over the vertices, up to the largest size the caller reads.
+The count of size s is the bit count of Dom & size_s, and layer s is its
+set bits, read in ascending mask order, which is canonical order within a
+layer, so nothing is sorted. connectivity_profile also takes the minimal
+family from the same Dom, by the formula for Min above
+(_counts_and_family), so it builds one set of tables per graph. Nothing is
 cached: the 2n + 2 tables hold (2n + 2) 2^n bits, 1.2 MB at n = 18, freed
 on return. Per graph, walk against tables, in ms: medians of 7 alternating
 runs on one CPU of a 2-vCPU Xeon with Python 3.11; the listing is cut at
@@ -109,6 +112,36 @@ The tables win on every row but qkr(4,3), a tie, and star(17), whose two
 minimal sets put d0 at n. Memory sets the cutoff: at n = 18 the layers'
 own peak was 1.08 to 5.17 MB on P3 x P6, qkr(5,2) and three G(18, .35),
 and at n = 20 the tables would add 6.7 MB for no gain on qkr(4,3).
+
+reconfig.reconfig_path searches from both ends in the same tables up to
+the same cutoff, and breadth-first over D_k above it. Per query, each
+route's median of 15 alternating runs in ms (of 7 on the rows marked *, of
+3 on the G(n, .3) rows) and the tables' peak under tracemalloc in MB, the
+spheres included, on the same CPU. gkr and qkr go from the hub set to the
+transversal {1, k + 1, 2k + 1, ...}; P3 x P6 between its two gamma-sets at
+k = 6 and from {1,3,7,11,13,16} to {1,4,8,10,12,16} at k = 7; star(17)
+from its leaves to its centre; a G(n, .3) row, one seeded connected graph,
+between its first and last minimal sets:
+
+    query               n   length   search   tables   tables MB
+    gkr(4,2)  k = 5    13     none     0.04     0.10     0.03
+    gkr(4,2)  k = 6    13        5     0.41     0.17     0.03
+    gkr(4,3)  k = 6    17     none     0.28     0.78     0.57
+    gkr(4,3)  k = 7    17        6     2.88     1.11     0.61
+    gkr(4,3)  k = 9    17        6    12.90     1.16     0.65
+    qkr(5,2)  k = 6    18     none     0.06     0.86     1.09
+    qkr(5,2)  k = 7    18        6     7.58     2.05     1.24
+    P3 x P6   k = 6    18     none     0.08     1.42     1.10
+    P3 x P6   k = 7 *  18       12     5.52     5.14     1.47
+    star(17)  k = 17 * 18     none     0.03     1.74     1.49
+    G(16, .3) k = 8    16        9    38.13     1.35     0.34
+    G(18, .3) k = 8    18        9    64.38     4.75     1.44
+
+The tables win wherever the search would visit many sets, and their work
+is bounded by the distance. They lose by about their build, at most 1.7 ms
+here, where an end's component is tiny, as on the levels with no path, and
+tie on P3 x P6's long path, whose 12 rounds each cost about 6n operations
+however few sets a sphere holds.
 
 Above the cutoffs, two walks list dominating sets. Each node branches on an
 undominated vertex u: every unbanned v in N[u] is tried in ascending

@@ -128,8 +128,10 @@ MATRIX = {
              path_graph(n), cycle_graph(n), star(n - 1), complete_graph(n),
              Graph.from_edges(n, []), Graph.from_edges(n, [(0, n - 1)])))],
         small_graphs(max_n=13)),
+    # The counts of each size and the minimal family, from one set of tables.
     "counts": Row(
-        lambda g: domination._counts_and_family(g)[0], naive_prefix_counts, domination,
+        domination._counts_and_family,
+        lambda g: (naive_prefix_counts(g), tuple(naive_minimal_dfs(g))), domination,
         "_DOM_TABLE_MAX_N", TABLES, [*DOMINATING, *LIMIT, *near(DOM_N, 0.1, 0.35)],
         small_graphs(max_n=8)),
     "listing at each cap": Row(
