@@ -4,8 +4,9 @@ A row of MATRIX is a quantity, its oracle, the module constant that picks
 its route, the value of that constant that forces each route, the inputs
 the row pins and a strategy that draws more. The pinned inputs are every
 labelled graph with 2 <= n <= 5 and an edge (SMALL), seeded ones on both
-sides of the cutoff, and those that earlier route tests pinned. A new
-cutoff adds a row: test_every_cutoff_has_a_row fails until it does.
+sides of the cutoff, and those that earlier route tests pinned; the path
+row's inputs are queries (g, a, b, k) on such graphs. A new cutoff adds a
+row: test_every_cutoff_has_a_row fails until it does.
 """
 
 import ast
@@ -105,7 +106,8 @@ def naive_path(query):
 
 
 def profile_rows(g):
-    """(k, order, size, components) of each level of connectivity_profile, and its connected."""
+    """(k, order, size, components) of each level of connectivity_profile; connected must be
+    components == 1."""
     profile = connectivity_profile(g)
     assert all(e.connected == (e.component_count == 1) for e in profile.profile)
     return [(e.k, e.order, e.size, e.component_count) for e in profile.profile]
@@ -155,8 +157,7 @@ MATRIX = {
     # The ends of a path, its ties and its absence; gkr(4,3) from the hub set to a
     # transversal is the benchmark's pair, with no path at k = 6 and one of length 6 at 7.
     "path": Row(
-        lambda query: reconfig_path(*query), naive_path, domination, "_DOM_TABLE_MAX_N",
-        TABLES,
+        lambda query: reconfig_path(*query), naive_path, domination, "_DOM_TABLE_MAX_N", TABLES,
         [*(q for g in DOMINATING for q in path_queries(g)),
          *id_queries(star(17), ([0], [0], 1), ([0, 1], [0, 2], 2), ([0, 1, 2], [0, 3], 3)),
          *id_queries(LIMIT[1], ([2, 6, 10, 11, 14], [3, 6, 7, 11, 15], 6),
