@@ -73,9 +73,14 @@ L_{s-1}, joined through the (s-1)-sets that do not dominate:
   = X n Y; when K dominates, c(X) = c(K) = c(Y). So only a key K that does
   not dominate, shared by two s-sets, can join two components of L_{s-1}.
 
+So the lifts of the components C of L_{s-1}, each the s-sets X with c(X)
+= C, that is C's sets plus one vertex each, partition L_s; each lift is
+swap-connected, and a lift of a non-empty component is not empty.
+
 d0_direct has two routes to the first swap-connected layer: subset truth
 tables for n <= domination._DOM_TABLE_MAX_N (crossover in domination.py),
-and union-finds over layers streamed from the leaf walk above it.
+and above it a union-find on layer Gamma, whose small components are
+lifted layer to layer.
 reconfig_path has two routes at the same cutoff: a search from both ends
 in the same tables, and a breadth-first search over D_k above it.
 
@@ -100,24 +105,33 @@ about 4n operations on 2^n-bit ints, all in C. The 2n + 2 tables of x_v,
 size_s and Dom hold (2n + 2) 2^n bits, 1.2 MB at n = 18 (MB of 2^20
 bytes), and live only for the call; nothing is cached.
 
-Union-finds. d0_direct reads layer Gamma with a plain union-find, since
-there a minimal set has no dominating subset and opens a node of its own.
-Above Gamma each set takes the node of a dominating subset and no set
-opens one, so the count starts at the components of L_{s-1} and falls by
-one per join of two nodes. The joins still to come only lower it, and it
-cannot fall below 1, so it is exact mid-layer as soon as it reaches 1:
-layer d0 - 1 is read only up to its first bridge, and no set of size d0
-or more is listed.
+Union-finds. Above the table cutoff d0_direct reads layer Gamma whole,
+with a plain union-find, since there a minimal set has no dominating
+subset and opens a node of its own. It keeps the largest component
+implicit, as every set not listed, and lists the others. At each layer s
+above, a listed component lifts to its sets plus one vertex each, and the
+implicit one to the rest of L_s. Only a key that does not dominate joins
+two lifts, and a join between two sets not listed stays inside the
+implicit component, so every join that matters comes through such a key
+K = X - x of a listed X. K misses exactly x's private neighbours, the
+vertices of N[x] that X covers once, so X's swap neighbours through K are
+K + y for each y outside X whose N[y] holds them all. A neighbour not
+listed is in the implicit component, which X's component then joins and
+leaves the list. The count of components, 1 + those listed, only falls
+within a layer and cannot fall below 1, so the layer is swap-connected as
+soon as nothing is listed. The work is proportional to the listed sets:
+on every gkr/qkr measured they are the lifts of the hub set U alone, and
+no set of the implicit side above Gamma is built.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, islice, repeat
 from operator import and_, itemgetter, lshift, or_, rshift
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .graph_core import (
     Graph,
@@ -237,14 +251,16 @@ def build_dk(g: Graph, k: int, budget: Optional[Budget] = None) -> ReconfigGraph
 
 
 def _swap_components(layer: list[VertexSet]) -> tuple[int, list[int]]:
-    """Components of one layer of s-sets, X ~ Y when |X n Y| = s - 1, and the union-find.
+    """Components of one layer of s-sets, X ~ Y when |X n Y| = s - 1, and a label per set.
 
     Two s-sets differ by one swap exactly when they share an (s-1)-subset,
     so the union-find is keyed on those: owner maps each (s-1)-subset seen
     to the first set that had it, and root[i] is set i's parent, shortened
     by path halving on every find. The set being read stays the root: each
-    older tree met through a shared subset is hung below it. Order within
-    the layer does not matter. Returns (components, root).
+    older tree met through a shared subset is hung below it. So a parent
+    never has a lower index than its child, and one pass from the last set
+    down leaves root[i] the root of set i's component: its label. Order
+    within the layer does not matter. Returns (components, root).
     """
     owner: dict[VertexSet, int] = {}
     root: list[int] = []
@@ -258,49 +274,9 @@ def _swap_components(layer: list[VertexSet]) -> tuple[int, list[int]]:
             while root[d] != d:
                 root[d] = d = root[root[d]]
             root[d] = i
+    for i in reversed(range(len(root))):
+        root[i] = root[root[i]]
     return sum(r == i for i, r in enumerate(root)), root
-
-
-def _lifted_components(layer: Iterable[VertexSet], below: dict[VertexSet, int],
-                       root: list[int], components: int) -> tuple[int, dict[VertexSet, int]]:
-    """Swap components of a layer of s-sets, s > Gamma, lifted from the layer below.
-
-    below maps each set of the layer of (s-1)-sets to a node of the
-    union-find root, whose components are that layer's. Each s-set X takes
-    the node of a dominating (s-1)-subset, and the keys X - x that do not
-    dominate, missing from below, join X's node to the first set that had
-    them (owner), as in _swap_components. No set opens a node, so the count
-    only falls, and it is exact as soon as it reaches 1: the layer is read
-    no further then. Proof in the module docstring. Returns (components,
-    here), here mapping each s-set to its node when the layer was read whole.
-    """
-    owner: dict[VertexSet, int] = {}
-    here: dict[VertexSet, int] = {}
-    for mask in layer:
-        node = -1
-        lone = []  # the keys that do not dominate
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            d = below.get(mask ^ low, -1)
-            if d < 0:
-                lone.append(mask ^ low)
-            elif node < 0:
-                node = d
-        while root[node] != node:
-            root[node] = node = root[root[node]]
-        for key in lone:
-            d = owner.setdefault(key, node)
-            while root[d] != d:
-                root[d] = d = root[root[d]]
-            if d != node:
-                root[d] = node
-                components -= 1
-                if components == 1:
-                    return 1, here
-        here[mask] = node
-    return components, here
 
 
 def _packed(
@@ -550,27 +526,80 @@ def _d0_from_tables(g: Graph, Gamma: int, budget: Budget) -> int:
     raise InputError("D_n(G) reported disconnected; graph state inconsistent")
 
 
-def _d0_from_layers(g: Graph, Gamma: int, budget: Budget) -> int:
-    """d0_direct's route above _DOM_TABLE_MAX_N: layers streamed from the leaf walk.
+def _lone_swaps(mask: VertexSet, closed: tuple[VertexSet, ...], full: VertexSet
+                ) -> Iterator[VertexSet]:
+    """The dominating sets a swap apart from the dominating set mask through a key that
+    does not dominate.
 
-    Layer Gamma gets a plain union-find (_swap_components); each layer
-    above takes its components from the layer below (_lifted_components)
-    and is read only until they number 1. The layers below Gamma are never
-    drawn, and no set of size d0 or more is ever built.
+    twice holds the vertices that mask covers at least twice, so the key
+    mask - v misses exactly private = N[v] & ~twice, and mask - v + y
+    dominates iff N[y] holds private, that is y lies in N[p] for each p of
+    private. No such y is in mask: a member other than v would cover p twice.
     """
-    below: dict[VertexSet, int] = {}  # the layer below: each set's node in root
-    for size, layer in _dominating_layers(g, g.n - 1, budget):
-        if size < Gamma:
-            continue
-        if size > Gamma:
-            components, below = _lifted_components(layer, below, root, components)
-        else:
+    members = vertex_list(mask)
+    once = twice = 0
+    for v in members:
+        twice |= once & closed[v]
+        once |= closed[v]
+    for v in members:
+        private = closed[v] & ~twice
+        if private:
+            key = mask ^ 1 << v
+            ys = full ^ 1 << v
+            for p in iter_vertices(private):
+                ys &= closed[p]
+            for y in iter_vertices(ys):
+                yield key | 1 << y
+
+
+def _d0_from_layers(g: Graph, Gamma: int, budget: Budget) -> int:
+    """d0_direct's route above _DOM_TABLE_MAX_N: the small swap components, lifted.
+
+    Layer Gamma, the last layer of the leaf walk cut at Gamma, gets a plain
+    union-find (_swap_components). Its largest component stays implicit,
+    under its own label big: every set not in listed. Each layer s above
+    lifts the listed sets one vertex up, keeping their labels, then joins
+    the labels through the keys that do not dominate (_lone_swaps): a
+    neighbour that is not listed is in the implicit component. up is the
+    union-find of the labels, big always a root. A label joined to big is
+    dropped; once none is left, L_s is swap-connected (module docstring).
+    No set of the implicit side above Gamma is built.
+    """
+    for size, layer in _dominating_layers(g, Gamma, budget):
+        if size == Gamma:
             sets = list(layer)
-            components, root = _swap_components(sets)
-            if components > 1:
-                below = dict(zip(sets, range(len(sets))))
-        if components == 1:
-            return size + 1
+    components, label = _swap_components(sets)
+    if components == 1:
+        return Gamma + 1
+    big = Counter(label).most_common(1)[0][0]
+    listed = {mask: c for mask, c in zip(sets, label) if c != big}
+    del sets, label
+    closed, full = g.closed, g.full_mask
+
+    def find(c: int) -> int:
+        while up[c] != c:
+            up[c] = c = up[up[c]]
+        return c
+
+    for s in range(Gamma + 1, g.n):
+        up = {c: c for c in chain(listed.values(), [big])}
+        lifted: dict[VertexSet, int] = {}
+        for mask, c in listed.items():
+            lifted.update(dict.fromkeys([mask | 1 << v for v in iter_vertices(full ^ mask)], c))
+        for mask, c in lifted.items():
+            c = find(c)
+            if c == big:
+                continue  # its joins to listed sets not yet read are met from their side
+            for nb in _lone_swaps(mask, closed, full):
+                d = find(lifted.get(nb, big))
+                if d != c:
+                    up[c] = c = d
+                    components -= 1
+                    if components == 1:
+                        return s + 1
+                    if c == big:
+                        break
+        listed = {mask: r for mask, c in lifted.items() if (r := find(c)) != big}
     raise InputError("D_n(G) reported disconnected; graph state inconsistent")
 
 
@@ -585,9 +614,11 @@ def d0_direct(
     and D_Gamma is disconnected. A graph with n <= _DOM_TABLE_MAX_N vertices
     has each layer searched in subset truth tables (_d0_from_tables), whose
     2n + 2 tables of 2^n bits live only for the call: 1.2 MB at n = 18.
-    A larger one streams its layers from the leaf walk (_d0_from_layers).
-    The module docstring has the search and the union-finds, and
-    domination.py's the crossover that sets _DOM_TABLE_MAX_N.
+    A larger one reads layer Gamma from the leaf walk and lifts its small
+    swap components from there (_d0_from_layers), listing no set of the
+    largest one above Gamma. The module docstring has the search and the
+    union-finds, and domination.py's the crossover that sets
+    _DOM_TABLE_MAX_N.
 
     This is the independent oracle for d0, not the fast route: d0 equals
     the separation sep (proof in separation.py), so `domrec d0` and `hunt`

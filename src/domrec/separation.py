@@ -66,9 +66,9 @@ direct|both` run it, `hunt` re-verifies every hit with it, and sep is
 still checked against it on every corpus graph. It reads one layer of
 D_k per k, never the minimal family's U_k: for k > Gamma, D_k is
 connected iff the dominating sets of size k - 1 are connected under
-single swaps. Each layer above Gamma takes its swap components from the
-layer below, so layer d0 - 1 is read only up to the first bridge that
-joins it (proofs in reconfig.py).
+single swaps. Above the table cutoff only layer Gamma is read whole; its
+small swap components are lifted a layer at a time until none is left
+apart from the largest (proofs in reconfig.py).
 
 sep_at_most and sep_value pick their search by the family size m alone,
 and pack a large family once, however many t they try. A family of at

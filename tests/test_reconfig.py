@@ -112,16 +112,16 @@ def test_d0_examples():
 
 
 def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
-    # Layers stream on demand: gkr(4,3) has 106,067 dominating sets, and
-    # the test of layer d0 - 1 = 6 settles d0 = 7, so no set above size 6
-    # is ever listed. Layer d0 - 1 is read only up to its first bridge:
-    # qkr(4,3)'s layer 6 holds 23,655 sets. Layers below Gamma are skipped.
-    # gkr(4,3) has n = 17, so d0_direct takes the tables; its layered route
-    # is called directly. qkr(4,3), n = 20, is above the cutoff.
+    # The leaf walk is cut at Gamma, and only layer Gamma is drawn: every set
+    # above it is a lift of a listed set, never one of the walk's. gkr(4,3)
+    # has 106,067 dominating sets and qkr(4,3) 1,088 of size Gamma = 4. Layers
+    # below Gamma are skipped. gkr(4,3) has n = 17, so d0_direct takes the
+    # tables; its layered route is called directly. qkr(4,3), n = 20, is
+    # above the cutoff.
     drawn = {}
 
-    def layers(*args):
-        for size, layer in domination._dominating_layers(*args):
+    def layers(g, cap, budget):
+        for size, layer in domination._dominating_layers(g, cap, budget):
             drawn[size] = 0
 
             def counted(layer=layer, size=size):
@@ -130,6 +130,7 @@ def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
                     yield mask
 
             yield size, counted()
+        drawn["cap"] = cap
 
     monkeypatch.setattr(reconfig, "_dominating_layers", layers)
     g43, _ = generate_gkr(4, 3)
@@ -138,13 +139,12 @@ def test_d0_direct_builds_no_layer_above_d0(monkeypatch):
     assert drawn == {}
     Gamma = enumerate_minimal_dominating(g43).Gamma
     assert reconfig._d0_from_layers(g43, Gamma, Budget()) == 7
-    assert list(drawn) == [4, 5, 6]
+    assert drawn == {4: 321, "cap": 4}
     drawn.clear()
     q43, _ = generate_qkr(4, 3)
     assert q43.n > domination._DOM_TABLE_MAX_N
     assert d0_direct(q43) == 7
-    assert list(drawn) == [3, 4, 5, 6] and drawn[3] == 0
-    assert drawn[4] == 1088 and drawn[5] == 6642 and drawn[6] < 1000
+    assert drawn == {3: 0, 4: 1088, "cap": 4}
 
 
 @pytest.mark.parametrize("generate, k, r, budget, tables", [
@@ -176,6 +176,16 @@ BELOW_CUTOFF = [(kind, k, r) for kind, layout in (("gkr", GkrLayout), ("qkr", Qk
 def test_d0_routes_agree_on_every_construction_below_the_cutoff(kind, k, r):
     g, _ = (generate_gkr if kind == "gkr" else generate_qkr)(k, r)
     assert _both_routes(g) == (k + r,) * 2
+
+
+@pytest.mark.parametrize("generate, k, r", [
+    (generate_gkr, 5, 3), (generate_qkr, 5, 3), (generate_gkr, 5, 4), (generate_qkr, 5, 4)],
+    ids=["gkr(5,3)", "qkr(5,3)", "gkr(5,4)", "qkr(5,4)"])
+def test_d0_direct_is_k_plus_r_on_the_layered_route(generate, k, r):
+    # n = 21 to 30: the layered route lists only the lifts of the hub set's side.
+    g, _ = generate(k, r)
+    assert g.n > domination._DOM_TABLE_MAX_N
+    assert d0_direct(g, Budget(g.n)) == k + r
 
 
 # Graphs whose d0 is Gamma + 2, so that d0_direct lifts a layer above Gamma:

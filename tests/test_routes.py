@@ -14,6 +14,7 @@ import random
 import re
 from bisect import bisect_right
 from collections import namedtuple
+from itertools import combinations
 from pathlib import Path
 from unittest.mock import patch
 
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 
 from domrec import (Graph, build_dk, cartesian_product, complete_graph, connectivity_profile,
                     cycle_graph, d0_direct, dominating_sets_upto, enumerate_minimal_dominating,
-                    generate_gkr, is_connected, mask_of, path_graph, popcount, reconfig_path,
-                    sep_at_most, sep_bottleneck, sep_value, star, vertex_list)
+                    generate_gkr, generate_qkr, is_connected, mask_of, path_graph, popcount,
+                    reconfig_path, sep_at_most, sep_bottleneck, sep_value, star, vertex_list)
 from domrec import domination, reconfig, separation
 from conftest import (BOUND_BELOW_SEP, SHAPES, edged_graphs, random_graph, small_graphs,
                       synthetic_families, synthetic_family)
@@ -53,6 +54,39 @@ def d0_graphs():
             graphs.append(g)
     assert sum(not is_connected(g) for g in graphs) >= 20
     return graphs
+
+
+def disjoint_union(g, h):
+    return Graph.from_edges(g.n + h.n, [*g.edges(), *((u + g.n, v + g.n) for u, v in h.edges())])
+
+
+def edits(g):
+    """Every graph one edge toggle or one vertex deletion away from g."""
+    pairs = set(g.edges())
+    for u, v in combinations(range(g.n), 2):
+        yield Graph.from_edges(g.n, sorted(pairs ^ {(u, v)}))
+    for x in range(g.n):
+        yield Graph.from_edges(g.n - 1, [(u - (u > x), v - (v > x)) for u, v in pairs
+                                         if x not in (u, v)])
+
+
+def lifting_graphs():
+    """Graphs whose d0_direct lifts a layer above Gamma on the layered route.
+
+    gkr(3,2) + gkr(3,2) (n = 20) and gkr(3,2) + qkr(3,2) (n = 22) have 4 and
+    3 swap components at layer Gamma = 6, and d0 = 8. Those of the first
+    are U + U', U + R', R + U' and R + R', for the hub sets U, U' and the
+    rest R, R' of each copy's layer 3, and U + U' lifts next to the middle
+    two only. Renamed so that each copy's u0 comes last, the leaf walk
+    lists U + U' first, so it must join the middle two before they join
+    R + R'. Below the cutoff: every edit of gkr(3,2) and qkr(3,2) with d0 =
+    Gamma + 2, by d0 = sep (separation.py).
+    """
+    g32, q32 = generate_gkr(3, 2)[0], generate_qkr(3, 2)[0]
+    u0_last = Graph.from_edges(g32.n, [((u - 1) % g32.n, (v - 1) % g32.n) for u, v in g32.edges()])
+    return [disjoint_union(g32, g32), disjoint_union(u0_last, u0_last), disjoint_union(g32, q32),
+            *(h for base in (g32, q32) for h in edits(base)
+              if naive_sep_report(fam := naive_minimal_dfs(h))[0] == popcount(fam[-1]) + 2)]
 
 
 def naive_listing(g):
@@ -148,7 +182,8 @@ MATRIX = {
     "d0_direct": Row(
         d0_direct, lambda g: naive_d0(g) if g.n <= 9 else naive_sep_report(family(g).sets)[0],
         domination, "_DOM_TABLE_MAX_N", TABLES,
-        [*SMALL, *d0_graphs(), *near(16, 0.35, 0.35), *near(DOM_N, 0.35)], edged_graphs()),
+        [*SMALL, *d0_graphs(), *near(16, 0.35, 0.35), *near(DOM_N, 0.35), *lifting_graphs()],
+        edged_graphs()),
     # Every level of the profile: the counts and the minimal family from one set of tables.
     "profile": Row(
         profile_rows, naive_profile, domination, "_DOM_TABLE_MAX_N", TABLES,
