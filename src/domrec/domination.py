@@ -89,29 +89,33 @@ the grids' counts, at under 1.6 MB; the counts it slows lose at most
 1.02 ms a graph (star(17)).
 
 reconfig.d0_direct searches its layers in the same tables up to the same
-cutoff. Per graph, each route's median of 7 runs in ms (of 5 on the rows
-marked *) and the tables' peak under tracemalloc in MB, the round's
-temporaries included, on the same CPU; a G(n, .35) row is the median of
-5 connected graphs:
+cutoff; above it, reconfig._d0_from_layers lifts the small swap components
+of layer Gamma. Per graph, each route's median of 7 alternating runs in ms
+(of 5 on the rows marked *) and the tables' peak under tracemalloc in MB,
+the round's temporaries included, on the same CPU; a G(n, .35) row is the
+median of the first 5 connected graphs from seeds 100n, 100n + 1, ...,
+each drawn by random.Random(seed) over the pairs in order:
 
-    graph        n   tables   layers   tables MB
-    G(n, .35)   13     0.16     1.66     0.04
-    G(n, .35)   15     0.50     7.80     0.16
-    G(n, .35)   17     1.53    18.08     0.71
-    G(n, .35)   18     2.94    30.94     1.50
-    G(n, .35)   20    14.39   118.47     6.67
-    gkr(4,2)    13     0.24     2.34     0.04
-    qkr(4,2)    15     0.65     2.95     0.16
-    gkr(4,3)    17     1.48     9.04     0.71
-    qkr(5,2)    18     2.89    12.55     1.50
-    P3 x P6 *   18     4.39    78.51     1.50
-    star(17) *  18     1.46     0.25     1.50
-    qkr(4,3)    20    14.65    15.04     6.67
+    graph        n   tables   lifted   tables MB
+    G(n, .35)   13     0.16     1.34     0.04
+    G(n, .35)   15     0.39     5.52     0.16
+    G(n, .35)   17     1.27    15.76     0.71
+    G(n, .35)   18     2.84    26.52     1.50
+    G(n, .35)   20    15.76   110.88     6.67
+    gkr(4,2)    13     0.15     0.77     0.04
+    qkr(4,2)    15     0.34     1.47     0.16
+    gkr(4,3)    17     1.22     1.34     0.71
+    qkr(5,2)    18     2.54    12.69     1.50
+    P3 x P6 *   18     3.51    59.32     1.50
+    star(17) *  18     1.08     0.20     1.50
+    qkr(4,3)    20    16.98     3.99     6.67
 
-The tables win on every row but qkr(4,3), a tie, and star(17), whose two
-minimal sets put d0 at n. Memory sets the cutoff: at n = 18 the layers'
-own peak was 1.08 to 5.17 MB on P3 x P6, qkr(5,2) and three G(18, .35),
-and at n = 20 the tables would add 6.7 MB for no gain on qkr(4,3).
+The tables win on every row but three: gkr(4,3), about a tie, qkr(4,3),
+where the lifted route lists layer Gamma and lifts only its small
+components, and star(17), whose two minimal sets put d0 at n. Memory sets
+the cutoff: at n = 18 the lifted route's own peak was 0.51 to 3.94 MB on
+P3 x P6, qkr(5,2) and five G(18, .35), and at n = 20 the tables would add
+6.7 MB and lose on qkr(4,3).
 
 reconfig.reconfig_path searches from both ends in the same tables up to
 the same cutoff, and breadth-first over D_k above it. Per query, each
@@ -195,7 +199,6 @@ from __future__ import annotations
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import chain, combinations
 from math import comb
@@ -207,6 +210,7 @@ from .graph_core import (
     Graph,
     InputError,
     VertexSet,
+    _Record,
     iter_vertices,
     popcount,
     vertex_list,
@@ -223,11 +227,12 @@ _DOM_TABLE_MAX_N = 18
 _SET_BIT = re.compile("1")
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(_Record):
     """Explicit enumeration limits; tune via CLI flag or DOMREC_BUDGET."""
 
-    max_n: int = DEFAULT_MAX_N
+    __slots__ = ("max_n",)
+    _defaults = {"max_n": DEFAULT_MAX_N}
+    max_n: int
 
     @staticmethod
     def resolve(max_n: Optional[int] = None) -> "Budget":
@@ -252,13 +257,23 @@ class Budget:
             )
 
 
-@dataclass(frozen=True)
-class DomFamily:
+class DomFamily(_Record):
     """All minimal dominating sets, canonically ordered, plus gamma/Gamma."""
 
+    __slots__ = ("sets", "gamma", "Gamma")
     sets: tuple[VertexSet, ...]
     gamma: int
     Gamma: int
+
+    def __init__(self, sets: tuple[VertexSet, ...], gamma: int, Gamma: int) -> None:
+        # Built once per graph on hunt's path, so filled by the slot setters.
+        _set_sets(self, sets)
+        _set_gamma(self, gamma)
+        _set_Gamma(self, Gamma)
+
+
+_set_sets, _set_gamma, _set_Gamma = (DomFamily.__dict__[name].__set__
+                                     for name in DomFamily._fields)
 
 
 def _require_at_least_two(fam: DomFamily) -> None:
@@ -270,8 +285,9 @@ def _require_at_least_two(fam: DomFamily) -> None:
         )
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(_Record):
+    __slots__ = ("gamma", "Gamma", "alpha", "ir", "num_minimal_dom_sets", "well_covered",
+                 "well_dominated")
     gamma: int
     Gamma: int
     alpha: int

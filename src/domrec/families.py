@@ -25,7 +25,6 @@ none when the two families are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, filterfalse, product
 from typing import Callable, Optional
 
@@ -35,6 +34,7 @@ from .graph_core import (
     InputError,
     UnsupportedGraphError,
     VertexSet,
+    _Record,
     bit,
     is_dominating,
     vertex_list,
@@ -42,10 +42,10 @@ from .graph_core import (
 from .domination import Budget, DomFamily, enumerate_minimal_dominating
 
 
-@dataclass(frozen=True)
-class GkrLayout:
+class GkrLayout(_Record):
     """Frozen vertex numbering for the hub construction."""
 
+    __slots__ = ("k", "r")
     k: int
     r: int
 
@@ -91,8 +91,9 @@ class GkrLayout:
         return sum(bit(self.v(i, j)) for j in range(1, self.k + 1))
 
 
-@dataclass(frozen=True)
 class QkrLayout(GkrLayout):
+    __slots__ = ()
+
     def w(self, i: int) -> int:
         if not 1 <= i <= self.r:
             raise InputError(f"w index {i} outside 1..{self.r}")
@@ -200,15 +201,16 @@ def _plus_hub(layout: GkrLayout, xs: list[VertexSet]) -> list[VertexSet]:
     return xs
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
+    __slots__ = ("name", "passed", "detail")
+    _defaults = {"detail": ""}
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(_Record):
+    __slots__ = ("construction", "k", "r", "family_size", "gamma", "Gamma", "ok", "checks")
     construction: str
     k: int
     r: int

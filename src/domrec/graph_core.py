@@ -8,7 +8,6 @@ work on these masks, so the kernel stays allocation-free on the hot paths.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from typing import Iterator, TypeAlias
 
 VertexSet: TypeAlias = int
@@ -65,35 +64,104 @@ def canonical_key(mask: VertexSet) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in __slots__, after those of its base, and
+    gets positional or keyword construction (defaults in _defaults),
+    equality by type and fields, a hash of the fields, the
+    Name(field=value, ...) repr and pickling. Assigning or deleting an
+    attribute raises AttributeError. The methods are shared, not generated
+    per class, so defining a record costs no code generation at import.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields += cls.__dict__.get("__slots__", ())
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        given = dict(zip(fields, args))
+        if len(args) > len(fields) or given.keys() & kwargs or kwargs.keys() - set(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)},"
+                            f" each once")
+        given = {**self._defaults, **given, **kwargs}
+        missing = [name for name in fields if name not in given]
+        if missing:
+            raise TypeError(f"{type(self).__name__} is missing {', '.join(missing)}")
+        for name in fields:
+            object.__setattr__(self, name, given[name])
+
+    def _values(self) -> tuple[object, ...]:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[object, ...]:
+        # The default unpickling sets slots through __setattr__, which refuses.
+        return _restore, (type(self), self._values())
+
+
+def _restore(cls: type[_Record], values: tuple[object, ...]) -> _Record:
+    """Unpickle a record from its field values, as they were."""
+    record = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+class Graph(_Record):
     """Simple undirected graph with precomputed closed-neighbourhood masks.
 
     Immutable after construction; safe to share across threads/processes.
-    Vertex ids are dense 0..n-1.
+    Vertex ids are dense 0..n-1. Graph(n, adj) checks its input; closed is
+    derived, not an argument.
     """
 
+    __slots__ = ("n", "adj", "closed")
     n: int
     adj: tuple[VertexSet, ...]
-    closed: tuple[VertexSet, ...] = field(init=False)
+    closed: tuple[VertexSet, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not all(isinstance(row, int) for row in self.adj):
+    def __init__(self, n: int, adj: tuple[VertexSet, ...]) -> None:
+        if not isinstance(n, int) or not all(isinstance(row, int) for row in adj):
             raise UnsupportedGraphError("the vertex count and every adjacency row must be an int")
-        _check_order(self.n)
-        if len(self.adj) != self.n:
+        _check_order(n)
+        if len(adj) != n:
             raise UnsupportedGraphError("adjacency length does not match n")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise UnsupportedGraphError(f"adjacency of vertex {v} mentions ids >= n")
             if row & bit(v):
                 raise UnsupportedGraphError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in iter_vertices(self.adj[v]):
-                if not self.adj[u] & bit(v):
+        for v in range(n):
+            for u in iter_vertices(adj[v]):
+                if not adj[u] & bit(v):
                     raise UnsupportedGraphError(f"asymmetric adjacency between {u} and {v}")
-        object.__setattr__(self, "closed", tuple(self.adj[v] | bit(v) for v in range(self.n)))
+        _set_n(self, n)
+        _set_adj(self, adj)
+        _set_closed(self, tuple(adj[v] | bit(v) for v in range(n)))
 
     @property
     def full_mask(self) -> VertexSet:
@@ -109,9 +177,11 @@ class Graph:
 
     @staticmethod
     def _trusted(n: int, adj: tuple[VertexSet, ...]) -> "Graph":
-        """Build without the __post_init__ checks; the caller has made them."""
+        """Build without the __init__ checks; the caller has made them."""
         g = object.__new__(Graph)
-        g.__dict__.update(n=n, adj=adj, closed=tuple([row | 1 << v for v, row in enumerate(adj)]))
+        _set_n(g, n)
+        _set_adj(g, adj)
+        _set_closed(g, tuple([row | 1 << v for v, row in enumerate(adj)]))
         return g
 
     @staticmethod
@@ -126,7 +196,7 @@ class Graph:
         none can be a loop, a repeat or out of range. A set bit past the
         last pair is refused. The edges are then added one by one.
 
-        The checks here imply every __post_init__ check (n in range, ids
+        The checks here imply every __init__ check (n in range, ids
         below n, no loop, symmetric rows), so the graph skips them. A bad
         input is named only once the code below raises, so the try costs
         nothing while nothing is raised. A ValueError is an edge of
@@ -179,6 +249,10 @@ class Graph:
                 ) from None
             raise UnsupportedGraphError("every edge must be a pair of vertex ids") from None
         return Graph._trusted(n, tuple(adj))
+
+
+# The slot setters: the cheapest way to fill a record that refuses __setattr__.
+_set_n, _set_adj, _set_closed = (Graph.__dict__[name].__set__ for name in Graph._fields)
 
 
 def _check_order(n: int) -> None:

@@ -33,7 +33,6 @@ import re
 import sys
 import time
 from contextlib import closing
-from dataclasses import asdict
 from functools import lru_cache, partial
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional, TextIO
@@ -45,6 +44,7 @@ from .graph_core import (
     InputError,
     UnsupportedGraphError,
     VertexSet,
+    _Record,
     cartesian_product,
     mask_of,
     vertex_list,
@@ -289,6 +289,16 @@ def export_json(payload: dict) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _plain(value: object) -> object:
+    """A record as a dict of its fields in order, nested records as dicts,
+    tuples and lists as lists, and anything else as it is."""
+    if isinstance(value, _Record):
+        return {name: _plain(getattr(value, name)) for name in value._fields}
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    return value
+
+
 def export_dot(rg: ReconfigGraph) -> str:
     """DOT text for a reconfiguration graph; nodes labelled by their sets."""
     lines = ["graph dk {"]
@@ -315,7 +325,7 @@ def cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
     budget = Budget.resolve(args.budget)
     for g in read_graphs(args.input, args.format):
         rep = invariant_report(g, budget, include_ir=True if args.ir else None)
-        _emit(out, export_json(asdict(rep)))
+        _emit(out, export_json(_plain(rep)))
     return EXIT_OK
 
 
@@ -327,7 +337,7 @@ def cmd_d0(args: argparse.Namespace, out: TextIO) -> int:
             _emit(out, export_json({"d0": d0_direct(g, budget)}))
         elif args.method == "both":
             ev = check_sep_equals_d0(g, budget)
-            _emit(out, export_json(asdict(ev)))
+            _emit(out, export_json(_plain(ev)))
             if not ev.agree:
                 status = EXIT_ASSERT
         else:
@@ -340,7 +350,7 @@ def cmd_d0(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_profile(args: argparse.Namespace, out: TextIO) -> int:
     budget = Budget.resolve(args.budget)
     for g in read_graphs(args.input, args.format):
-        _emit(out, export_json(asdict(connectivity_profile(g, budget))))
+        _emit(out, export_json(_plain(connectivity_profile(g, budget))))
     return EXIT_OK
 
 
@@ -431,7 +441,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         rep = verify_gkr_structure(args.k, args.r, budget)
     else:
         rep = verify_qkr_structure(args.k, args.r, budget)
-    _emit(out, export_json(asdict(rep)))
+    _emit(out, export_json(_plain(rep)))
     return EXIT_OK if rep.ok else EXIT_ASSERT
 
 

@@ -127,7 +127,6 @@ no set of the implicit side above Gamma is built.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, islice, repeat
 from operator import and_, itemgetter, lshift, or_, rshift
@@ -137,6 +136,7 @@ from .graph_core import (
     Graph,
     InputError,
     VertexSet,
+    _Record,
     is_dominating,
     iter_vertices,
     popcount,
@@ -167,10 +167,10 @@ _LANE_FLOOR = 256
 _RETIRE_EVERY = 16
 
 
-@dataclass(frozen=True)
-class ReconfigGraph:
+class ReconfigGraph(_Record):
     """Explicit D_k(G): canonical vertex order, index-pair edges."""
 
+    __slots__ = ("k", "n", "verts", "edges", "component_count")
     k: int
     n: int  # vertex count of the base graph, for label rendering
     verts: tuple[VertexSet, ...]
@@ -188,8 +188,8 @@ class ReconfigGraph:
         return self.component_count == 1 and len(self.verts) > 0
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
+class ProfileEntry(_Record):
+    __slots__ = ("k", "order", "size", "connected", "component_count")
     k: int
     order: int
     size: int
@@ -197,8 +197,8 @@ class ProfileEntry:
     component_count: int
 
 
-@dataclass(frozen=True)
-class ConnectivityProfile:
+class ConnectivityProfile(_Record):
+    __slots__ = ("gamma", "n", "profile")
     gamma: int
     n: int
     profile: tuple[ProfileEntry, ...]

@@ -101,11 +101,10 @@ scanned, and the gkr/qkr(4,2) ones (81 and 90 sets) are searched in lanes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
 
-from .graph_core import BudgetError, Graph, VertexSet, popcount
+from .graph_core import BudgetError, Graph, VertexSet, _Record, popcount
 from .domination import Budget, DomFamily, _require_at_least_two, enumerate_minimal_dominating
 from .reconfig import _packed, _prim_edges, d0_direct
 
@@ -114,18 +113,18 @@ BRUTE_FORCE_MAX_FAMILY = 15
 _SCAN_MAX_SETS = 64
 
 
-@dataclass(frozen=True)
-class SepReport:
+class SepReport(_Record):
+    __slots__ = ("sep", "witness_partition", "witness_pair", "method")
     sep: int
     witness_partition: tuple[tuple[int, ...], tuple[int, ...]]
     witness_pair: tuple[VertexSet, VertexSet]
     method: str  # "brute_force" | "bottleneck"
 
 
-@dataclass(frozen=True)
-class D0SepEvidence:
+class D0SepEvidence(_Record):
     """Both connectivity-threshold computations side by side."""
 
+    __slots__ = ("d0", "sep", "agree")
     d0: int
     sep: int
     agree: bool

@@ -603,7 +603,7 @@ def naive_parse_graph6(line: str) -> Graph:
 def parser_round_trips(g: Graph) -> list[tuple[str, Graph, Graph]]:
     """(route, g rebuilt through Graph.from_edges, the same graph built checked).
 
-    The checked side is Graph(n, adj), which runs every __post_init__ check.
+    The checked side is Graph(n, adj), which runs every check of __init__.
     The graph6 route hands from_edges pair bits, the others an edge list.
     The edge-list parser infers n from the largest id, so vertices above
     the last edge drop out; its checked side keeps the same prefix.

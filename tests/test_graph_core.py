@@ -30,7 +30,7 @@ K13 = star(3)  # centre 0, leaves 1..3
 
 def test_graph_construction_rejects_bad_input():
     # These refusals are the only guard on the from_edges route: the graph
-    # it builds skips __post_init__, so each message is pinned.
+    # it builds skips Graph.__init__, so each message is pinned.
     cases = [
         (3, [(-1, 0)], "edge (-1,0) out of range for n=3"),
         (2, [(0, 5)], "edge (0,5) out of range for n=2"),
@@ -105,9 +105,10 @@ def test_graph_direct_construction_rejects_bad_input(n, adj, message):
     assert str(err.value) == message
 
 
-# Graph.from_edges builds without the __post_init__ checks. Each route
-# through it must give the graph that the checked constructor gives;
-# dataclass equality compares n, adj and closed.
+# Graph.from_edges builds without the __init__ checks. Each route
+# through it must give the graph that the checked constructor gives; a
+# record equals another of its type when every field, n, adj and the
+# derived closed, is equal.
 
 
 @settings(max_examples=150, deadline=None)

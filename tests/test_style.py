@@ -43,7 +43,7 @@ def test_imports_are_stdlib_or_package_relative(path):
 
 
 def test_only_graph_core_builds_a_graph_unchecked():
-    # Graph._trusted skips every __post_init__ check; only from_edges, whose
+    # Graph._trusted skips every __init__ check; only from_edges, whose
     # own checks imply them, may call it. Every other route validates.
     users = []
     for path in sorted(ROOT.glob("[!.]*/**/*.py")):
